@@ -7,7 +7,7 @@ from .analytic import (ber_user, ber_user_qam, ber_user_qpsk,
                        sep_table_user, sum_ber)
 from .channel import StreamKey, erlang_pdf, generator, sample_channel, sample_noise
 from .constellation import (Constellation, MagnitudeClass, build_rect_qam,
-                            hamming_table, hard_demap, magnitude_classes,
+                            hamming_table, magnitude_classes,
                             map_bits, neighbor_count, symbol_class)
 from .detectors import (DetectionResult, SystemModel, UserProfile, jmld_detect,
                         jmld_detect_batch, joint_symbol_tuples, mrc_sic_detect,
@@ -32,7 +32,7 @@ __all__ = [
     "cell_probability_closed", "cell_probability_quadrature",
     "compare_analytic", "conditional_ber_user", "effective_noise_variance",
     "erlang_fade_average", "erlang_fade_quadrature", "erlang_pdf",
-    "estimate_ber", "generator", "hamming_table", "hard_demap", "jmld_detect",
+    "estimate_ber", "generator", "hamming_table", "jmld_detect",
     "jmld_detect_batch", "joint_symbol_tuples", "magnitude_classes",
     "map_bits", "mrc_sic_detect", "neighbor_count", "optimize_powers",
     "q_approx", "q_exact", "qpsk_sep_triplet", "sample_channel",

@@ -8,7 +8,9 @@ the combining gain Z = ||g||^2 is Erlang distributed with shape N.
 Randomness uses the counter-based Philox generator keyed by the pair
 (seed, substream), so a (seed, stream) pair identifies its draw sequence
 regardless of thread scheduling. Streams may be split into up to 2^20
-numbered children for batch-level parallelism.
+numbered children for batch-level parallelism. The samplers draw from a
+caller's generator, so one generator can feed several draws in a fixed
+order.
 """
 
 from __future__ import annotations
@@ -42,25 +44,27 @@ def generator(key: StreamKey) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=words))
 
 
-def _sample_cn(n: int, sigma: float, key: StreamKey, count=None) -> np.ndarray:
+def _sample_cn(n: int, sigma: float, rng: np.random.Generator,
+               count=None) -> np.ndarray:
     if not isinstance(n, int) or n < 1:
         raise ValueError("dimension must be a positive integer")
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    rng = generator(key)
     shape = (2, n) if count is None else (2, n, int(count))
     g = rng.standard_normal(shape)
     return sigma * (g[0] + 1j * g[1])
 
 
-def sample_channel(n: int, sigma: float, key: StreamKey, count=None) -> np.ndarray:
+def sample_channel(n: int, sigma: float, rng: np.random.Generator,
+                   count=None) -> np.ndarray:
     """Draw a CN(0, 2 sigma^2 I_n) channel vector, or (n, count) of them."""
-    return _sample_cn(n, sigma, key, count)
+    return _sample_cn(n, sigma, rng, count)
 
 
-def sample_noise(n: int, sigma_n: float, key: StreamKey, count=None) -> np.ndarray:
+def sample_noise(n: int, sigma_n: float, rng: np.random.Generator,
+                 count=None) -> np.ndarray:
     """Draw a CN(0, 2 sigma_n^2 I_n) noise vector, or (n, count) of them."""
-    return _sample_cn(n, sigma_n, key, count)
+    return _sample_cn(n, sigma_n, rng, count)
 
 
 def erlang_pdf(z, n: int):

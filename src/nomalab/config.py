@@ -10,15 +10,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import sys
 from dataclasses import dataclass
 
+from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE
 from .constellation import build_rect_qam
 from .detectors import SystemModel, UserProfile
 from .errors import ConfigError
 from .montecarlo import StopRule, TolerancePolicy
 from .poweralloc import PaConfig
 
-_MISSING = object()
 _MOD_RE = re.compile(r"^(\d+)x(\d+)$")
 
 
@@ -47,9 +48,9 @@ class SweepConfig:
 @dataclass(frozen=True)
 class McConfig:
     seed: int = 0
-    min_errors: int = 100
-    max_symbols: int = 100_000_000
-    batch_size: int = 10_000
+    min_errors: int = StopRule.min_errors
+    max_symbols: int = StopRule.max_symbols
+    batch_size: int = StopRule.batch_size
     workers: int = 1
 
     def stop_rule(self) -> StopRule:
@@ -59,8 +60,8 @@ class McConfig:
 @dataclass(frozen=True)
 class AnalyticConfig:
     mode: str = "auto"
-    prune_threshold: float = 1e-12
-    max_leaves: int = 10_000_000
+    prune_threshold: float = DEFAULT_PRUNE
+    max_leaves: int = DEFAULT_MAX_LEAVES
 
 
 @dataclass(frozen=True)
@@ -79,26 +80,31 @@ class RunConfig:
     output: OutputConfig = OutputConfig()
 
 
-def _section(raw, path: str, allowed: dict):
+def _section(raw, path: str, cls) -> dict:
+    """Values of a section keyed by cls's fields, defaults filled in; a
+    field without a default is required."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(raw) - set(allowed))
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in fields})
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
     out = {}
-    for key, default in allowed.items():
-        if key in raw:
-            out[key] = raw[key]
-        elif default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
+    for f in fields:
+        if f.name in raw:
+            out[f.name] = raw[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
         else:
-            out[key] = default
+            out[f.name] = f.default
     return out
 
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also NaN, and ints past float range
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -122,9 +128,7 @@ def parse_modulation(text, path: str = "modulation") -> tuple[int, int]:
 
 
 def _parse_user(raw, path: str) -> UserConfig:
-    d = _section(raw, path, {
-        "power_db": _MISSING, "sigma": _MISSING,
-        "modulation": "2x2", "sic_rank": None})
+    d = _section(raw, path, UserConfig)
     mi, mq = parse_modulation(d["modulation"], f"{path}.modulation")
     try:
         build_rect_qam(mi, mq)
@@ -141,8 +145,7 @@ def _parse_user(raw, path: str) -> UserConfig:
 
 
 def _parse_system(raw, path: str) -> SystemConfig:
-    d = _section(raw, path, {
-        "n_antennas": _MISSING, "noise_sigma": _MISSING, "users": _MISSING})
+    d = _section(raw, path, SystemConfig)
     users_raw = d["users"]
     if not isinstance(users_raw, list) or not users_raw:
         raise ConfigError(f"{path}.users: expected a nonempty array")
@@ -154,12 +157,12 @@ def _parse_system(raw, path: str) -> SystemConfig:
         users=users)
 
 
-def _parse_simple(raw, path: str, cls, fields: dict):
-    """Parse a flat section, typing each value after its default."""
-    d = _section(raw, path, fields)
+def _parse_simple(raw, path: str, cls):
+    """Parse a flat section, typing each value after its field's default."""
+    d = _section(raw, path, cls)
     kwargs = {}
-    for key, value in d.items():
-        default = fields[key]
+    for f in dataclasses.fields(cls):
+        key, value, default = f.name, d[f.name], f.default
         if isinstance(default, bool):
             if not isinstance(value, bool):
                 raise ConfigError(f"{path}.{key}: expected a boolean")
@@ -168,44 +171,33 @@ def _parse_simple(raw, path: str, cls, fields: dict):
             kwargs[key] = _integer(value, f"{path}.{key}")
         elif isinstance(default, float):
             kwargs[key] = _number(value, f"{path}.{key}")
-        elif isinstance(default, str):
+        else:
             if not isinstance(value, str):
                 raise ConfigError(f"{path}.{key}: expected a string")
-            kwargs[key] = value
-        else:
             kwargs[key] = value
     return cls(**kwargs)
 
 
 def parse_config(data: dict, path: str = "config") -> RunConfig:
-    top = _section(data, path, {
-        "system": _MISSING, "sweep": {}, "montecarlo": {}, "poweralloc": {},
-        "analytic": {}, "validate": {}, "output": {}})
-    system = _parse_system(top["system"], f"{path}.system")
-    sweep = _parse_simple(top["sweep"], f"{path}.sweep", SweepConfig,
-                          {"start_db": 0.0, "stop_db": 0.0, "step_db": 5.0})
-    mc = _parse_simple(top["montecarlo"], f"{path}.montecarlo", McConfig,
-                       {"seed": 0, "min_errors": 100, "max_symbols": 100_000_000,
-                        "batch_size": 10_000, "workers": 1})
-    pa = _parse_simple(top["poweralloc"], f"{path}.poweralloc", PaConfig,
-                       {"p_max_db": 30.0, "max_iters": 500, "fd_step_db": 0.01,
-                        "tol_db": 1e-4, "armijo_c": 1e-4, "step0_db": 4.0,
-                        "min_step_db": 1e-6, "mode": "auto",
-                        "multistart_points": 4})
-    analytic = _parse_simple(top["analytic"], f"{path}.analytic", AnalyticConfig,
-                             {"mode": "auto", "prune_threshold": 1e-12,
-                              "max_leaves": 10_000_000})
-    validate = _parse_simple(top["validate"], f"{path}.validate", TolerancePolicy,
-                             {"k_ci": 3.0, "rel_tol": 0.15, "min_ber": 1e-5})
-    output = _parse_simple(top["output"], f"{path}.output", OutputConfig,
-                           {"directory": "out"})
-    if analytic.mode not in ("auto", "exact", "approx"):
-        raise ConfigError(f"{path}.analytic.mode: unknown mode {analytic.mode!r}")
-    if pa.mode not in ("auto", "exact", "approx"):
-        raise ConfigError(f"{path}.poweralloc.mode: unknown mode {pa.mode!r}")
-    if sweep.step_db <= 0:
+    _section(data, path, RunConfig)
+    system = _parse_system(data["system"], f"{path}.system")
+    sections = {f.name: _parse_simple(data.get(f.name, {}), f"{path}.{f.name}",
+                                      type(f.default))
+                for f in dataclasses.fields(RunConfig) if f.name != "system"}
+    cfg = RunConfig(system, **sections)
+    if cfg.analytic.mode not in ("auto", "exact", "approx"):
+        raise ConfigError(f"{path}.analytic.mode: unknown mode {cfg.analytic.mode!r}")
+    if cfg.poweralloc.mode not in ("auto", "exact", "approx"):
+        raise ConfigError(f"{path}.poweralloc.mode: unknown mode {cfg.poweralloc.mode!r}")
+    if cfg.sweep.step_db <= 0:
         raise ConfigError(f"{path}.sweep.step_db: must be positive")
-    return RunConfig(system, sweep, mc, pa, analytic, validate, output)
+    if cfg.poweralloc.fd_step_db <= 0:
+        raise ConfigError(f"{path}.poweralloc.fd_step_db: must be positive")
+    try:
+        cfg.montecarlo.stop_rule()
+    except ValueError as exc:
+        raise ConfigError(f"{path}.montecarlo: {exc}") from exc
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

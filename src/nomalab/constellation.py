@@ -188,17 +188,6 @@ def map_bits(c: Constellation, bits) -> complex:
     return complex(c.points[index])
 
 
-def hard_demap(c: Constellation, z: complex, scale: float) -> int:
-    """Nearest-point decision for observation z against scale * points.
-
-    Ties resolve to the lowest symbol index.
-    """
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    d2 = np.abs(z - scale * c.points) ** 2
-    return int(np.argmin(d2))
-
-
 def symbol_class(c: Constellation, index: int) -> str:
     """Geometric class of a symbol: 'interior', 'edge', or 'corner'.
 

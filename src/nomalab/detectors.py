@@ -4,10 +4,14 @@ The uplink model is y = sum_k sqrt(P_k) h_k x_k + n with one SIMO
 channel vector per user. The SIC detector peels users in sic_rank
 order: at each stage it maximum-ratio combines the current residual
 with the user's own channel, makes a hard decision against the scaled
-constellation, and subtracts the decision re-modulated onto the
-channel. Earlier-stage decisions are reused verbatim, so decision
-errors propagate. The joint detector searches the full cartesian
-product of all user alphabets and is capped to protect memory.
+constellation (ties go to the lowest symbol index), and subtracts the
+decision re-modulated onto the channel. Earlier-stage decisions are
+reused verbatim, so decision errors propagate. The joint detector
+searches the full cartesian product of all user alphabets and is capped
+to protect memory.
+
+Both receivers and superposition work on batches of (n, B) columns; the
+single-shot functions run a batch of one.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, hard_demap
+from .constellation import Constellation
 from .errors import CapacityError
 
 JMLD_DEFAULT_CAP = 1 << 20
@@ -93,53 +97,57 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Hard decisions in user-index order, optional per-stage residuals."""
+    """Hard decisions in user-index order."""
 
     symbols: np.ndarray
-    residuals: tuple | None = None
 
 
 def _check_vectors(model: SystemModel, y: np.ndarray, channels) -> list[np.ndarray]:
+    """Channels as arrays; each must have y's shape, (n,) or (n, B)."""
     chans = [np.asarray(h) for h in channels]
     if len(chans) != model.k:
         raise ValueError("one channel vector per user required")
+    shape = np.shape(y)
+    if len(shape) not in (1, 2) or shape[0] != model.n_antennas:
+        raise ValueError(f"received shape {shape} is not ({model.n_antennas},) "
+                         f"or ({model.n_antennas}, B)")
     for h in chans:
-        if h.shape != (model.n_antennas,):
-            raise ValueError(f"channel shape {h.shape} != ({model.n_antennas},)")
-    if np.asarray(y).shape != (model.n_antennas,):
-        raise ValueError("received vector shape mismatch")
+        if h.shape != shape:
+            raise ValueError(f"channel shape {h.shape} != {shape}")
     return chans
 
 
+def _batch_of_one(model: SystemModel, y, channels):
+    """One received vector and its channels as (n, 1) columns."""
+    y = np.asarray(y, dtype=complex)
+    chans = _check_vectors(model, y, channels)
+    if y.ndim != 1:
+        raise ValueError("single-shot detection takes one (n,) vector")
+    return y[:, None], [h[:, None] for h in chans]
+
+
 def superimpose(model: SystemModel, symbols, channels, noise) -> np.ndarray:
-    """Received vector for the given per-user symbol indices."""
-    chans = _check_vectors(model, np.asarray(noise), channels)
-    y = np.asarray(noise, dtype=complex).copy()
+    """Received signal for per-user symbol indices.
+
+    With noise and channels of shape (n,) each user gives one index; with
+    (n, B) each user gives B indices, one per column.
+    """
+    y = np.array(noise, dtype=complex)
+    chans = _check_vectors(model, y, channels)
+    if len(symbols) != model.k:
+        raise ValueError("one symbol index entry per user required")
     for u, h, s in zip(model.users, chans, symbols):
-        point = u.constellation.points[int(s)]
-        y += np.sqrt(u.power) * h * point
+        s = np.asarray(s)
+        if s.shape != y.shape[1:]:
+            raise ValueError(f"symbol indices shape {s.shape} != {y.shape[1:]}")
+        y += np.sqrt(u.power) * h * u.constellation.points[s]
     return y
 
 
-def mrc_sic_detect(model: SystemModel, y, channels,
-                   return_residuals: bool = False) -> DetectionResult:
+def mrc_sic_detect(model: SystemModel, y, channels) -> DetectionResult:
     """Successive detection in sic_rank order with MRC at each stage."""
-    y = np.asarray(y, dtype=complex)
-    chans = _check_vectors(model, y, channels)
-    symbols = np.zeros(model.k, dtype=np.int64)
-    residuals = []
-    r = y.copy()
-    for idx in model.decode_order():
-        u = model.users[idx]
-        h = chans[idx]
-        if return_residuals:
-            residuals.append(r.copy())
-        z = np.vdot(h, r)  # h^H r
-        scale = np.sqrt(u.power) * float(np.sum(np.abs(h) ** 2))
-        s = hard_demap(u.constellation, z, scale) if scale > 0 else 0
-        symbols[idx] = s
-        r = r - np.sqrt(u.power) * h * u.constellation.points[s]
-    return DetectionResult(symbols, tuple(residuals) if return_residuals else None)
+    return DetectionResult(
+        sic_detect_batch(model, *_batch_of_one(model, y, channels))[:, 0])
 
 
 def joint_symbol_tuples(model: SystemModel, cap: int = JMLD_DEFAULT_CAP) -> np.ndarray:
@@ -161,18 +169,16 @@ def jmld_detect(model: SystemModel, y, channels,
     Minimizes ||y - sum_k sqrt(P_k) h_k x_k||^2 over the product alphabet;
     ties resolve to the lexicographically smallest index tuple.
     """
-    y = np.asarray(y, dtype=complex)
-    chans = _check_vectors(model, y, channels)
-    best_t = jmld_detect_batch(
-        model, y[:, None], [h[:, None] for h in chans], cap=cap)[:, 0]
-    return DetectionResult(best_t)
+    return DetectionResult(
+        jmld_detect_batch(model, *_batch_of_one(model, y, channels), cap=cap)[:, 0])
 
 
 def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     """Vectorized MRC-SIC over a batch: y is (n, B), channels are (n, B).
 
-    Returns (K, B) symbol indices in user order. Matches mrc_sic_detect
-    column by column.
+    Returns (K, B) symbol indices in user order. Each decision is the
+    nearest scaled constellation point, ties going to the lowest index;
+    a zero combining gain (zero power or zero channel) decides index 0.
     """
     out = np.zeros((model.k, y.shape[1]), dtype=np.int64)
     r = y.astype(complex, copy=True)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import StreamKey, generator
+from .channel import StreamKey, generator, sample_channel, sample_noise
 from .constellation import hamming_table
-from .detectors import SystemModel, jmld_detect_batch, sic_detect_batch
+from .detectors import (SystemModel, jmld_detect_batch, sic_detect_batch,
+                        superimpose)
 
 DETECTORS = ("sic", "jmld")
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -67,14 +68,9 @@ def _run_batch(model: SystemModel, detector: str, batch_size: int,
     n = model.n_antennas
     sym = [rng.integers(0, u.constellation.size, size=batch_size)
            for u in model.users]
-    chans = []
-    for u in model.users:
-        g = rng.standard_normal((2, n, batch_size))
-        chans.append(u.sigma * (g[0] + 1j * g[1]))
-    g = rng.standard_normal((2, n, batch_size))
-    y = model.noise_sigma * (g[0] + 1j * g[1])
-    for u, h, s in zip(model.users, chans, sym):
-        y = y + np.sqrt(u.power) * h * u.constellation.points[s][None, :]
+    chans = [sample_channel(n, u.sigma, rng, batch_size) for u in model.users]
+    noise = sample_noise(n, model.noise_sigma, rng, batch_size)
+    y = superimpose(model, sym, chans, noise)
     if detector == "sic":
         det = sic_detect_batch(model, y, chans)
     else:

@@ -41,26 +41,35 @@ def test_distinct_streams_decorrelate():
 
 
 def test_sample_shapes_and_dtype():
-    h = sample_channel(3, 1.0, StreamKey(0))
+    h = sample_channel(3, 1.0, generator(StreamKey(0)))
     assert h.shape == (3,) and h.dtype == complex
-    hh = sample_channel(3, 1.0, StreamKey(0), count=5)
+    hh = sample_channel(3, 1.0, generator(StreamKey(0)), count=5)
     assert hh.shape == (3, 5)
-    nn = sample_noise(2, 0.5, StreamKey(1), count=4)
+    nn = sample_noise(2, 0.5, generator(StreamKey(1)), count=4)
     assert nn.shape == (2, 4)
+
+
+def test_samplers_continue_the_callers_stream():
+    rng = generator(StreamKey(3))
+    h = sample_channel(2, 1.5, rng, count=4)
+    nn = sample_noise(2, 0.5, rng, count=4)
+    g = generator(StreamKey(3)).standard_normal((4, 2, 4))
+    assert np.array_equal(h, 1.5 * (g[0] + 1j * g[1]))
+    assert np.array_equal(nn, 0.5 * (g[2] + 1j * g[3]))
 
 
 def test_sample_validation():
     with pytest.raises(ValueError):
-        sample_channel(0, 1.0, StreamKey(0))
+        sample_channel(0, 1.0, generator(StreamKey(0)))
     with pytest.raises(ValueError):
-        sample_channel(2, 0.0, StreamKey(0))
+        sample_channel(2, 0.0, generator(StreamKey(0)))
     with pytest.raises(ValueError):
-        sample_noise(2, -1.0, StreamKey(0))
+        sample_noise(2, -1.0, generator(StreamKey(0)))
 
 
 def test_sample_moments_per_real_dimension():
     sigma = 1.7
-    h = sample_channel(2, sigma, StreamKey(11), count=200_000)
+    h = sample_channel(2, sigma, generator(StreamKey(11)), count=200_000)
     for part in (h.real, h.imag):
         assert abs(part.mean()) < 0.02
         assert abs(part.var() / sigma**2 - 1.0) < 0.02
@@ -70,7 +79,7 @@ def test_sample_moments_per_real_dimension():
 
 def test_combining_gain_is_erlang_shaped():
     n, sigma = 3, 0.8
-    h = sample_channel(n, sigma, StreamKey(12), count=200_000)
+    h = sample_channel(n, sigma, generator(StreamKey(12)), count=200_000)
     z = (np.abs(h) ** 2).sum(axis=0) / (2 * sigma**2)
     assert abs(z.mean() - n) < 0.03
     assert abs(z.var() / n - 1.0) < 0.05

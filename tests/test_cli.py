@@ -150,6 +150,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["analytic", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command,section,key,value", [
+    ("simulate", "montecarlo", "min_errors", 0),
+    ("simulate", "montecarlo", "max_symbols", 0),
+    ("simulate", "montecarlo", "batch_size", 0),
+    ("optimize", "poweralloc", "fd_step_db", 0),
+    ("optimize", "poweralloc", "p_max_db", float("nan")),
+    ("optimize", "poweralloc", "p_max_db", 10**400),
+])
+def test_malformed_value_is_a_config_error(tmp_path, capsys, command, section,
+                                           key, value):
+    data = json.loads(json.dumps(BASE))
+    data.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: config.{section}" in capsys.readouterr().err
+
+
 def test_capacity_error_exit_code(tmp_path, capsys):
     data = json.loads(json.dumps(BASE))
     data["system"]["users"] = [

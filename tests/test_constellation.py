@@ -1,4 +1,5 @@
-"""Rectangular QAM geometry, Gray labeling, and hard demapping."""
+"""Rectangular QAM geometry, Gray labeling, and hard demapping through
+a one-user SIC receiver."""
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from nomalab.constellation import (
     bit_distance,
     build_rect_qam,
     hamming_table,
-    hard_demap,
     magnitude_classes,
     map_bits,
     neighbor_count,
     symbol_class,
 )
+from nomalab.detectors import SystemModel, UserProfile, mrc_sic_detect
 
 ORDERS = [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4), (8, 8)]
 
@@ -138,27 +139,34 @@ def test_symbol_class_degenerate_axis_counts_extreme():
     assert all(neighbor_count(qpsk, i) == 2 for i in range(4))
 
 
-def test_hard_demap_inverts_scaled_points():
+def sic_decide(c, z, scale, h=1 + 0j):
+    """Hard decision on z against scale * points: one user, n=1, MRC
+    gain sqrt(P) |h|^2 = scale for the unit channel."""
+    model = SystemModel(1, 1.0, (UserProfile(scale**2, 1.0, c),))
+    return int(mrc_sic_detect(model, np.array([z]), [np.array([h])]).symbols[0])
+
+
+def test_sic_decision_inverts_scaled_points():
     for mi, mq in ORDERS:
         c = build_rect_qam(mi, mq)
         for scale in (1.0, 0.3, 17.5):
-            got = [hard_demap(c, scale * complex(c.points[i]), scale)
+            got = [sic_decide(c, scale * complex(c.points[i]), scale)
                    for i in range(c.size)]
             assert got == list(range(c.size))
 
 
-def test_hard_demap_ties_go_to_lowest_index():
+def test_sic_decision_ties_go_to_lowest_index():
     c = build_rect_qam(2, 2)
     # the origin is equidistant from all four points
-    assert hard_demap(c, 0j, 1.0) == 0
+    assert sic_decide(c, 0j, 1.0) == 0
 
 
-def test_hard_demap_requires_positive_scale():
-    c = build_rect_qam(2, 2)
-    with pytest.raises(ValueError):
-        hard_demap(c, 1 + 1j, 0.0)
-    with pytest.raises(ValueError):
-        hard_demap(c, 1 + 1j, -2.0)
+def test_sic_decision_zero_gain_decides_index_0():
+    for mi, mq in ORDERS:
+        c = build_rect_qam(mi, mq)
+        z = complex(c.points[-1])
+        assert sic_decide(c, z, 1.0, h=0j) == 0
+        assert sic_decide(c, z, 0.0) == 0
 
 
 def test_map_bits_validation():
@@ -193,4 +201,4 @@ def test_demap_recovers_symbol_under_small_noise(order, data):
     # perturbation below half the scaled minimum distance cannot flip
     eps = data.draw(st.complex_numbers(max_magnitude=0.99))
     z = scale * (complex(c.points[idx]) + eps)
-    assert hard_demap(c, z, scale) == idx
+    assert sic_decide(c, z, scale) == idx

@@ -10,7 +10,6 @@ import oracles
 from nomalab.channel import StreamKey, generator, sample_channel
 from nomalab.constellation import build_rect_qam
 from nomalab.detectors import (
-    DetectionResult,
     SystemModel,
     UserProfile,
     jmld_detect,
@@ -128,20 +127,6 @@ def test_sic_recovers_noiseless_with_power_separation():
         assert res.symbols.tolist() == sym
 
 
-def test_sic_residuals_track_cancellation():
-    rng = np.random.default_rng(5)
-    model = make_model([1e6, 1.0], [1.0, 1.0], [QPSK, QPSK], n=2)
-    sym, chans, noise, y = draw_instance(rng, model)
-    res = mrc_sic_detect(model, y, chans, return_residuals=True)
-    assert isinstance(res, DetectionResult)
-    assert len(res.residuals) == 2
-    assert np.array_equal(res.residuals[0], y)
-    s1 = int(res.symbols[0])
-    expect = y - np.sqrt(1e6) * chans[0] * QPSK.points[s1]
-    assert np.allclose(res.residuals[1], expect, rtol=1e-12)
-    assert mrc_sic_detect(model, y, chans).residuals is None
-
-
 def test_sic_matches_plain_python_reference():
     rng = np.random.default_rng(7)
     model = make_model([50.0, 10.0, 1.0], [2.0, 1.0, 0.5],
@@ -180,25 +165,47 @@ def test_batch_detectors_match_single_shot():
     rng = np.random.default_rng(17)
     model = make_model([25.0, 4.0, 1.0], [1.5, 1.0, 0.7],
                        [QPSK, QAM8, QPSK], n=3)
+    points = [u.constellation.points for u in model.users]
+    powers = [u.power for u in model.users]
     b = 40
     chans = [u.sigma * (rng.standard_normal((3, b))
                         + 1j * rng.standard_normal((3, b)))
              for u in model.users]
     noise = rng.standard_normal((3, b)) + 1j * rng.standard_normal((3, b))
     sym = [rng.integers(0, u.constellation.size, size=b) for u in model.users]
-    y = noise.astype(complex)
-    for u, h, s in zip(model.users, chans, sym):
-        y = y + np.sqrt(u.power) * h * u.constellation.points[s][None, :]
+    y = superimpose(model, sym, chans, noise)
 
     sic_b = sic_detect_batch(model, y, chans)
     jmld_b = jmld_detect_batch(model, y, chans)
     assert sic_b.shape == (3, b) and jmld_b.shape == (3, b)
     for col in range(b):
         cols = [h[:, col] for h in chans]
-        assert sic_b[:, col].tolist() == mrc_sic_detect(
-            model, y[:, col], cols).symbols.tolist()
-        assert jmld_b[:, col].tolist() == jmld_detect(
-            model, y[:, col], cols).symbols.tolist()
+        assert superimpose(model, [s[col] for s in sym], cols,
+                           noise[:, col]).tolist() == y[:, col].tolist()
+        assert tuple(sic_b[:, col]) == oracles.reference_sic(
+            y[:, col], cols, powers, points, model.decode_order())
+        assert tuple(jmld_b[:, col]) == oracles.brute_force_joint_ml(
+            y[:, col], cols, powers, points)
+
+
+def test_superimpose_batch_shape_validation():
+    model = make_model([1.0, 1.0], [1.0, 1.0], [QPSK, QPSK], n=2)
+    noise = np.zeros((2, 5), complex)
+    chans = [np.ones((2, 5), complex)] * 2
+    sym = [np.zeros(5, np.int64)] * 2
+    assert superimpose(model, sym, chans, noise).shape == (2, 5)
+    with pytest.raises(ValueError):
+        superimpose(model, sym, [np.ones((2, 4), complex)] * 2, noise)
+    with pytest.raises(ValueError):
+        superimpose(model, sym, [np.ones(2, complex)] * 2, noise)
+    with pytest.raises(ValueError):
+        superimpose(model, [np.zeros(4, np.int64)] * 2, chans, noise)
+    with pytest.raises(ValueError):
+        superimpose(model, [0, 0], chans, noise)
+    with pytest.raises(ValueError):
+        superimpose(model, sym[:1], chans, noise)
+    with pytest.raises(ValueError):
+        mrc_sic_detect(model, noise, chans)
 
 
 def test_joint_symbol_tuples_order_and_cap():
@@ -223,8 +230,8 @@ def test_jmld_beats_sic_when_powers_are_comparable():
     trials = 400
     for _ in range(trials):
         sym = [int(rng.integers(0, 4)) for _ in range(2)]
-        chans = [sample_channel(2, 1.0, StreamKey(int(rng.integers(1 << 30))))
-                 for _ in range(2)]
+        keys = [StreamKey(int(rng.integers(1 << 30))) for _ in range(2)]
+        chans = [sample_channel(2, 1.0, generator(k)) for k in keys]
         noise = 0.05 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         y = superimpose(model, sym, chans, noise)
         if mrc_sic_detect(model, y, chans).symbols.tolist() != sym:
