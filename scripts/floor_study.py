@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nomalab.analytic import ber_user
+from nomalab.analytic import stage_bers
 from nomalab.config import build_model, load_config, sweep_grid
 from nomalab.detectors import SystemModel
 
@@ -24,8 +24,7 @@ from nomalab.detectors import SystemModel
 def floor_table(model: SystemModel, grid, mode: str):
     rows = []
     for off in grid:
-        m = model.scaled(off)
-        rows.append([off] + [ber_user(m, k, mode) for k in range(1, m.k + 1)])
+        rows.append([off] + list(stage_bers(model.scaled(off), mode)))
     return rows
 
 

@@ -1,21 +1,22 @@
 """Closed-form average BER for SIC detection under Rayleigh fading.
 
-The engine works in decoding-stage order (stage 1 decoded first). For a
-target stage k it enumerates a tree: magnitude-class assignments for
-stages 2..K (weighted by class priors), then per upstream stage j < k a
-table of error distances d_j with closed-form probabilities, and at each
-leaf the target's conditional BER against an effective noise
+One depth-first walk, in decoding-stage order (stage 1 decoded first),
+yields the BER of every stage. Its roots are the magnitude-class
+assignments for stages 2..K, weighted by class priors. A node at depth
+k carries the upstream error distances d_j, j < k, and sees
     sigma_tot^2 = sigma_n^2 + sum_{j<k} P_j d_j^2 sigma_j^2
                             + sum_{j>k} P_j |x_j|^2 sigma_j^2
 (residuals strictly upstream, uncancelled interference strictly
-downstream). The per-stage SINR parameter is 2 P_k sigma_k^2 /
-sigma_tot^2.
+downstream) at SINR parameter 2 P_k sigma_k^2 / sigma_tot^2. It adds
+its weighted stage-k BER, then expands stage k's SEP table (error
+distances d_k with closed-form probabilities) to depth k + 1.
 
-Two leaf modes exist: "exact" walks the Gray decision boundaries of each
-axis and combines exact fading averages per bit; "approx" counts
-adjacent decision boundaries (4/3/2 for interior/edge/corner symbols)
-and charges f(sinr) per neighbor. An all-QPSK fast path evaluates the
-same tree with the closed-form error-distance triplet.
+Each stage's alphabet picks its kernels: the QPSK table is the
+closed-form error-distance triplet, other tables sum cell probabilities.
+The conditional BER compiles per alphabet, transmitted class and mode
+into pairs with BER = sum coef * erlang_fade_average(gain * d^2, n):
+"exact" walks the Gray decision boundaries of each axis, "approx"
+charges one fading tail per adjacent decision boundary.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .constellation import (Constellation, MagnitudeClass, _axis_gray_labels,
                             magnitude_classes, neighbor_count)
@@ -93,7 +95,78 @@ def effective_noise_variance(model: SystemModel, k: int, d, x_mags) -> float:
     return total
 
 
-def _branch_sigma_tot(model: SystemModel, k: int, branch: TreeBranch) -> float:
+@lru_cache(maxsize=None)
+def _admissible_tx(c: Constellation, tx_class) -> tuple[int, ...]:
+    """Representative symbols with nonnegative coordinates, positive on
+    any non-degenerate axis, restricted to tx_class unless None."""
+    out = tuple(i for i in range(c.size)
+                if (c.m_i == 1 or c.points[i].real > 0)
+                and (c.m_q == 1 or c.points[i].imag > 0)
+                and (tx_class is None or i in tx_class.members))
+    if not out:
+        raise ValueError("magnitude class has no first-quadrant representative")
+    return out
+
+
+def _sep_entries(c: Constellation, tx_class, gain: float, n: int):
+    """SEP table entries: the QPSK triplet at the exact distances, else
+    cell probabilities merged by distance rounded to 12 digits."""
+    if c.is_qpsk:
+        return tuple(zip(QPSK_DISTANCES, qpsk_sep_triplet(gain, n)))
+    tx_set = _admissible_tx(c, tx_class)
+    prior = 1.0 / len(tx_set)
+    acc: dict[float, float] = {}
+    for tx_idx in tx_set:
+        tx = complex(c.points[tx_idx])
+        for ci in range(c.m_i):
+            for cq in range(c.m_q):
+                p = cell_probability_closed(tx, ci, cq, c, gain, n)
+                center = complex(c.levels_i[ci], c.levels_q[cq])
+                d = round(abs(tx - center), 12)
+                acc[d] = acc.get(d, 0.0) + prior * p
+    return tuple(sorted(acc.items()))
+
+
+@lru_cache(maxsize=None)
+def _leaf_terms(c: Constellation, tx_class, mode: str):
+    """Conditional BER as (coef, d^2) pairs, ascending in d^2. "exact":
+    each axis slot off the transmitted level holds f(near) - f(far), the
+    fading tails at its two boundary offsets, once per Gray bit it flips;
+    no constant term survives, so tiny slots never cancel to 1-(1-eps).
+    "approx": f at unit offset once per adjacent decision boundary."""
+    tx_set = _admissible_tx(c, tx_class)
+    norm = len(tx_set) * c.bits_per_symbol
+    if mode == "approx":
+        return ((sum(neighbor_count(c, i) for i in tx_set) / norm, 1.0),)
+    acc: dict[float, int] = {}
+    for tx_idx in tx_set:
+        for m, levels, bounds, slot in (
+                (c.m_i, c.levels_i, c.boundaries_i, int(c.level_index_i[tx_idx])),
+                (c.m_q, c.levels_q, c.boundaries_q, int(c.level_index_q[tx_idx]))):
+            labels = _axis_gray_labels(m)
+            offsets = [abs(float(b - levels[slot])) for b in bounds]
+            for j in range(m):
+                flips = sum(a != b for a, b in zip(labels[j], labels[slot]))
+                if not flips:  # also the transmitted level's own slot
+                    continue
+                near, far = sorted(offsets[j:j + 2])
+                acc[near] = acc.get(near, 0) + flips
+                if not math.isinf(far):
+                    acc[far] = acc.get(far, 0) - flips
+    return tuple((coef / norm, d * d) for d, coef in sorted(acc.items()) if coef)
+
+
+def _leaf_ber(terms, gain: float, n: int) -> float:
+    ber = 0.0
+    for coef, d2 in terms:
+        ber += coef * erlang_fade_average(gain * d2, n)
+    return ber
+
+
+def _branch_point(model: SystemModel, k: int, branch: TreeBranch):
+    """Constellation, transmitted class, effective noise and SINR
+    parameter of stage k on a branch."""
+    _check_stage(model, k)
     if len(branch.classes) != model.k - 1:
         raise ValueError(
             f"branch carries {len(branch.classes)} class assignments, "
@@ -102,114 +175,27 @@ def _branch_sigma_tot(model: SystemModel, k: int, branch: TreeBranch) -> float:
         raise ValueError(f"branch carries {len(branch.distances)} distances, "
                          f"stage {k} needs {k - 1}")
     x_mags = [cls.squared_magnitude for cls in branch.classes[k - 1:]]
-    return effective_noise_variance(model, k, branch.distances[:k - 1], x_mags)
-
-
-def _stage_gain(model: SystemModel, k: int, sigma_tot_sq: float) -> float:
+    sigma_tot_sq = effective_noise_variance(model, k, branch.distances[:k - 1], x_mags)
     u = model.stage_profiles()[k - 1]
-    return 2.0 * u.power * u.sigma**2 / sigma_tot_sq
-
-
-def _first_quadrant(c: Constellation) -> tuple[int, ...]:
-    """Representative symbols with nonnegative coordinates, positive on
-    any non-degenerate axis."""
-    out = []
-    for idx in range(c.size):
-        p = c.points[idx]
-        if (c.m_i == 1 or p.real > 0) and (c.m_q == 1 or p.imag > 0):
-            out.append(idx)
-    return tuple(out)
-
-
-def _admissible_tx(c: Constellation, tx_class: MagnitudeClass | None) -> tuple[int, ...]:
-    reps = _first_quadrant(c)
-    if tx_class is None:
-        return reps
-    members = set(tx_class.members)
-    out = tuple(i for i in reps if i in members)
-    if not out:
-        raise ValueError("magnitude class has no first-quadrant representative")
-    return out
+    gain = 2.0 * u.power * u.sigma**2 / sigma_tot_sq
+    tx_class = branch.classes[k - 2] if k >= 2 else None
+    return u.constellation, tx_class, sigma_tot_sq, gain
 
 
 def sep_table_user(model: SystemModel, k: int, branch: TreeBranch) -> SepTable:
     """Closed-form error-distance table for stage k on the given branch."""
-    _check_stage(model, k)
-    sigma_tot_sq = _branch_sigma_tot(model, k, branch)
-    gain = _stage_gain(model, k, sigma_tot_sq)
-    tx_class = branch.classes[k - 2] if k >= 2 else None
-    c = model.stage_profiles()[k - 1].constellation
-    tx_set = _admissible_tx(c, tx_class)
-    prior = 1.0 / len(tx_set)
-    acc: dict[float, float] = {}
-    for tx_idx in tx_set:
-        tx = complex(c.points[tx_idx])
-        for ci in range(c.m_i):
-            for cq in range(c.m_q):
-                p = cell_probability_closed(tx, ci, cq, c, gain, model.n_antennas)
-                center = complex(c.levels_i[ci], c.levels_q[cq])
-                d = round(abs(tx - center), 12)
-                acc[d] = acc.get(d, 0.0) + prior * p
-    entries = tuple(sorted(acc.items()))
+    c, tx_class, sigma_tot_sq, gain = _branch_point(model, k, branch)
+    entries = _sep_entries(c, tx_class, gain, model.n_antennas)
     return SepTable(entries, tx_class, sigma_tot_sq, gain)
-
-
-def _f_tail(dist: float, gain: float, n: int) -> float:
-    """Fading average of Q(dist * sqrt(gain z)), zero at infinite offset."""
-    if math.isinf(dist):
-        return 0.0
-    return erlang_fade_average(gain * dist * dist, n)
-
-
-def _axis_bit_error_sum(m: int, levels, bounds, t_slot: int, gain: float, n: int) -> float:
-    """Sum over this axis's bits of the per-bit error probability for a
-    transmitted level. Each cell probability is a difference of fading
-    tails measured outward from the transmitted level, so tiny cells
-    never fall victim to 1-(1-eps) float cancellation."""
-    if m == 1:
-        return 0.0
-    labels = _axis_gray_labels(m)
-    t_level = levels[t_slot]
-    slot_prob = []
-    for j in range(m):
-        lo, hi = bounds[j], bounds[j + 1]
-        if lo >= t_level:
-            p = _f_tail(lo - t_level, gain, n) - _f_tail(hi - t_level, gain, n)
-        elif hi <= t_level:
-            p = _f_tail(t_level - hi, gain, n) - _f_tail(t_level - lo, gain, n)
-        else:
-            p = 1.0 - _f_tail(t_level - lo, gain, n) - _f_tail(hi - t_level, gain, n)
-        slot_prob.append(p)
-    total = 0.0
-    for b in range(len(labels[0])):
-        total += sum(p for j, p in enumerate(slot_prob) if labels[j][b] != labels[t_slot][b])
-    return total
 
 
 def conditional_ber_user(model: SystemModel, k: int, branch: TreeBranch,
                          mode: str = "exact") -> float:
     """BER of stage k conditioned on a branch's classes and distances."""
-    _check_stage(model, k)
+    c, tx_class, _, gain = _branch_point(model, k, branch)
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
-    sigma_tot_sq = _branch_sigma_tot(model, k, branch)
-    gain = _stage_gain(model, k, sigma_tot_sq)
-    c = model.stage_profiles()[k - 1].constellation
-    tx_class = branch.classes[k - 2] if k >= 2 else None
-    tx_set = _admissible_tx(c, tx_class)
-    n = model.n_antennas
-    total = 0.0
-    if mode == "approx":
-        f1 = erlang_fade_average(gain, n)
-        for tx_idx in tx_set:
-            total += neighbor_count(c, tx_idx) * f1
-    else:
-        for tx_idx in tx_set:
-            total += _axis_bit_error_sum(
-                c.m_i, c.levels_i, c.boundaries_i, int(c.level_index_i[tx_idx]), gain, n)
-            total += _axis_bit_error_sum(
-                c.m_q, c.levels_q, c.boundaries_q, int(c.level_index_q[tx_idx]), gain, n)
-    return total / (len(tx_set) * c.bits_per_symbol)
+    return _leaf_ber(_leaf_terms(c, tx_class, mode), gain, model.n_antennas)
 
 
 def class_assignments(model: SystemModel):
@@ -225,109 +211,119 @@ def class_assignments(model: SystemModel):
     return out
 
 
-def ber_user_qam(model: SystemModel, k: int, mode: str = "exact",
-                 prune_threshold: float = DEFAULT_PRUNE,
-                 max_leaves: int = DEFAULT_MAX_LEAVES,
-                 return_dropped: bool = False):
-    """General tree-expansion BER for stage k, any rectangular alphabets.
-
-    Branches whose accumulated probability falls below prune_threshold
-    are dropped; their total mass bounds the truncation error from above
-    (each dropped leaf's conditional BER is at most 1). Exceeding
-    max_leaves raises CapacityError.
-    """
-    _check_stage(model, k)
-    state = {"total": 0.0, "dropped": 0.0, "leaves": 0}
-    table_cache: dict = {}
-
-    def leaf(branch: TreeBranch) -> None:
-        state["leaves"] += 1
-        if state["leaves"] > max_leaves:
-            raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
-        state["total"] += branch.weight * conditional_ber_user(model, k, branch, mode)
-
-    def walk(stage: int, branch: TreeBranch) -> None:
-        if stage == k:
-            leaf(branch)
-            return
-        cache_key = (stage, branch.distances[:stage - 1],
-                     tuple(cls.squared_magnitude
-                           for cls in branch.classes[max(stage - 2, 0):]))
-        table = table_cache.get(cache_key)
-        if table is None:
-            table = sep_table_user(model, stage, branch)
-            table_cache[cache_key] = table
-        for d, p in table.entries:
-            w = branch.weight * p
-            if w < prune_threshold:
-                state["dropped"] += w
-                continue
-            walk(stage + 1, TreeBranch(branch.classes, branch.distances + (d,), w))
-
-    for classes, weight in class_assignments(model):
-        if weight < prune_threshold:
-            state["dropped"] += weight
-            continue
-        walk(1, TreeBranch(classes, (), weight))
-
-    if return_dropped:
-        return state["total"], state["dropped"]
-    return state["total"]
-
-
-def ber_user_qpsk(model: SystemModel, k: int) -> float:
-    """All-QPSK fast path: nested closed-form error-distance triplets."""
-    _check_stage(model, k)
-    stages = model.stage_profiles()
-    for u in stages:
-        if not u.constellation.is_qpsk:
-            raise ValueError("ber_user_qpsk requires every user to be QPSK")
-    noise_var = model.noise_sigma**2
-    n = model.n_antennas
-
-    def sinr(j: int, d_prefix) -> float:
-        sigma_tot = noise_var
-        for dist, u in zip(d_prefix, stages[:j - 1]):
-            sigma_tot += u.power * dist * dist * u.sigma**2
-        for u in stages[j:]:
-            sigma_tot += 2.0 * u.power * u.sigma**2
-        return 2.0 * stages[j - 1].power * stages[j - 1].sigma**2 / sigma_tot
-
-    def expand(stage: int, d_prefix, weight: float) -> float:
-        if stage == k:
-            return weight * erlang_fade_average(sinr(k, d_prefix), n)
-        triplet = qpsk_sep_triplet(sinr(stage, d_prefix), n)
-        total = 0.0
-        for dist, p in zip(QPSK_DISTANCES, triplet):
-            total += expand(stage + 1, d_prefix + (dist,), weight * p)
-        return total
-
-    return expand(1, (), 1.0)
-
-
-def _resolve_mode(model: SystemModel, k: int, mode: str) -> str:
+def _resolve_mode(c: Constellation, mode: str) -> str:
     if mode in ("exact", "approx"):
         return mode
     if mode != "auto":
         raise ValueError(f"unknown mode {mode!r}")
-    size = model.stage_profiles()[k - 1].constellation.size
-    return "approx" if size >= AUTO_APPROX_ORDER else "exact"
+    return "approx" if c.size >= AUTO_APPROX_ORDER else "exact"
+
+
+def _walk(model: SystemModel, mode: str, prune_threshold: float,
+          max_leaves: int, last: int):
+    """BERs of stages 1..last from one walk, and the mass it pruned.
+
+    Each stage's sum starts at 0.0 and adds the children's subtree sums
+    in table order. The upstream noise is carried down in stage order,
+    and the downstream terms are added after it."""
+    _check_stage(model, last)
+    stages = model.stage_profiles()
+    modes = [_resolve_mode(u.constellation, mode) for u in stages[:last]]
+    sigma_sq = [u.sigma**2 for u in stages]
+    numerators = [2.0 * u.power * s2 for u, s2 in zip(stages, sigma_sq)]
+    n = model.n_antennas
+    totals = [0.0] * last
+    tables: dict = {}
+    dropped = 0.0
+    leaves = 0
+
+    # visit reads tx_classes, terms and down, set per class assignment below
+    def visit(i: int, upstream: float, weight: float) -> list[float]:
+        nonlocal dropped, leaves
+        sigma_tot_sq = upstream
+        for t in down[i]:
+            sigma_tot_sq += t
+        gain = numerators[i] / sigma_tot_sq
+        out = [weight * _leaf_ber(terms[i], gain, n)] + [0.0] * (last - 1 - i)
+        if i + 1 == last:
+            leaves += 1
+            if leaves > max_leaves:
+                raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
+            return out
+        key = (i, tx_classes[i], gain)
+        if key not in tables:
+            tables[key] = _sep_entries(stages[i].constellation, tx_classes[i], gain, n)
+        for d, p in tables[key]:
+            w = weight * p
+            if w < prune_threshold:
+                dropped += w
+                continue
+            sub = visit(i + 1, upstream + stages[i].power * d * d * sigma_sq[i], w)
+            for j, v in enumerate(sub, 1):
+                out[j] += v
+        return out
+
+    for classes, weight in class_assignments(model):
+        if weight < prune_threshold:
+            dropped += weight
+            continue
+        tx_classes = (None,) + classes
+        terms = [_leaf_terms(u.constellation, cls, m)
+                 for u, cls, m in zip(stages, tx_classes, modes)]
+        inter = [u.power * cls.squared_magnitude * s2
+                 for u, s2, cls in zip(stages[1:], sigma_sq[1:], classes)]
+        down = [inter[i:] for i in range(last)]
+        for i, v in enumerate(visit(0, model.noise_sigma**2, weight)):
+            totals[i] += v
+    return totals, dropped
+
+
+def stage_bers(model: SystemModel, mode: str = "auto",
+               prune_threshold: float = DEFAULT_PRUNE,
+               max_leaves: int = DEFAULT_MAX_LEAVES,
+               last: int | None = None) -> tuple[float, ...]:
+    """Average BER of every decoding stage 1..last (default K), in stage
+    order, from one walk over the expansion tree.
+
+    mode "auto" picks "approx" for stages whose alphabet has at least
+    AUTO_APPROX_ORDER points and "exact" otherwise. Branches whose
+    accumulated probability falls below prune_threshold are dropped;
+    more than max_leaves nodes at depth last raise CapacityError.
+    """
+    last = model.k if last is None else last
+    return tuple(_walk(model, mode, prune_threshold, max_leaves, last)[0])
+
+
+def ber_user_qam(model: SystemModel, k: int, mode: str = "exact",
+                 prune_threshold: float = DEFAULT_PRUNE,
+                 max_leaves: int = DEFAULT_MAX_LEAVES,
+                 return_dropped: bool = False):
+    """Average BER of stage k, any rectangular alphabets.
+
+    With return_dropped, also returns the probability mass pruned before
+    stage k; it bounds the truncation error from above (each dropped
+    leaf's conditional BER is at most 1).
+    """
+    bers, dropped = _walk(model, mode, prune_threshold, max_leaves, k)
+    return (bers[-1], dropped) if return_dropped else bers[-1]
+
+
+def ber_user_qpsk(model: SystemModel, k: int) -> float:
+    """Average BER of stage k in an all-QPSK system, without pruning."""
+    if not all(u.constellation.is_qpsk for u in model.users):
+        raise ValueError("ber_user_qpsk requires every user to be QPSK")
+    return ber_user_qam(model, k, "exact", prune_threshold=0.0)
 
 
 def ber_user(model: SystemModel, k: int, mode: str = "auto",
              prune_threshold: float = DEFAULT_PRUNE,
              max_leaves: int = DEFAULT_MAX_LEAVES) -> float:
-    """Average BER of decoding stage k, routed to the cheapest valid path."""
-    resolved = _resolve_mode(model, k, mode)
-    all_qpsk = all(u.constellation.is_qpsk for u in model.users)
-    if all_qpsk and resolved == "exact":
-        return ber_user_qpsk(model, k)
-    return ber_user_qam(model, k, resolved, prune_threshold, max_leaves)
+    """Average BER of decoding stage k."""
+    return ber_user_qam(model, k, mode, prune_threshold, max_leaves)
 
 
 def sum_ber(model: SystemModel, mode: str = "auto",
             prune_threshold: float = DEFAULT_PRUNE,
             max_leaves: int = DEFAULT_MAX_LEAVES) -> float:
     """Sum of per-stage average BERs (the power-allocation objective)."""
-    return sum(ber_user(model, k, mode, prune_threshold, max_leaves)
-               for k in range(1, model.k + 1))
+    return sum(stage_bers(model, mode, prune_threshold, max_leaves))

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from . import analytic as ana
+from .analytic import stage_bers
 from .channel import StreamKey
 from .config import RunConfig, build_model, load_config, sweep_grid, to_dict
 from .constellation import build_rect_qam
@@ -56,20 +56,16 @@ def _row(power_db: float, user: int, source: str, ber: float,
             f"{bits},{seed}")
 
 
-def _stage_of(model: SystemModel, user_idx: int) -> int:
-    return model.decode_order().index(user_idx) + 1
-
-
 def _analytic_rows(model: SystemModel, cfg: RunConfig, grid, seed: int,
                    source: str = "analytic") -> list[str]:
     rows = []
+    order = model.decode_order()
     for off in grid:
-        scaled = model.scaled(off)
+        bers = stage_bers(model.scaled(off), cfg.analytic.mode,
+                          cfg.analytic.prune_threshold, cfg.analytic.max_leaves)
         for i in range(model.k):
-            ber = ana.ber_user(scaled, _stage_of(model, i), cfg.analytic.mode,
-                               cfg.analytic.prune_threshold,
-                               cfg.analytic.max_leaves)
-            rows.append(_row(off, i + 1, source, ber, 0.0, 0, seed))
+            rows.append(_row(off, i + 1, source, bers[order.index(i)], 0.0, 0,
+                             seed))
     return rows
 
 
@@ -191,7 +187,9 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     oracle = _oracle_checks()
     curve = sweep(model, grid, args.detector, cfg.montecarlo.stop_rule(),
                   StreamKey(seed), cfg.montecarlo.workers)
-    report = compare_analytic(model, curve, cfg.validate, cfg.analytic.mode)
+    report = compare_analytic(model, curve, cfg.validate, cfg.analytic.mode,
+                              cfg.analytic.prune_threshold,
+                              cfg.analytic.max_leaves)
     payload = {
         "oracle_checks": oracle,
         "mc_checks": [dataclasses.asdict(c) for c in report.checks],

@@ -189,10 +189,24 @@ def parse_config(data: dict, path: str = "config") -> RunConfig:
         raise ConfigError(f"{path}.analytic.mode: unknown mode {cfg.analytic.mode!r}")
     if cfg.poweralloc.mode not in ("auto", "exact", "approx"):
         raise ConfigError(f"{path}.poweralloc.mode: unknown mode {cfg.poweralloc.mode!r}")
-    if cfg.sweep.step_db <= 0:
-        raise ConfigError(f"{path}.sweep.step_db: must be positive")
-    if cfg.poweralloc.fd_step_db <= 0:
-        raise ConfigError(f"{path}.poweralloc.fd_step_db: must be positive")
+    ranges = [
+        (cfg.sweep.step_db > 0, "sweep.step_db", "must be positive"),
+        (cfg.sweep.stop_db >= cfg.sweep.start_db, "sweep.stop_db",
+         "must not be below start_db"),
+        (0 <= cfg.montecarlo.seed < 2**64, "montecarlo.seed",
+         "must fit in an unsigned 64-bit integer"),
+        (cfg.montecarlo.workers >= 1, "montecarlo.workers", "must be at least 1"),
+        (cfg.analytic.prune_threshold >= 0, "analytic.prune_threshold",
+         "must be nonnegative"),
+        (cfg.analytic.max_leaves >= 1, "analytic.max_leaves", "must be at least 1"),
+        (cfg.validate.k_ci >= 0, "validate.k_ci", "must be nonnegative"),
+        (cfg.poweralloc.max_iters >= 0, "poweralloc.max_iters",
+         "must be nonnegative"),
+        (cfg.poweralloc.fd_step_db > 0, "poweralloc.fd_step_db", "must be positive"),
+    ]
+    for ok, key, rule in ranges:
+        if not ok:
+            raise ConfigError(f"{path}.{key}: {rule}")
     try:
         cfg.montecarlo.stop_rule()
     except ValueError as exc:

@@ -217,6 +217,7 @@ def neighbor_count(c: Constellation, index: int) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
 def magnitude_classes(c: Constellation) -> tuple[MagnitudeClass, ...]:
     """Partition of symbols by squared magnitude, ascending, with priors."""
     mags = np.abs(c.points) ** 2

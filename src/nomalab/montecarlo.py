@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers
 from .channel import StreamKey, generator, sample_channel, sample_noise
 from .constellation import hamming_table
 from .detectors import (SystemModel, jmld_detect_batch, sic_detect_batch,
@@ -175,22 +176,20 @@ class ValidationReport:
 
 def compare_analytic(model: SystemModel, curve: BerCurve,
                      policy: TolerancePolicy = TolerancePolicy(),
-                     mode: str = "auto") -> ValidationReport:
+                     mode: str = "auto", prune_threshold: float = DEFAULT_PRUNE,
+                     max_leaves: int = DEFAULT_MAX_LEAVES) -> ValidationReport:
     """Check a simulated curve against the closed-form predictions."""
-    from .analytic import ber_user
-
     checks = []
+    order = model.decode_order()
     for off, est in zip(curve.offsets_db, curve.points):
-        scaled = model.scaled(off)
-        order = scaled.decode_order()
+        bers = stage_bers(model.scaled(off), mode, prune_threshold, max_leaves)
         for u_idx in range(model.k):
-            stage = order.index(u_idx) + 1
-            ana = ber_user(scaled, stage, mode)
+            ana = float(bers[order.index(u_idx)])
             sim = float(est.ber[u_idx])
             ci = float(est.ci_halfwidth[u_idx])
             tol = max(policy.k_ci * ci, policy.rel_tol * ana)
-            skipped = ana < policy.min_ber
-            passed = skipped or abs(sim - ana) <= tol
+            skipped = bool(ana < policy.min_ber)
+            passed = bool(skipped or abs(sim - ana) <= tol)
             checks.append(PointCheck(off, u_idx + 1, ana, sim, ci, tol,
                                      passed, skipped))
     return ValidationReport(tuple(checks))

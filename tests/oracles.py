@@ -2,8 +2,10 @@
 
 Everything here is written independently of the package internals:
 literal series forms, direct quadrature, hard-coded constellation
-geometry, and brute-force searches. Tests compare package outputs
-against these, or freeze values computed from them.
+geometry, and brute-force searches. The one exception,
+reference_walk_ber, reuses the package's per-node kernels to check the
+tree walk alone. Tests compare package outputs against these, or freeze
+values computed from them.
 """
 
 from __future__ import annotations
@@ -289,3 +291,31 @@ def reference_sic(y, channels, powers, point_sets, order):
                            key=lambda i: abs(z - scale * pts[i]) ** 2)
         r = r - math.sqrt(powers[idx]) * h * pts[out[idx]]
     return tuple(out)
+
+
+# ---- uncached per-stage tree walk ----
+
+def reference_walk_ber(model, k, mode="exact"):
+    """Stage-k BER from a walk over stages 1..k that builds every SEP
+    table afresh and adds leaves in depth-first order, without pruning.
+
+    It reuses the package's per-node kernels (sep_table_user and
+    conditional_ber_user), so it checks the shared walk: class
+    assignments, weights, upstream distances and table sharing."""
+    from nomalab.analytic import (TreeBranch, class_assignments,
+                                  conditional_ber_user, sep_table_user)
+
+    total = 0.0
+
+    def walk(stage, branch):
+        nonlocal total
+        if stage == k:
+            total += branch.weight * conditional_ber_user(model, k, branch, mode)
+            return
+        for d, p in sep_table_user(model, stage, branch).entries:
+            walk(stage + 1, TreeBranch(branch.classes, branch.distances + (d,),
+                                       branch.weight * p))
+
+    for classes, weight in class_assignments(model):
+        walk(1, TreeBranch(classes, (), weight))
+    return total

@@ -18,12 +18,14 @@ from nomalab.analytic import (
     conditional_ber_user,
     effective_noise_variance,
     sep_table_user,
+    stage_bers,
     sum_ber,
 )
 from nomalab.constellation import build_rect_qam, magnitude_classes
 from nomalab.detectors import SystemModel, UserProfile
 from nomalab.errors import CapacityError
-from nomalab.kernels import erlang_fade_average, qpsk_sep_triplet
+from nomalab.kernels import (cell_probability_closed, erlang_fade_average,
+                             qpsk_sep_triplet)
 
 QPSK = build_rect_qam(2, 2)
 QAM8 = build_rect_qam(4, 2)
@@ -136,17 +138,63 @@ def test_mixed_order_chain_matches_reference():
             assert got == pytest.approx(ref, rel=1e-10)
 
 
-def test_qpsk_fast_path_equals_general_walker():
+def test_stage_bers_all_qpsk_matches_nested_triplet_reference():
     rng = np.random.default_rng(99)
-    for k_users in (2, 3):
+    for k_users in (2, 3, 4):
         p, s, n, ns = random_draw(rng, k_users)
         m = make_model(p, s, [QPSK] * k_users, n=n, noise_sigma=ns)
+        bers = stage_bers(m, prune_threshold=0.0)
+        assert len(bers) == k_users
         for k in range(1, k_users + 1):
-            fast = ber_user_qpsk(m, k)
-            general = ber_user_qam(m, k, "exact", prune_threshold=0.0)
-            assert fast == pytest.approx(general, rel=1e-10)
-            # auto routing picks the fast path for all-QPSK systems
-            assert ber_user(m, k) == fast
+            ref = oracles.ref_qpsk_stage_k(k, p, s, ns * ns, n,
+                                           fade=erlang_fade_average)
+            assert bers[k - 1] == pytest.approx(ref, rel=1e-10)
+            # walking only to stage k leaves stage k's sum unchanged
+            assert ber_user_qpsk(m, k) == bers[k - 1]
+            assert ber_user(m, k, prune_threshold=0.0) == bers[k - 1]
+            assert stage_bers(m, prune_threshold=0.0, last=k) == bers[:k]
+
+
+def test_stage_bers_match_uncached_reference_walk(monkeypatch):
+    import nomalab.analytic as ana
+
+    tables = []
+    real = ana._sep_entries
+    monkeypatch.setattr(ana, "_sep_entries",
+                        lambda *args: tables.append(args) or real(*args))
+    rng = np.random.default_rng(2417)
+    systems = [[QAM16, QAM8], [QAM16, QAM8, QPSK], [QPSK, QAM16, QAM8],
+               [QAM16, QAM8, QAM8, QAM8]]
+    for consts in systems:
+        p, s, n, ns = random_draw(rng, len(consts), n_max=2)
+        m = make_model(p, s, consts, n=n, noise_sigma=ns)
+        tables.clear()
+        bers = stage_bers(m, "exact", prune_threshold=0.0)
+        walk_tables = len(tables)
+        for k in range(1, m.k + 1):
+            tables.clear()
+            ref = oracles.reference_walk_ber(m, k)
+            assert bers[k - 1] == pytest.approx(ref, rel=1e-12)
+        # the reference builds one table per inner node of the stage-K
+        # tree; the walk shares equal tables between class assignments
+        assert walk_tables <= len(tables)
+        if m.k == 4:
+            assert walk_tables < len(tables)
+
+
+def test_all_qpsk_honours_prune_and_leaf_limits():
+    m = make_model([100.0, 10.0, 1.0], [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
+    exact = ber_user(m, 3, prune_threshold=0.0)
+    pruned, dropped = ber_user_qam(m, 3, prune_threshold=1e-3,
+                                   return_dropped=True)
+    assert ber_user(m, 3, prune_threshold=1e-3) == pruned
+    assert sum_ber(m, prune_threshold=1e-3) < sum_ber(m, prune_threshold=0.0)
+    assert dropped > 0.0
+    assert pruned < exact <= pruned + dropped
+    # three SEP-table entries per upstream stage: 9 stage-3 leaves
+    assert sum_ber(m, prune_threshold=0.0, max_leaves=9) > 0.0
+    with pytest.raises(CapacityError):
+        sum_ber(m, prune_threshold=0.0, max_leaves=8)
 
 
 def test_ber_user_qpsk_rejects_mixed_alphabets():
@@ -163,11 +211,19 @@ def test_sep_table_single_user_qpsk_is_the_triplet():
     assert table.gain == pytest.approx(gain, rel=1e-15)
     assert table.sigma_tot_sq == pytest.approx(ns**2, rel=1e-15)
     assert table.tx_class is None
-    dists = [d for d, _ in table.entries]
-    assert dists == pytest.approx([0.0, 2.0, 2.0 * math.sqrt(2.0)])
-    probs = [pr for _, pr in table.entries]
-    for got, ref in zip(probs, qpsk_sep_triplet(gain, n)):
-        assert got == pytest.approx(ref, rel=1e-12)
+    assert [pr for _, pr in table.entries] == list(qpsk_sep_triplet(gain, n))
+    # the same distribution from the four QPSK decision cells around 1+1j
+    cells: dict[float, float] = {}
+    for ci in range(2):
+        for cq in range(2):
+            center = complex(QPSK.levels_i[ci], QPSK.levels_q[cq])
+            d = round(abs(1 + 1j - center), 12)
+            cells[d] = cells.get(d, 0.0) + cell_probability_closed(
+                1 + 1j, ci, cq, QPSK, gain, n)
+    assert [d for d, _ in table.entries] == [0.0, 2.0, 2.0 * math.sqrt(2.0)]
+    assert sorted(cells) == pytest.approx([d for d, _ in table.entries])
+    for (_, got), d in zip(table.entries, sorted(cells)):
+        assert got == pytest.approx(cells[d], rel=1e-12)
 
 
 def test_sep_tables_normalize_and_sort():
@@ -246,15 +302,19 @@ def test_max_leaves_guard():
 
 def test_mode_resolution():
     small = make_model([1.0], [1.0], [QAM16])
-    big = make_model([1.0], [1.0], [QAM64])
     assert QAM64.size == AUTO_APPROX_ORDER
-    assert _resolve_mode(small, 1, "auto") == "exact"
-    assert _resolve_mode(big, 1, "auto") == "approx"
-    assert _resolve_mode(big, 1, "exact") == "exact"
+    assert _resolve_mode(QAM16, "auto") == "exact"
+    assert _resolve_mode(QAM64, "auto") == "approx"
+    assert _resolve_mode(QAM64, "exact") == "exact"
     with pytest.raises(ValueError):
-        _resolve_mode(small, 1, "bogus")
+        _resolve_mode(QAM16, "bogus")
     with pytest.raises(ValueError):
         ber_user(small, 1, "bogus")
+    # auto resolves per stage: approx for the 64-QAM stage only
+    mixed = make_model([100.0, 1.0], [1.0, 1.0], [QAM64, QAM16])
+    auto = stage_bers(mixed, "auto", prune_threshold=0.0)
+    assert auto[0] == stage_bers(mixed, "approx", prune_threshold=0.0)[0]
+    assert auto[1] == stage_bers(mixed, "exact", prune_threshold=0.0)[1]
 
 
 def test_stage_bounds_checked():
@@ -264,6 +324,8 @@ def test_stage_bounds_checked():
             ber_user_qam(m, bad)
         with pytest.raises(ValueError):
             ber_user_qpsk(m, bad)
+        with pytest.raises(ValueError):
+            stage_bers(m, last=bad)
 
 
 def test_decode_order_governs_stages():

@@ -132,6 +132,26 @@ def test_validate_passes_on_calibrated_config(tmp_path):
     assert report["detector"] == "sic"
 
 
+def test_validate_mixed_order_report_honours_analytic_settings(tmp_path):
+    data = json.loads(json.dumps(BASE))
+    data["system"]["users"] = [
+        {"power_db": 0.0, "sigma": 10.0, "modulation": "4x4"},
+        {"power_db": 0.0, "sigma": 2.5, "modulation": "4x2"},
+        {"power_db": 0.0, "sigma": 0.625, "modulation": "4x2"},
+    ]
+    data["sweep"] = {"start_db": 20.0, "stop_db": 20.0, "step_db": 5.0}
+    data["analytic"] = {"mode": "exact", "prune_threshold": 1e-3}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) in (0, 1)
+    report = json.loads((out / "validate_report.json").read_text())
+    rows = [r.split(",") for r in read_csv(out).decode().splitlines()[2:]]
+    csv = {int(r[1]): float(r[3]) for r in rows if r[2] == "analytic"}
+    assert [c["user"] for c in report["mc_checks"]] == [1, 2, 3]
+    for c in report["mc_checks"]:
+        assert c["analytic"] == pytest.approx(csv[c["user"]], rel=1e-8)
+
+
 def test_validate_fails_under_zero_tolerance(tmp_path):
     data = json.loads(json.dumps(BASE))
     data["validate"] = {"k_ci": 0.0, "rel_tol": 0.0}
@@ -157,6 +177,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("optimize", "poweralloc", "fd_step_db", 0),
     ("optimize", "poweralloc", "p_max_db", float("nan")),
     ("optimize", "poweralloc", "p_max_db", 10**400),
+    ("analytic", "analytic", "prune_threshold", -1e-3),
+    ("analytic", "analytic", "max_leaves", 0),
+    ("simulate", "montecarlo", "seed", -1),
+    ("simulate", "montecarlo", "seed", 2**64),
+    ("simulate", "montecarlo", "workers", 0),
+    ("analytic", "sweep", "stop_db", -5.0),
+    ("validate", "validate", "k_ci", -1.0),
+    ("optimize", "poweralloc", "max_iters", -1),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, section,
                                            key, value):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from nomalab.analytic import ber_user
+from nomalab.analytic import ber_user, stage_bers
 from nomalab.channel import StreamKey
 from nomalab.constellation import build_rect_qam
 from nomalab.detectors import SystemModel, UserProfile
+from nomalab.errors import CapacityError
 from nomalab.montecarlo import (
     Z95,
     BerCurve,
@@ -145,3 +146,22 @@ def test_compare_analytic_flags_systematic_offset():
     check = report.checks[0]
     assert not check.skipped and not check.passed
     assert check.simulated == pytest.approx(0.2)
+
+
+def test_compare_analytic_uses_prune_and_leaf_limits():
+    q16, q8 = build_rect_qam(4, 4), build_rect_qam(4, 2)
+    model = SystemModel(2, 1.0, (UserProfile(100.0, 10.0, q16),
+                                 UserProfile(100.0, 2.5, q8),
+                                 UserProfile(100.0, 0.625, q8)))
+    est = BerEstimate(errors=np.array([30, 30, 40]),
+                      bits=np.array([1000, 1000, 1000]), symbols=250)
+    curve = BerCurve((0.0,), (est,))
+    report = compare_analytic(model, curve, mode="exact", prune_threshold=1e-3)
+    pruned = stage_bers(model, "exact", prune_threshold=1e-3)
+    assert pruned != stage_bers(model, "exact")
+    assert tuple(c.analytic for c in report.checks) == pruned
+    for c in report.checks:
+        assert type(c.analytic) is float
+        assert type(c.passed) is bool and type(c.skipped) is bool
+    with pytest.raises(CapacityError):
+        compare_analytic(model, curve, mode="exact", max_leaves=1)
