@@ -280,18 +280,16 @@ def _walk(model: SystemModel, mode: str, prune_threshold: float,
 
 def stage_bers(model: SystemModel, mode: str = "auto",
                prune_threshold: float = DEFAULT_PRUNE,
-               max_leaves: int = DEFAULT_MAX_LEAVES,
-               last: int | None = None) -> tuple[float, ...]:
-    """Average BER of every decoding stage 1..last (default K), in stage
-    order, from one walk over the expansion tree.
+               max_leaves: int = DEFAULT_MAX_LEAVES) -> tuple[float, ...]:
+    """Average BER of every decoding stage 1..K, in stage order, from one
+    walk over the expansion tree.
 
     mode "auto" picks "approx" for stages whose alphabet has at least
     AUTO_APPROX_ORDER points and "exact" otherwise. Branches whose
     accumulated probability falls below prune_threshold are dropped;
-    more than max_leaves nodes at depth last raise CapacityError.
+    more than max_leaves nodes at depth K raise CapacityError.
     """
-    last = model.k if last is None else last
-    return tuple(_walk(model, mode, prune_threshold, max_leaves, last)[0])
+    return tuple(_walk(model, mode, prune_threshold, max_leaves, model.k)[0])
 
 
 def ber_user_qam(model: SystemModel, k: int, mode: str = "exact",

@@ -152,7 +152,6 @@ def test_stage_bers_all_qpsk_matches_nested_triplet_reference():
             # walking only to stage k leaves stage k's sum unchanged
             assert ber_user_qpsk(m, k) == bers[k - 1]
             assert ber_user(m, k, prune_threshold=0.0) == bers[k - 1]
-            assert stage_bers(m, prune_threshold=0.0, last=k) == bers[:k]
 
 
 def test_stage_bers_match_uncached_reference_walk(monkeypatch):
@@ -324,8 +323,6 @@ def test_stage_bounds_checked():
             ber_user_qam(m, bad)
         with pytest.raises(ValueError):
             ber_user_qpsk(m, bad)
-        with pytest.raises(ValueError):
-            stage_bers(m, last=bad)
 
 
 def test_decode_order_governs_stages():
