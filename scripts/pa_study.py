@@ -34,10 +34,11 @@ def main() -> int:
 
     print("pmax_db  equal_sum   opt_sum     gain_db  powers_db")
     warm = None
+    limits = (cfg.analytic.prune_threshold, cfg.analytic.max_leaves)
     for pmax in grid:
-        equal = sum_ber(model.scaled(pmax), cfg.analytic.mode)
+        equal = sum_ber(model.scaled(pmax), cfg.analytic.mode, *limits)
         res = optimize_powers(model, replace(cfg.poweralloc, p_max_db=pmax),
-                              warm_db=warm)
+                              warm, *limits)
         warm = res.powers_db
         gain_db = 0.0 if res.sum_ber == 0 else 10.0 * math.log10(
             equal / res.sum_ber)

@@ -13,10 +13,9 @@ from .detectors import (DetectionResult, SystemModel, UserProfile, jmld_detect,
                         jmld_detect_batch, joint_symbol_tuples, mrc_sic_detect,
                         sic_detect_batch, superimpose)
 from .errors import CapacityError, ConfigError, OptimizationError
-from .kernels import (ExpMixture, cell_probability_closed,
-                      cell_probability_quadrature, erlang_fade_average,
-                      erlang_fade_quadrature, q_approx, q_exact,
-                      qpsk_sep_triplet)
+from .kernels import (cell_probability_closed, cell_probability_quadrature,
+                      erlang_fade_average, erlang_fade_quadrature, q_approx,
+                      q_exact, qpsk_sep_triplet)
 from .montecarlo import (BerCurve, BerEstimate, StopRule, TolerancePolicy,
                          ValidationReport, compare_analytic, estimate_ber, sweep)
 from .poweralloc import PaConfig, PaResult, optimize_powers, sum_ber_db_cost
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BerCurve", "BerEstimate", "CapacityError", "ConfigError", "Constellation",
-    "DetectionResult", "ExpMixture", "MagnitudeClass", "OptimizationError",
+    "DetectionResult", "MagnitudeClass", "OptimizationError",
     "PaConfig", "PaResult", "StopRule", "StreamKey", "SystemModel",
     "TolerancePolicy", "UserProfile", "ValidationReport", "ber_user",
     "ber_user_qam", "ber_user_qpsk", "build_rect_qam",

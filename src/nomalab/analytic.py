@@ -30,7 +30,7 @@ from .constellation import (Constellation, MagnitudeClass, _axis_gray_labels,
                             magnitude_classes, neighbor_count)
 from .detectors import SystemModel
 from .errors import CapacityError
-from .kernels import cell_probability_closed, erlang_fade_average, qpsk_sep_triplet
+from .kernels import cell_probability_table, erlang_fade_average, qpsk_sep_triplet
 
 QPSK_DISTANCES = (0.0, 2.0, 2.0 * math.sqrt(2.0))
 DEFAULT_PRUNE = 1e-12
@@ -118,9 +118,10 @@ def _sep_entries(c: Constellation, tx_class, gain: float, n: int):
     acc: dict[float, float] = {}
     for tx_idx in tx_set:
         tx = complex(c.points[tx_idx])
+        table = cell_probability_table(c, tx, gain, n).tolist()
         for ci in range(c.m_i):
             for cq in range(c.m_q):
-                p = cell_probability_closed(tx, ci, cq, c, gain, n)
+                p = table[ci][cq]
                 center = complex(c.levels_i[ci], c.levels_q[cq])
                 d = round(abs(tx - center), 12)
                 acc[d] = acc.get(d, 0.0) + prior * p

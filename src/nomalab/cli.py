@@ -22,11 +22,12 @@ import sys
 
 from .analytic import stage_bers
 from .channel import StreamKey
-from .config import RunConfig, build_model, load_config, sweep_grid, to_dict
+from .config import (RunConfig, build_model, check_ranges, load_config,
+                     sweep_grid, to_dict)
 from .constellation import build_rect_qam
 from .detectors import SystemModel
 from .errors import CapacityError, ConfigError, OptimizationError
-from .kernels import (cell_probability_closed, erlang_fade_average,
+from .kernels import (cell_probability_table, erlang_fade_average,
                       erlang_fade_quadrature, qpsk_sep_triplet)
 from .montecarlo import BerCurve, compare_analytic, sweep
 from .poweralloc import optimize_powers, sum_ber_db_cost
@@ -110,8 +111,9 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
 def cmd_optimize(cfg: RunConfig, args) -> int:
     model = build_model(cfg)
     warm = [u.power_db for u in cfg.system.users]
-    result = optimize_powers(model, cfg.poweralloc, warm_db=warm)
-    baseline_cost = sum_ber_db_cost(model, warm, cfg.poweralloc.mode)
+    limits = (cfg.analytic.prune_threshold, cfg.analytic.max_leaves)
+    result = optimize_powers(model, cfg.poweralloc, warm, *limits)
+    baseline_cost = sum_ber_db_cost(model, warm, cfg.poweralloc.mode, *limits)
     payload = {
         "powers_db": list(result.powers_db),
         "cost_db": result.cost_db,
@@ -168,11 +170,8 @@ def _oracle_checks() -> list[dict]:
         c = build_rect_qam(mi, mq)
         for gain in (0.5, 5.0):
             for n in (1, 4):
-                for tx_idx in range(c.size):
-                    tx = complex(c.points[tx_idx])
-                    total = sum(
-                        cell_probability_closed(tx, ci, cq, c, gain, n)
-                        for ci in range(c.m_i) for cq in range(c.m_q))
+                for tx in c.points:
+                    total = float(cell_probability_table(c, tx, gain, n).sum())
                     worst = max(worst, abs(total - 1.0))
     checks.append({"name": "cell_probabilities_normalize",
                    "max_rel_err": worst, "tol": 1e-9, "passed": worst <= 1e-9})
@@ -215,8 +214,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg = dataclasses.replace(
             cfg, output=dataclasses.replace(cfg.output, directory=args.out))
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
         cfg = dataclasses.replace(
             cfg, montecarlo=dataclasses.replace(cfg.montecarlo, seed=args.seed))
     if args.mode is not None:
@@ -224,7 +221,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             cfg,
             analytic=dataclasses.replace(cfg.analytic, mode=args.mode),
             poweralloc=dataclasses.replace(cfg.poweralloc, mode=args.mode))
-    return cfg
+    return check_ranges(cfg)
 
 
 def _build_parser() -> argparse.ArgumentParser:

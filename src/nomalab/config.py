@@ -184,12 +184,18 @@ def parse_config(data: dict, path: str = "config") -> RunConfig:
     sections = {f.name: _parse_simple(data.get(f.name, {}), f"{path}.{f.name}",
                                       type(f.default))
                 for f in dataclasses.fields(RunConfig) if f.name != "system"}
-    cfg = RunConfig(system, **sections)
-    if cfg.analytic.mode not in ("auto", "exact", "approx"):
-        raise ConfigError(f"{path}.analytic.mode: unknown mode {cfg.analytic.mode!r}")
-    if cfg.poweralloc.mode not in ("auto", "exact", "approx"):
-        raise ConfigError(f"{path}.poweralloc.mode: unknown mode {cfg.poweralloc.mode!r}")
+    return check_ranges(RunConfig(system, **sections), path)
+
+
+def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
+    """cfg unchanged if every value lies in its range, else ConfigError
+    naming the first value that does not. Also run on CLI overrides."""
+    modes = ("auto", "exact", "approx")
+    pa = cfg.poweralloc
     ranges = [
+        (cfg.analytic.mode in modes, "analytic.mode",
+         f"unknown mode {cfg.analytic.mode!r}"),
+        (pa.mode in modes, "poweralloc.mode", f"unknown mode {pa.mode!r}"),
         (cfg.sweep.step_db > 0, "sweep.step_db", "must be positive"),
         (cfg.sweep.stop_db >= cfg.sweep.start_db, "sweep.stop_db",
          "must not be below start_db"),
@@ -200,9 +206,16 @@ def parse_config(data: dict, path: str = "config") -> RunConfig:
          "must be nonnegative"),
         (cfg.analytic.max_leaves >= 1, "analytic.max_leaves", "must be at least 1"),
         (cfg.validate.k_ci >= 0, "validate.k_ci", "must be nonnegative"),
-        (cfg.poweralloc.max_iters >= 0, "poweralloc.max_iters",
-         "must be nonnegative"),
-        (cfg.poweralloc.fd_step_db > 0, "poweralloc.fd_step_db", "must be positive"),
+        (cfg.validate.rel_tol >= 0, "validate.rel_tol", "must be nonnegative"),
+        (cfg.validate.min_ber >= 0, "validate.min_ber", "must be nonnegative"),
+        (pa.max_iters >= 0, "poweralloc.max_iters", "must be nonnegative"),
+        (pa.fd_step_db > 0, "poweralloc.fd_step_db", "must be positive"),
+        (pa.tol_db >= 0, "poweralloc.tol_db", "must be nonnegative"),
+        (pa.step0_db > 0, "poweralloc.step0_db", "must be positive"),
+        (pa.min_step_db > 0, "poweralloc.min_step_db", "must be positive"),
+        (pa.multistart_points >= 1, "poweralloc.multistart_points",
+         "must be at least 1"),
+        (0 <= pa.armijo_c < 1, "poweralloc.armijo_c", "must lie in [0, 1)"),
     ]
     for ok, key, rule in ranges:
         if not ok:

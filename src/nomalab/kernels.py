@@ -4,10 +4,13 @@ Everything here reduces to averages of Gaussian tail probabilities over
 the Erlang-distributed combining gain Z = ||g||^2 (shape n):
 
 * erlang_fade_average(a, n) is the exact average of Q(sqrt(a Z)).
-* The two-term exponential approximation q_approx(x) turns products of
-  Q terms into exponential mixtures in Z, which average in closed form
-  through erlang_exp_average; qpsk_sep_triplet and the cell-probability
-  routines are built that way.
+* The two-term exponential approximation q_approx(x) (Chiani, Dardari,
+  Simon) makes each decision axis contribute a bracket that is an
+  exponential mixture in Z. _axis_brackets returns one axis's brackets
+  as a coefficient matrix over that axis's rates, and
+  cell_probability_table averages every bracket product at once as a
+  matrix product, since e^(-r Z) averages to (1 + r)^(-n).
+  qpsk_sep_triplet is the QPSK case summed by error distance.
 * cell_probability_quadrature integrates the same cell integrand with
   the exact Q and serves as the validation oracle for the closed route.
 
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,15 +52,6 @@ def q_approx(x):
         base = np.exp(-0.5 * x_arr * x_arr) / 12.0 + np.exp(-(2.0 / 3.0) * x_arr * x_arr) / 4.0
     out = np.where(x_arr >= 0, base, 1.0 - base)
     return out if out.ndim else float(out)
-
-
-def erlang_exp_average(c: float, n: int) -> float:
-    """Average of e^(-c Z) for Erlang-n Z: (1 + c)^(-n). Requires c > -1."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("shape n must be a positive integer")
-    if not c > -1.0:
-        raise ValueError(f"integral diverges for c = {c} <= -1")
-    return float((1.0 + c) ** (-n))
 
 
 def erlang_fade_average(a: float, n: int) -> float:
@@ -133,43 +126,29 @@ def qpsk_sep_triplet(a: float, n: int) -> tuple[float, float, float]:
     return p_same, p_adj, p_diag
 
 
-@dataclass(frozen=True)
-class ExpMixture:
-    """Finite mixture c0 + sum_i c_i e^(-r_i z) with rates r_i >= 0."""
+def _axis_brackets(bounds, level: float, gain: float):
+    """Decision brackets of one axis as exponential mixtures in z.
 
-    terms: tuple[tuple[float, float], ...]  # (coef, rate)
-
-    @staticmethod
-    def from_terms(pairs) -> "ExpMixture":
-        merged: dict[float, float] = {}
-        for coef, rate in pairs:
-            merged[rate] = merged.get(rate, 0.0) + coef
-        return ExpMixture(tuple((c, r) for r, c in sorted(merged.items()) if c != 0.0))
-
-    def __sub__(self, other: "ExpMixture") -> "ExpMixture":
-        return ExpMixture.from_terms(
-            list(self.terms) + [(-c, r) for c, r in other.terms])
-
-    def __mul__(self, other: "ExpMixture") -> "ExpMixture":
-        prods = [(c1 * c2, r1 + r2) for c1, r1 in self.terms for c2, r2 in other.terms]
-        return ExpMixture.from_terms(prods)
-
-    def erlang_average(self, n: int) -> float:
-        return float(sum(c * erlang_exp_average(r, n) for c, r in self.terms))
-
-
-def q_term_mixture(offset: float, gain: float) -> ExpMixture:
-    """Q_approx(offset * sqrt(gain z)) as an exponential mixture in z."""
-    if offset == np.inf:
-        return ExpMixture(())
-    if offset == -np.inf:
-        return ExpMixture(((1.0, 0.0),))
-    r_half = 0.5 * gain * offset * offset
-    r_two_thirds = (2.0 / 3.0) * gain * offset * offset
-    if offset >= 0:
-        return ExpMixture.from_terms([(1.0 / 12.0, r_half), (0.25, r_two_thirds)])
-    return ExpMixture.from_terms(
-        [(1.0, 0.0), (-1.0 / 12.0, r_half), (-0.25, r_two_thirds)])
+    Returns (C, r): bracket j, the two-term model of the probability that
+    the axis statistic lands in cell j given Z = z, is
+    sum_a C[j, a] e^(-r[a] z). Rate 0 comes first, then gain u^2/2 and
+    2 gain u^2/3 for each finite boundary at signed offset u from level.
+    That boundary's tail q_approx(u sqrt(gain z)) is [u < 0] at rate 0
+    and +-(1/12, 1/4) at its two rates; the +-inf sentinels contribute
+    only the constant. Bracket j is tail(lower) - tail(upper).
+    """
+    u = np.asarray(bounds[1:-1], dtype=float) - level
+    b = np.arange(1, len(u) + 1)  # row of each finite boundary
+    sign = np.where(u < 0, -1.0, 1.0)
+    tails = np.zeros((len(u) + 2, 2 * len(u) + 1))
+    tails[0, 0] = 1.0
+    tails[b, 0] = u < 0
+    tails[b, 2 * b - 1] = sign / 12.0
+    tails[b, 2 * b] = sign / 4.0
+    rates = np.zeros(2 * len(u) + 1)
+    rates[1::2] = 0.5 * gain * u * u
+    rates[2::2] = (2.0 / 3.0) * gain * u * u
+    return tails[:-1] - tails[1:], rates
 
 
 def _cell_offsets(c: Constellation, tx: complex, cell_i: int, cell_q: int):
@@ -189,31 +168,43 @@ def _check_gain_n(gain: float, n: int) -> None:
         raise ValueError("gain must be nonnegative")
 
 
-def _clamp_probability(value: float, context: str) -> float:
-    if value >= 0.0:
-        return value
-    if value < -1e-6:
-        raise RuntimeError(f"{context}: probability {value} is far below zero")
-    if value < -1e-12:
-        warnings.warn(f"{context}: clamping {value} to 0", RuntimeWarning)
-    return 0.0
+def _clamp_probability(values, context: str) -> np.ndarray:
+    """values with each negative entry set to 0: rounding noise below
+    -1e-12 warns, anything below -1e-6 raises."""
+    values = np.asarray(values, dtype=float)
+    low = values.min(initial=0.0)
+    if low < -1e-6:
+        raise RuntimeError(f"{context}: probability {low} is far below zero")
+    if low < -1e-12:
+        warnings.warn(f"{context}: clamping {low} to 0", RuntimeWarning)
+    return np.where(values < 0.0, 0.0, values)
+
+
+def cell_probability_table(c: Constellation, tx: complex, gain: float,
+                           n: int) -> np.ndarray:
+    """Closed-form probabilities that tx is detected in each decision
+    cell, as an (m_i, m_q) array; each tx's table sums to 1 by
+    telescoping.
+
+    A cell probability is the Erlang-n average of the product of its two
+    axis brackets. With (C_i, r_i) and (C_q, r_q) from _axis_brackets
+    and the average of e^(-r z) being (1 + r)^(-n), the table is
+    C_i E C_q^T with E[a, b] = (1 + r_i[a] + r_q[b])^(-n).
+    """
+    _check_gain_n(gain, n)
+    tx = complex(tx)
+    c_i, r_i = _axis_brackets(c.boundaries_i, tx.real, gain)
+    c_q, r_q = _axis_brackets(c.boundaries_q, tx.imag, gain)
+    e = (1.0 + (r_i[:, None] + r_q[None, :])) ** (-n)
+    return _clamp_probability(c_i @ e @ c_q.T, "cell_probability_table")
 
 
 def cell_probability_closed(tx: complex, cell_i: int, cell_q: int,
                             c: Constellation, gain: float, n: int) -> float:
-    """Closed-form probability that tx is detected in cell (cell_i, cell_q).
-
-    Each axis contributes a bracket of approximated Q terms at the signed
-    boundary offsets scaled by sqrt(gain z); the bracket product expands
-    into an exponential mixture that averages exactly over Erlang-n
-    fading. Cell families over one tx sum to 1 by telescoping.
-    """
-    _check_gain_n(gain, n)
-    (u_lo, u_hi), (v_lo, v_hi) = _cell_offsets(c, complex(tx), cell_i, cell_q)
-    bracket_i = q_term_mixture(u_lo, gain) - q_term_mixture(u_hi, gain)
-    bracket_q = q_term_mixture(v_lo, gain) - q_term_mixture(v_hi, gain)
-    value = (bracket_i * bracket_q).erlang_average(n)
-    return _clamp_probability(value, "cell_probability_closed")
+    """Closed-form probability that tx is detected in cell (cell_i, cell_q):
+    one entry of cell_probability_table."""
+    _cell_offsets(c, complex(tx), cell_i, cell_q)  # range checks
+    return float(cell_probability_table(c, tx, gain, n)[cell_i, cell_q])
 
 
 def cell_probability_quadrature(tx: complex, cell_i: int, cell_q: int,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import sum_ber
+from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, sum_ber
 from .detectors import SystemModel
 from .errors import OptimizationError
 
@@ -51,10 +51,13 @@ class PaResult:
         return 10.0 ** (self.cost_db / 10.0)
 
 
-def sum_ber_db_cost(model: SystemModel, powers_db, mode: str = "auto") -> float:
-    """Objective value for absolute per-user powers given in dB."""
+def sum_ber_db_cost(model: SystemModel, powers_db, mode: str = "auto",
+                    prune_threshold: float = DEFAULT_PRUNE,
+                    max_leaves: int = DEFAULT_MAX_LEAVES) -> float:
+    """Objective value for absolute per-user powers given in dB; the
+    other arguments are sum_ber's."""
     linear = [10.0 ** (float(p) / 10.0) for p in powers_db]
-    total = sum_ber(model.with_powers(linear), mode)
+    total = sum_ber(model.with_powers(linear), mode, prune_threshold, max_leaves)
     return 10.0 * math.log10(max(total, BER_FLOOR))
 
 
@@ -79,10 +82,10 @@ def _starts(model: SystemModel, cfg: PaConfig, warm_db) -> list[np.ndarray]:
     return starts[:count]
 
 
-def _descend(model: SystemModel, p0: np.ndarray, cfg: PaConfig):
+def _descend(model: SystemModel, p0: np.ndarray, cfg: PaConfig, limits):
     pmax = cfg.p_max_db
     p = np.minimum(np.asarray(p0, dtype=float), pmax)
-    cost = sum_ber_db_cost(model, p, cfg.mode)
+    cost = sum_ber_db_cost(model, p, cfg.mode, *limits)
     trace = [cost]
     k = model.k
     for _ in range(cfg.max_iters):
@@ -90,8 +93,8 @@ def _descend(model: SystemModel, p0: np.ndarray, cfg: PaConfig):
         for i in range(k):
             probe = np.zeros(k)
             probe[i] = cfg.fd_step_db
-            up = sum_ber_db_cost(model, p + probe, cfg.mode)
-            dn = sum_ber_db_cost(model, p - probe, cfg.mode)
+            up = sum_ber_db_cost(model, p + probe, cfg.mode, *limits)
+            dn = sum_ber_db_cost(model, p - probe, cfg.mode, *limits)
             grad[i] = (up - dn) / (2.0 * cfg.fd_step_db)
         if not np.all(np.isfinite(grad)) or float(grad @ grad) == 0.0:
             break
@@ -99,7 +102,7 @@ def _descend(model: SystemModel, p0: np.ndarray, cfg: PaConfig):
         accepted = None
         while step >= cfg.min_step_db:
             cand = np.minimum(p - step * grad, pmax)
-            cand_cost = sum_ber_db_cost(model, cand, cfg.mode)
+            cand_cost = sum_ber_db_cost(model, cand, cfg.mode, *limits)
             # sufficient decrease against the projected displacement
             if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
                 accepted = (cand, cand_cost)
@@ -116,12 +119,14 @@ def _descend(model: SystemModel, p0: np.ndarray, cfg: PaConfig):
 
 
 def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),
-                    warm_db=None) -> PaResult:
-    """Minimize the sum-BER cost over per-user powers, multi-started."""
+                    warm_db=None, prune_threshold: float = DEFAULT_PRUNE,
+                    max_leaves: int = DEFAULT_MAX_LEAVES) -> PaResult:
+    """Minimize the sum-BER cost over per-user powers, multi-started;
+    prune_threshold and max_leaves go to every sum_ber call."""
     best = None
     start_costs = []
     for s_idx, p0 in enumerate(_starts(model, cfg, warm_db)):
-        p, cost, trace = _descend(model, p0, cfg)
+        p, cost, trace = _descend(model, p0, cfg, (prune_threshold, max_leaves))
         start_costs.append(cost)
         if math.isfinite(cost) and (best is None or cost < best[1]):
             best = (p, cost, s_idx, trace)

@@ -23,6 +23,9 @@ LEVELS4 = [-3.0, -1.0, 1.0, 3.0]
 BOUNDS4 = [-INF, -2.0, 0.0, 2.0, INF]
 LEVELS2 = [-1.0, 1.0]
 BOUNDS2 = [-INF, 0.0, INF]
+BOUNDS8 = [-INF, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, INF]
+BOUNDS1 = [-INF, INF]  # degenerate axis: one level at 0
+BOUNDS = {1: BOUNDS1, 2: BOUNDS2, 4: BOUNDS4, 8: BOUNDS8}
 FIRST_QUAD_16 = [(1.0, 1.0), (1.0, 3.0), (3.0, 1.0), (3.0, 3.0)]
 QPSK_D = (0.0, 2.0, 2.0 * math.sqrt(2.0))
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from nomalab.analytic import sum_ber
 from nomalab.cli import CSV_HEADER, CSV_SCHEMA, main
+from nomalab.config import build_model, load_config
 
 BASE = {
     "system": {
@@ -118,6 +120,30 @@ def test_optimize_writes_result_json(tmp_path):
                                                "analytic_after"}
 
 
+def test_optimize_honours_analytic_prune_and_leaf_limits(tmp_path):
+    data = json.loads(json.dumps(BASE))
+    data["system"]["users"] = [
+        {"power_db": 0.0, "sigma": 10.0, "modulation": "4x4"},
+        {"power_db": 0.0, "sigma": 2.5, "modulation": "4x2"},
+        {"power_db": 0.0, "sigma": 0.625, "modulation": "4x2"},
+    ]
+    data["analytic"] = {"mode": "exact", "prune_threshold": 1e-3}
+    data["poweralloc"] = {"p_max_db": 20.0, "mode": "exact",
+                          "multistart_points": 1, "max_iters": 2}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    pa = json.loads((out / "pa_result.json").read_text())
+    model = build_model(load_config(cfg))
+    for powers_db, value in ((pa["powers_db"], pa["sum_ber"]),
+                             (pa["baseline"]["powers_db"],
+                              pa["baseline"]["sum_ber"])):
+        tuned = model.with_powers([10.0 ** (p / 10.0) for p in powers_db])
+        pruned = sum_ber(tuned, "exact", prune_threshold=1e-3)
+        assert value == pytest.approx(pruned, rel=1e-9)
+        assert value != pytest.approx(sum_ber(tuned, "exact"), rel=1e-3)
+
+
 def test_validate_passes_on_calibrated_config(tmp_path):
     data = json.loads(json.dumps(BASE))
     data["montecarlo"]["min_errors"] = 400
@@ -185,6 +211,17 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("analytic", "sweep", "stop_db", -5.0),
     ("validate", "validate", "k_ci", -1.0),
     ("optimize", "poweralloc", "max_iters", -1),
+    ("validate", "validate", "rel_tol", -1.0),
+    ("validate", "validate", "min_ber", -1.0),
+    ("optimize", "poweralloc", "tol_db", -1.0),
+    ("optimize", "poweralloc", "step0_db", -1.0),
+    ("optimize", "poweralloc", "step0_db", 0.0),
+    ("optimize", "poweralloc", "min_step_db", -1.0),
+    ("optimize", "poweralloc", "min_step_db", 0.0),
+    ("optimize", "poweralloc", "multistart_points", -1),
+    ("optimize", "poweralloc", "multistart_points", 0),
+    ("optimize", "poweralloc", "armijo_c", -1.0),
+    ("optimize", "poweralloc", "armijo_c", 1.0),
 ])
 def test_malformed_value_is_a_config_error(tmp_path, capsys, command, section,
                                            key, value):

@@ -1,6 +1,7 @@
 """Fading-averaged scalar kernels against series, quadrature, and
 high-precision oracles."""
 
+import itertools
 import math
 import warnings
 
@@ -15,19 +16,19 @@ import oracles
 from nomalab.channel import erlang_pdf
 from nomalab.constellation import build_rect_qam
 from nomalab.kernels import (
-    ExpMixture,
+    _axis_brackets,
     _clamp_probability,
     cell_probability_closed,
     cell_probability_quadrature,
-    erlang_exp_average,
+    cell_probability_table,
     erlang_fade_average,
     erlang_fade_quadrature,
     q_approx,
     q_exact,
-    q_term_mixture,
     qpsk_sep_triplet,
 )
 
+INF = math.inf
 A_GRID = [1e-3, 0.03, 0.4, 1.0, 5.0, 40.0, 1e3, 1e6]
 N_GRID = [1, 2, 4, 10, 20, 64]
 
@@ -58,17 +59,6 @@ def test_q_approx_error_band():
     for x in np.linspace(1.0, 6.0, 11):
         ratio = q_approx(x) / q_exact(x)
         assert 1.0 < ratio < 1.35
-
-
-def test_exp_average_closed_form():
-    assert erlang_exp_average(0.0, 5) == 1.0
-    assert erlang_exp_average(1.0, 3) == pytest.approx(0.125, rel=1e-15)
-    ref = quad(lambda z: math.exp(-0.7 * z) * erlang_pdf(z, 3), 0, 200)[0]
-    assert erlang_exp_average(0.7, 3) == pytest.approx(ref, rel=1e-10)
-    with pytest.raises(ValueError):
-        erlang_exp_average(-1.0, 2)
-    with pytest.raises(ValueError):
-        erlang_exp_average(0.5, 0)
 
 
 def test_fade_average_matches_series_at_moderate_parameters():
@@ -175,56 +165,55 @@ def test_triplet_is_a_distribution(a, n):
     assert sum(trip) == pytest.approx(1.0, abs=1e-11)
 
 
-def test_exp_mixture_algebra():
-    m = ExpMixture.from_terms([(0.5, 1.0), (0.25, 1.0), (0.0, 3.0), (1.0, 0.0)])
-    assert m.terms == ((1.0, 0.0), (0.75, 1.0))
-    d = m - ExpMixture(((1.0, 0.0),))
-    assert d.terms == ((0.75, 1.0),)
-    prod = ExpMixture(((2.0, 1.0),)) * ExpMixture(((3.0, 2.0), (1.0, 0.0)))
-    assert prod.terms == ((2.0, 1.0), (6.0, 3.0))
-    avg = prod.erlang_average(2)
-    assert avg == pytest.approx(2.0 / 4.0 + 6.0 / 16.0, rel=1e-15)
+@pytest.mark.parametrize("bounds,level", [
+    ((-INF, -2.0, 0.0, 2.0, INF), 1.0),     # negative, zero-crossing, positive offsets
+    ((-INF, -2.0, 0.0, 2.0, INF), -3.0),    # every finite offset positive
+    ((-INF, 0.0, INF), 1.0),
+    ((-INF, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, INF), 5.0),
+    ((-INF, INF), 0.0),                     # degenerate axis
+])
+def test_axis_brackets_are_q_approx_differences(bounds, level):
+    gain = 1.7
+    coef, rates = _axis_brackets(np.array(bounds), level, gain)
+    assert coef.shape == (len(bounds) - 1, len(rates))
+    assert len(rates) == 1 + 2 * (len(bounds) - 2) and rates[0] == 0.0
+    if len(bounds) == 2:
+        assert coef.tolist() == [[1.0]]
+    for z in (0.05, 0.3, 1.0, 4.0):
+        root = math.sqrt(gain * z)
+        got = coef @ np.exp(-rates * z)
+        for j in range(len(bounds) - 1):
+            ref = (q_approx((bounds[j] - level) * root)
+                   - q_approx((bounds[j + 1] - level) * root))
+            assert got[j] == pytest.approx(ref, rel=1e-13, abs=1e-16)
 
 
-def test_q_term_mixture_limits_and_values():
-    assert q_term_mixture(math.inf, 2.0).terms == ()
-    assert q_term_mixture(-math.inf, 2.0).terms == ((1.0, 0.0),)
-    gain, off = 1.7, 0.8
-    for z in (0.3, 1.0, 4.0):
-        mix = q_term_mixture(off, gain)
-        val = sum(c * math.exp(-r * z) for c, r in mix.terms)
-        assert val == pytest.approx(q_approx(off * math.sqrt(gain * z)), rel=1e-14)
-        mix_neg = q_term_mixture(-off, gain)
-        val_neg = sum(c * math.exp(-r * z) for c, r in mix_neg.terms)
-        assert val_neg == pytest.approx(
-            q_approx(-off * math.sqrt(gain * z)), rel=1e-14)
-
-
-@pytest.mark.parametrize("mi,mq", [(2, 2), (4, 2), (4, 4), (8, 4)])
+@pytest.mark.parametrize("mi,mq", [(2, 2), (4, 2), (4, 4), (8, 4),
+                                   (2, 1), (4, 1), (1, 4), (8, 1)])
 def test_cell_probabilities_sum_to_one(mi, mq):
     c = build_rect_qam(mi, mq)
     for gain in (0.5, 5.0):
         for n in (1, 4):
-            for tx_idx in range(c.size):
-                tx = complex(c.points[tx_idx])
-                total = math.fsum(
-                    cell_probability_closed(tx, ci, cq, c, gain, n)
-                    for ci in range(c.m_i) for cq in range(c.m_q))
-                assert abs(total - 1.0) <= 1e-9
+            for tx in c.points:
+                table = cell_probability_table(c, tx, gain, n)
+                assert table.shape == (mi, mq)
+                assert abs(math.fsum(table.ravel()) - 1.0) <= 1e-9
 
 
 def test_cell_probability_matches_bracket_oracle():
-    c = build_rect_qam(4, 4)
-    for gain in (0.3, 2.0, 20.0):
-        for n in (1, 2, 6):
-            for tx_idx in (0, 5, 10, 15):
-                tx = complex(c.points[tx_idx])
-                for ci in range(4):
-                    for cq in range(4):
+    for mi, mq in ((4, 4), (4, 2), (8, 4), (4, 1), (1, 4)):
+        c = build_rect_qam(mi, mq)
+        bounds_i, bounds_q = oracles.BOUNDS[mi], oracles.BOUNDS[mq]
+        for gain in (0.3, 2.0, 20.0):
+            for n in (1, 2, 6):
+                for tx in c.points:
+                    table = cell_probability_table(c, tx, gain, n)
+                    for ci, cq in itertools.product(range(mi), range(mq)):
                         ref = oracles.pair_error_probability(
-                            tx.real, tx.imag, ci, cq, oracles.BOUNDS4,
-                            oracles.BOUNDS4, gain, n)
+                            tx.real, tx.imag, ci, cq, bounds_i, bounds_q,
+                            gain, n)
                         got = cell_probability_closed(tx, ci, cq, c, gain, n)
+                        assert got == table[ci, cq]
                         assert got == pytest.approx(ref, rel=1e-11, abs=1e-250)
 
 
