@@ -16,15 +16,18 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nomalab.analytic import stage_bers
+from nomalab.analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers
 from nomalab.config import build_model, load_config, sweep_grid
 from nomalab.detectors import SystemModel
 
 
-def floor_table(model: SystemModel, grid, mode: str):
+def floor_table(model: SystemModel, grid, mode: str,
+                prune_threshold: float = DEFAULT_PRUNE,
+                max_leaves: int = DEFAULT_MAX_LEAVES):
     rows = []
     for off in grid:
-        rows.append([off] + list(stage_bers(model.scaled(off), mode)))
+        bers = stage_bers(model.scaled(off), mode, prune_threshold, max_leaves)
+        rows.append([off] + list(bers))
     return rows
 
 
@@ -40,7 +43,8 @@ def main() -> int:
 
     for n in args.antennas:
         model = SystemModel(n, base.noise_sigma, base.users)
-        rows = floor_table(model, grid, cfg.analytic.mode)
+        rows = floor_table(model, grid, cfg.analytic.mode,
+                           cfg.analytic.prune_threshold, cfg.analytic.max_leaves)
         print(f"\nN = {n} antennas")
         header = "power_db " + " ".join(f"user{k}" for k in range(1, model.k + 1))
         print(header)

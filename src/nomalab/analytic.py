@@ -11,12 +11,12 @@ downstream) at SINR parameter 2 P_k sigma_k^2 / sigma_tot^2. It adds
 its weighted stage-k BER, then expands stage k's SEP table (error
 distances d_k with closed-form probabilities) to depth k + 1.
 
-Each stage's alphabet picks its kernels: the QPSK table is the
-closed-form error-distance triplet, other tables sum cell probabilities.
-The conditional BER compiles per alphabet, transmitted class and mode
-into pairs with BER = sum coef * erlang_fade_average(gain * d^2, n):
-"exact" walks the Gray decision boundaries of each axis, "approx"
-charges one fading tail per adjacent decision boundary.
+Both per-node kernels compile once per alphabet and transmitted class:
+the SEP table is kernels.sep_program (the QPSK one has a closed form,
+the error-distance triplet), and the conditional BER is pairs with
+BER = sum coef * erlang_fade_average(gain * d^2, n). Only these leaf
+pairs depend on the mode: "exact" walks the Gray decision boundaries of
+each axis, "approx" charges one fading tail per adjacent boundary.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .constellation import (Constellation, MagnitudeClass, _axis_gray_labels,
                             magnitude_classes, neighbor_count)
 from .detectors import SystemModel
 from .errors import CapacityError
-from .kernels import cell_probability_table, erlang_fade_average, qpsk_sep_triplet
+from .kernels import (erlang_fade_average, qpsk_sep_triplet, sep_probabilities,
+                      sep_program)
 
-QPSK_DISTANCES = (0.0, 2.0, 2.0 * math.sqrt(2.0))
 DEFAULT_PRUNE = 1e-12
 DEFAULT_MAX_LEAVES = 10_000_000
-AUTO_APPROX_ORDER = 64  # alphabets at or above this size default to approx mode
+AUTO_APPROX_ORDER = 64  # mode "auto" gives stages of this many points approx leaves
 
 
 @dataclass(frozen=True)
@@ -109,23 +109,11 @@ def _admissible_tx(c: Constellation, tx_class) -> tuple[int, ...]:
 
 
 def _sep_entries(c: Constellation, tx_class, gain: float, n: int):
-    """SEP table entries: the QPSK triplet at the exact distances, else
-    cell probabilities merged by distance rounded to 12 digits."""
-    if c.is_qpsk:
-        return tuple(zip(QPSK_DISTANCES, qpsk_sep_triplet(gain, n)))
-    tx_set = _admissible_tx(c, tx_class)
-    prior = 1.0 / len(tx_set)
-    acc: dict[float, float] = {}
-    for tx_idx in tx_set:
-        tx = complex(c.points[tx_idx])
-        table = cell_probability_table(c, tx, gain, n).tolist()
-        for ci in range(c.m_i):
-            for cq in range(c.m_q):
-                p = table[ci][cq]
-                center = complex(c.levels_i[ci], c.levels_q[cq])
-                d = round(abs(tx - center), 12)
-                acc[d] = acc.get(d, 0.0) + prior * p
-    return tuple(sorted(acc.items()))
+    """SEP table entries (distance, probability), ascending in distance."""
+    program = sep_program(c, _admissible_tx(c, tx_class))
+    probs = (qpsk_sep_triplet(gain, n) if c.is_qpsk
+             else sep_probabilities(program, gain, n).tolist())
+    return tuple(zip(program[0], probs))
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +222,6 @@ def _walk(model: SystemModel, mode: str, prune_threshold: float,
     numerators = [2.0 * u.power * s2 for u, s2 in zip(stages, sigma_sq)]
     n = model.n_antennas
     totals = [0.0] * last
-    tables: dict = {}
     dropped = 0.0
     leaves = 0
 
@@ -251,10 +238,7 @@ def _walk(model: SystemModel, mode: str, prune_threshold: float,
             if leaves > max_leaves:
                 raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
             return out
-        key = (i, tx_classes[i], gain)
-        if key not in tables:
-            tables[key] = _sep_entries(stages[i].constellation, tx_classes[i], gain, n)
-        for d, p in tables[key]:
+        for d, p in _sep_entries(stages[i].constellation, tx_classes[i], gain, n):
             w = weight * p
             if w < prune_threshold:
                 dropped += w

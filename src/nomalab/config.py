@@ -163,11 +163,7 @@ def _parse_simple(raw, path: str, cls):
     kwargs = {}
     for f in dataclasses.fields(cls):
         key, value, default = f.name, d[f.name], f.default
-        if isinstance(default, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}: expected a boolean")
-            kwargs[key] = value
-        elif isinstance(default, int):
+        if isinstance(default, int):
             kwargs[key] = _integer(value, f"{path}.{key}")
         elif isinstance(default, float):
             kwargs[key] = _number(value, f"{path}.{key}")

@@ -93,18 +93,6 @@ class Constellation:
         return f"Constellation({self.m_i}x{self.m_q})"
 
 
-def _word_layout(ni: int, nq: int) -> list[tuple[str, int]]:
-    """Bit-word positions as (axis, axis-bit-index) pairs."""
-    order: list[tuple[str, int]] = []
-    if nq >= 1:
-        order.append(("q", 0))
-    if ni >= 1:
-        order.append(("i", 0))
-    order.extend(("q", b) for b in range(1, nq))
-    order.extend(("i", b) for b in range(1, ni))
-    return order
-
-
 @lru_cache(maxsize=None, typed=True)
 def build_rect_qam(m_i: int, m_q: int) -> Constellation:
     """Build the Gray-coded rectangular constellation with M_I x M_Q levels.
@@ -119,25 +107,19 @@ def build_rect_qam(m_i: int, m_q: int) -> Constellation:
     if m_i * m_q < 2:
         raise ValueError("constellation must carry at least one bit")
 
-    ni = m_i.bit_length() - 1
-    nq = m_q.bit_length() - 1
     levels_i = _axis_levels(m_i)
     levels_q = _axis_levels(m_q)
     gray_i = _axis_gray_labels(m_i)
     gray_q = _axis_gray_labels(m_q)
-    layout = _word_layout(ni, nq)
-    nbits = ni + nq
 
     m = m_i * m_q
     points = np.zeros(m, dtype=complex)
-    labels = np.zeros((m, nbits), dtype=np.uint8)
+    labels = np.zeros((m, m.bit_length() - 1), dtype=np.uint8)
     idx_i = np.zeros(m, dtype=np.int64)
     idx_q = np.zeros(m, dtype=np.int64)
     for ji in range(m_i):
         for jq in range(m_q):
-            word = []
-            for axis, b in layout:
-                word.append(gray_i[ji][b] if axis == "i" else gray_q[jq][b])
+            word = gray_q[jq][:1] + gray_i[ji][:1] + gray_q[jq][1:] + gray_i[ji][1:]
             index = 0
             for bit in word:
                 index = (index << 1) | bit

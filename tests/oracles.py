@@ -2,9 +2,10 @@
 
 Everything here is written independently of the package internals:
 literal series forms, direct quadrature, hard-coded constellation
-geometry, and brute-force searches. The one exception,
-reference_walk_ber, reuses the package's per-node kernels to check the
-tree walk alone. Tests compare package outputs against these, or freeze
+geometry, and brute-force searches. The two exceptions reuse package
+kernels to check one layer alone: reference_sep_entries merges the
+package's cell tables, and reference_walk_ber walks the package's
+per-node kernels. Tests compare package outputs against these, or freeze
 values computed from them.
 """
 
@@ -296,6 +297,29 @@ def reference_sic(y, channels, powers, point_sets, order):
     return tuple(out)
 
 
+# ---- SEP table by cell merge ----
+
+def reference_sep_entries(c, tx_class, gain, n):
+    """SEP table entries (distance, probability), ascending: every cell
+    of every admissible tx's cell_probability_table, weighted by the
+    uniform prior and merged by distance rounded to 12 digits."""
+    from nomalab.analytic import _admissible_tx
+    from nomalab.kernels import cell_probability_table
+
+    tx_set = _admissible_tx(c, tx_class)
+    prior = 1.0 / len(tx_set)
+    acc = {}
+    for tx_idx in tx_set:
+        tx = complex(c.points[tx_idx])
+        table = cell_probability_table(c, tx, gain, n).tolist()
+        for ci in range(c.m_i):
+            for cq in range(c.m_q):
+                center = complex(c.levels_i[ci], c.levels_q[cq])
+                d = round(abs(tx - center), 12)
+                acc[d] = acc.get(d, 0.0) + prior * table[ci][cq]
+    return tuple(sorted(acc.items()))
+
+
 # ---- uncached per-stage tree walk ----
 
 def reference_walk_ber(model, k, mode="exact"):
@@ -304,7 +328,7 @@ def reference_walk_ber(model, k, mode="exact"):
 
     It reuses the package's per-node kernels (sep_table_user and
     conditional_ber_user), so it checks the shared walk: class
-    assignments, weights, upstream distances and table sharing."""
+    assignments, weights and upstream distances."""
     from nomalab.analytic import (TreeBranch, class_assignments,
                                   conditional_ber_user, sep_table_user)
 

@@ -10,7 +10,9 @@ import oracles
 from nomalab.analytic import (
     AUTO_APPROX_ORDER,
     TreeBranch,
+    _admissible_tx,
     _resolve_mode,
+    _sep_entries,
     ber_user,
     ber_user_qam,
     ber_user_qpsk,
@@ -25,7 +27,7 @@ from nomalab.constellation import build_rect_qam, magnitude_classes
 from nomalab.detectors import SystemModel, UserProfile
 from nomalab.errors import CapacityError
 from nomalab.kernels import (cell_probability_closed, erlang_fade_average,
-                             qpsk_sep_triplet)
+                             qpsk_sep_triplet, sep_probabilities, sep_program)
 
 QPSK = build_rect_qam(2, 2)
 QAM8 = build_rect_qam(4, 2)
@@ -174,11 +176,36 @@ def test_stage_bers_match_uncached_reference_walk(monkeypatch):
             tables.clear()
             ref = oracles.reference_walk_ber(m, k)
             assert bers[k - 1] == pytest.approx(ref, rel=1e-12)
-        # the reference builds one table per inner node of the stage-K
-        # tree; the walk shares equal tables between class assignments
-        assert walk_tables <= len(tables)
-        if m.k == 4:
-            assert walk_tables < len(tables)
+        # both build one table per inner node of the stage-K tree
+        assert walk_tables == len(tables)
+
+
+@pytest.mark.parametrize("m_i,m_q", [(4, 2), (4, 4), (8, 4), (8, 8), (2, 4),
+                                     (4, 1), (1, 4)])
+def test_compiled_sep_table_matches_cell_merge(m_i, m_q):
+    c = build_rect_qam(m_i, m_q)
+    for tx_class in (None,) + magnitude_classes(c):
+        for gain in (0.0, 1e-3, 0.3, 30.0, 3e3, 3e6):
+            for n in (1, 2, 4, 16):
+                got = _sep_entries(c, tx_class, gain, n)
+                ref = oracles.reference_sep_entries(c, tx_class, gain, n)
+                assert len(got) == len(ref)
+                for (d, p), (d_ref, p_ref) in zip(got, ref):
+                    assert d == pytest.approx(d_ref, rel=1e-12, abs=0)
+                    if p_ref >= 1e-12:
+                        assert p == pytest.approx(p_ref, rel=1e-12, abs=0)
+                    else:
+                        assert p == pytest.approx(p_ref, rel=0, abs=1e-15)
+
+
+def test_compiled_qpsk_table_is_the_triplet():
+    program = sep_program(QPSK, _admissible_tx(QPSK, None))
+    assert program[0] == (0.0, 2.0, 2.0 * math.sqrt(2.0))
+    for gain in (0.0, 1e-3, 0.3, 30.0, 3e3, 3e6):
+        for n in (1, 2, 4, 16):
+            got = sep_probabilities(program, gain, n)
+            for p, p_ref in zip(got, qpsk_sep_triplet(gain, n)):
+                assert p == pytest.approx(p_ref, rel=1e-14, abs=0)
 
 
 def test_all_qpsk_honours_prune_and_leaf_limits():

@@ -1,0 +1,56 @@
+"""The study scripts under scripts/ run the package with the config's
+settings."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from nomalab.analytic import stage_bers
+from nomalab.config import build_model, load_config
+from nomalab.errors import CapacityError
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+MIXED = {
+    "system": {
+        "n_antennas": 2,
+        "noise_sigma": 1.0,
+        "users": [
+            {"power_db": 0.0, "sigma": 10.0, "modulation": "4x4"},
+            {"power_db": 0.0, "sigma": 2.5, "modulation": "4x2"},
+            {"power_db": 0.0, "sigma": 0.625, "modulation": "4x2"},
+        ],
+    },
+    "sweep": {"start_db": 20.0, "stop_db": 20.0, "step_db": 5.0},
+    "analytic": {"mode": "exact", "prune_threshold": 1e-3},
+}
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_floor_study_honours_prune_and_leaf_limits(tmp_path, monkeypatch):
+    floor_study = load_script("floor_study")
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED), encoding="utf-8")
+    model = build_model(load_config(str(path)))
+
+    rows = floor_study.floor_table(model, [20.0], "exact", 1e-3, 1000)
+    pruned = stage_bers(model.scaled(20.0), "exact", 1e-3, 1000)
+    assert rows == [[20.0] + list(pruned)]
+    assert pruned != stage_bers(model.scaled(20.0), "exact")
+
+    # main reads both limits from the config: one leaf cannot hold the tree
+    limited = dict(MIXED, analytic={"mode": "exact", "max_leaves": 1})
+    path.write_text(json.dumps(limited), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["floor_study.py", "--config", str(path),
+                                      "--antennas", "2"])
+    with pytest.raises(CapacityError):
+        floor_study.main()
