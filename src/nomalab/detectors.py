@@ -7,8 +7,11 @@ with the user's own channel, makes a hard decision against the scaled
 constellation (ties go to the lowest symbol index), and subtracts the
 decision re-modulated onto the channel. Earlier-stage decisions are
 reused verbatim, so decision errors propagate. The joint detector
-searches the full cartesian product of all user alphabets and is capped
-to protect memory.
+enumerates the symbol tuples of every user but the one with the largest
+alphabet, and for each tuple slices that user to the point nearest its
+combined residual, which is its exact best reply. The cap still bounds
+the full cartesian product of all user alphabets. Both receivers share
+one per-axis slicer on the odd-integer grid.
 
 Both receivers and superposition work on batches of (n, B) columns; the
 single-shot functions run a batch of one.
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,13 +168,52 @@ def joint_symbol_tuples(model: SystemModel, cap: int = JMLD_DEFAULT_CAP) -> np.n
 
 def jmld_detect(model: SystemModel, y, channels,
                 cap: int = JMLD_DEFAULT_CAP) -> DetectionResult:
-    """Joint exhaustive maximum-likelihood detection.
+    """Joint maximum-likelihood detection.
 
-    Minimizes ||y - sum_k sqrt(P_k) h_k x_k||^2 over the product alphabet;
-    ties resolve to the lexicographically smallest index tuple.
+    Minimizes ||y - sum_k sqrt(P_k) h_k x_k||^2 over the product alphabet
+    by enumerating every user but the largest-alphabet one (the last such
+    user on a tie) and slicing that user given the others; ties resolve
+    to the lexicographically smallest index tuple. Raises CapacityError
+    when the full product exceeds cap.
     """
     return DetectionResult(
         jmld_detect_batch(model, *_batch_of_one(model, y, channels), cap=cap)[:, 0])
+
+
+@lru_cache(maxsize=None)
+def _slicer_tables(c: Constellation):
+    """Index of the point on the lowest level of both axes, and per axis
+    the (threshold, index step) of every decision boundary, ascending.
+
+    A symbol index is a Q-bit part plus an I-bit part, so crossing a
+    boundary adds a fixed step. An exact midpoint goes to the level with
+    the smaller Gray label, hence the lower index: where the upper level
+    has it, the threshold sits just below the midpoint.
+    """
+    lut = np.empty((c.m_i, c.m_q), dtype=np.int64)
+    lut[c.level_index_i, c.level_index_q] = np.arange(c.size)
+    axes = []
+    for steps, bounds in ((np.diff(lut[:, 0]), c.boundaries_i[1:-1]),
+                          (np.diff(lut[0, :]), c.boundaries_q[1:-1])):
+        thresholds = np.where(steps < 0, np.nextafter(bounds, -np.inf), bounds)
+        axes.append(tuple(zip(thresholds.tolist(), steps.tolist())))
+    return int(lut[0, 0]), axes[0], axes[1]
+
+
+def _slice(c: Constellation, z: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """Index of the point of c nearest z / gain, axis by axis.
+
+    Exact midpoints go to the lowest symbol index; a zero gain decides
+    index 0.
+    """
+    base, steps_i, steps_q = _slicer_tables(c)
+    live = gain > 0
+    safe = np.where(live, gain, 1.0)
+    s = np.full(z.shape, base, dtype=np.int64)
+    for v, steps in ((z.real / safe, steps_i), (z.imag / safe, steps_q)):
+        for threshold, step in steps:
+            s += step * (v > threshold)
+    return np.where(live, s, 0)
 
 
 def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
@@ -187,8 +230,7 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
         h = channels[idx]
         z = np.sum(np.conj(h) * r, axis=0)
         scale = np.sqrt(u.power) * np.sum(np.abs(h) ** 2, axis=0)
-        d2 = np.abs(z[None, :] - scale[None, :] * u.constellation.points[:, None]) ** 2
-        s = np.argmin(d2, axis=0)
+        s = _slice(u.constellation, z, scale)
         out[idx] = s
         r -= np.sqrt(u.power) * h * u.constellation.points[s][None, :]
     return out
@@ -196,23 +238,60 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
 
 def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
                       cap: int = JMLD_DEFAULT_CAP) -> np.ndarray:
-    """Vectorized joint ML over a batch: y is (n, B). Returns (K, B)."""
+    """Vectorized joint ML over a batch: y is (n, B). Returns (K, B).
+
+    Given the other users, the best symbol of user s is the grid point
+    nearest g_s^H r / ||g_s||^2, with r the residual after the others;
+    so only the others' tuples are enumerated and user s is sliced.
+    """
     tuples = joint_symbol_tuples(model, cap)
-    t_count = tuples.shape[0]
+    sizes = [u.constellation.size for u in model.users]
+    s = max(range(model.k), key=lambda k: (sizes[k], k))
+    others = tuples[tuples[:, s] == 0]  # lexicographic over the others
+    t_count = others.shape[0]
     n, b = y.shape
-    # (T, K) matrix of scaled constellation points per user
     x = np.empty((t_count, model.k), dtype=complex)
     for u_idx, u in enumerate(model.users):
-        x[:, u_idx] = u.constellation.points[tuples[:, u_idx]]
+        x[:, u_idx] = u.constellation.points[others[:, u_idx]]
+    # a full tuple's lexicographic rank: the others' part, plus user s's
+    # index times its stride
+    strides = np.cumprod([1] + sizes[:0:-1])[::-1]
+    rank = others @ strides
     g = np.stack([np.sqrt(u.power) * np.asarray(channels[i])
                   for i, u in enumerate(model.users)])  # (K, n, B)
+    # g_s^H r = g_s^H y - sum_k x_k g_s^H g_k over the others; k = s gives
+    # the gain ||g_s||^2
+    gs_conj = np.conj(g[s])
+    proj_y = np.sum(gs_conj * y, axis=0)
+    proj_g = np.sum(gs_conj * g, axis=1)
+    c_s = model.users[s].constellation
     out = np.zeros((model.k, b), dtype=np.int64)
-    # chunk the batch so the (T, n, chunk) prediction tensor stays small
-    chunk = max(1, (1 << 22) // max(t_count * n, 1))
+    # chunk the batch so the (T, K, chunk) candidates and the (T, n, chunk)
+    # predictions stay small
+    chunk = max(1, (1 << 22) // (t_count * max(n, model.k)))
     for lo in range(0, b, chunk):
         hi = min(lo + chunk, b)
-        pred = np.einsum("tk,knb->tnb", x, g[:, :, lo:hi])
+        z = proj_y[None, lo:hi]
+        for k, u in enumerate(model.users):
+            if k != s:  # one more user, in tuple order
+                z = (z[:, None] - u.constellation.points[:, None]
+                     * proj_g[k, lo:hi]).reshape(-1, hi - lo)
+        sym = _slice(c_s, z, proj_g[s, lo:hi].real)
+        xb = np.empty((t_count, model.k, hi - lo), dtype=complex)
+        xb[:] = x[:, :, None]
+        xb[:, s] = c_s.points[sym]
+        pred = np.einsum("tkb,knb->tnb", xb, g[:, :, lo:hi])
         metric = np.sum(np.abs(y[None, :, lo:hi] - pred) ** 2, axis=1)
-        best = np.argmin(metric, axis=0)  # first minimum = lexicographic winner
-        out[:, lo:hi] = tuples[best].T
+        best = np.argmin(metric, axis=0)
+        cols = np.arange(hi - lo)
+        # equal metrics across candidates: keep the smallest full tuple
+        tied = np.flatnonzero(
+            np.count_nonzero(metric == metric[best, cols], axis=0) > 1)
+        if tied.size:
+            key = np.where(metric[:, tied] == metric[best[tied], tied],
+                           rank[:, None] + sym[:, tied] * strides[s],
+                           np.iinfo(np.int64).max)
+            best[tied] = np.argmin(key, axis=0)
+        out[:, lo:hi] = others[best].T
+        out[s, lo:hi] = sym[best, cols]
     return out

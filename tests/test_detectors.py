@@ -24,6 +24,8 @@ from nomalab.errors import CapacityError
 QPSK = build_rect_qam(2, 2)
 QAM8 = build_rect_qam(4, 2)
 QAM16 = build_rect_qam(4, 4)
+PAM4_I = build_rect_qam(4, 1)
+PAM4_Q = build_rect_qam(1, 4)
 
 
 def make_model(powers, sigmas, consts, n=2, noise_sigma=1.0, ranks=None):
@@ -186,6 +188,124 @@ def test_batch_detectors_match_single_shot():
             y[:, col], cols, powers, points, model.decode_order())
         assert tuple(jmld_b[:, col]) == oracles.brute_force_joint_ml(
             y[:, col], cols, powers, points)
+
+
+def random_batch(rng, model, b):
+    """b random columns: the received (n, b) and the channels."""
+    n = model.n_antennas
+    chans = [u.sigma * (rng.standard_normal((n, b))
+                        + 1j * rng.standard_normal((n, b)))
+             for u in model.users]
+    noise = model.noise_sigma * (rng.standard_normal((n, b))
+                                 + 1j * rng.standard_normal((n, b)))
+    sym = [rng.integers(0, u.constellation.size, size=b) for u in model.users]
+    return superimpose(model, sym, chans, noise), chans
+
+
+def assert_jmld_matches_oracle(model, y, chans):
+    points = [u.constellation.points for u in model.users]
+    powers = [u.power for u in model.users]
+    got = jmld_detect_batch(model, y, chans)
+    for col in range(y.shape[1]):
+        assert tuple(got[:, col]) == oracles.brute_force_joint_ml(
+            y[:, col], [h[:, col] for h in chans], powers, points), col
+
+
+# (alphabets, powers, n, columns): the sliced user (largest alphabet, the
+# last one on a tie) sits first, in the middle and last, and is a PAM on
+# either axis; 2,000+ columns
+JMLD_SYSTEMS = [
+    ((QAM16, QAM8, QPSK), (16.0, 4.0, 1.0), 1, 100),
+    ((QPSK, QAM16, QAM8), (9.0, 3.0, 1.0), 4, 100),
+    ((QAM8, QAM8, QAM16), (1.0, 4.0, 16.0), 2, 60),
+    ((QPSK, QAM8, QAM8), (4.0, 4.0, 1.0), 2, 300),
+    ((PAM4_I, PAM4_Q), (4.0, 1.0), 1, 400),
+    ((QPSK, PAM4_I), (1.0, 1.0), 4, 400),
+    ((QAM16,), (2.0,), 4, 400),
+    ((QPSK, QPSK, QAM8, QPSK), (8.0, 4.0, 2.0, 1.0), 4, 150),
+    ((QAM16, QPSK), (1.0, 4.0), 1, 300),
+]
+
+
+@pytest.mark.parametrize("consts,powers,n,cols", JMLD_SYSTEMS,
+                         ids=["16-8-4_n1", "4-16-8_n4", "8-8-16_n2",
+                              "4-8-8_n2", "pam4x1-pam1x4_n1", "4-pam4x1_n4",
+                              "16_n4", "4-4-8-4_n4", "16-4_n1"])
+def test_jmld_batch_matches_brute_force_oracle(consts, powers, n, cols):
+    rng = np.random.default_rng(sum(c.size for c in consts) * n + cols)
+    model = make_model(powers, [1.0] * len(consts), consts, n=n,
+                       noise_sigma=0.5)
+    assert_jmld_matches_oracle(model, *random_batch(rng, model, cols))
+
+
+def test_jmld_batch_chunks_give_the_same_decisions():
+    # 1,024 enumerated tuples at n = 4 give chunks of 1,024 columns
+    rng = np.random.default_rng(41)
+    model = make_model([16.0, 8.0, 4.0, 1.0], [1.0] * 4,
+                       [QAM16, QAM16, QAM16, QPSK], n=4)
+    y, chans = random_batch(rng, model, 1500)
+    whole = jmld_detect_batch(model, y, chans)
+    halves = [jmld_detect_batch(model, y[:, cut], [h[:, cut] for h in chans])
+              for cut in (slice(0, 750), slice(750, None))]
+    assert np.array_equal(whole, np.concatenate(halves, axis=1))
+
+
+def grid_columns(reach):
+    """Every point of the integer grid within +-reach on both axes, as one
+    (1, B) row: it holds every level and every decision midpoint."""
+    axis = np.arange(-reach, reach + 1, dtype=float)
+    return (axis[:, None] + 1j * axis[None, :]).reshape(1, -1)
+
+
+@pytest.mark.parametrize("c", [QPSK, QAM8, QAM16], ids=["4", "8", "16"])
+def test_detectors_put_exact_midpoints_on_the_lowest_index(c):
+    # unit channel and power keep the arithmetic exact; np.rint rounds
+    # half to even and fails here (the QPSK origin would decide index 3)
+    y = grid_columns(4)
+    b = y.shape[1]
+    one = [np.ones((1, b), complex)]
+    model = make_model([1.0], [1.0], [c], n=1)
+    assert_jmld_matches_oracle(model, y, one)
+    got = sic_detect_batch(model, y, one)
+    for col in range(b):
+        assert tuple(got[:, col]) == oracles.reference_sic(
+            y[:, col], [one[0][:, col]], [1.0], [c.points], (0,))
+
+    # a strong QPSK user decoded first leaves an exact residual
+    model = make_model([100.0, 1.0], [1.0, 1.0], [QPSK, c], n=1)
+    y2 = y + 10.0 * QPSK.points[2]
+    two = one * 2
+    assert_jmld_matches_oracle(model, y2, two)
+    got = sic_detect_batch(model, y2, two)
+    points = [QPSK.points, c.points]
+    for col in range(b):
+        assert tuple(got[:, col]) == oracles.reference_sic(
+            y2[:, col], [h[:, col] for h in two], [100.0, 1.0], points,
+            (0, 1))
+
+
+def test_jmld_ties_across_tuples_keep_the_smallest_tuple():
+    # 16-QAM (sliced, first) plus QPSK at twice the amplitude on the same
+    # channel: integer points of the plane have several exact optima
+    model = make_model([1.0, 4.0], [1.0, 1.0], [QAM16, QPSK], n=1)
+    y = grid_columns(6)
+    assert_jmld_matches_oracle(model, y, [np.ones(y.shape, complex)] * 2)
+
+
+@pytest.mark.parametrize("zeroed", [0, 1], ids=["sliced", "enumerated"])
+@pytest.mark.parametrize("how", ["power", "channel"])
+def test_jmld_zero_gain_user_decides_index_0(zeroed, how):
+    rng = np.random.default_rng(31)
+    # user 0 is 16-QAM, the sliced user; user 1 is enumerated
+    powers = [4.0, 1.0]
+    if how == "power":
+        powers[zeroed] = 0.0
+    model = make_model(powers, [1.0, 1.0], [QAM16, QAM8], n=2)
+    y, chans = random_batch(rng, model, 200)
+    if how == "channel":
+        chans[zeroed] = np.zeros_like(chans[zeroed])
+    assert_jmld_matches_oracle(model, y, chans)
+    assert not jmld_detect_batch(model, y, chans)[zeroed].any()
 
 
 def test_superimpose_batch_shape_validation():

@@ -54,3 +54,21 @@ def test_floor_study_honours_prune_and_leaf_limits(tmp_path, monkeypatch):
                                       "--antennas", "2"])
     with pytest.raises(CapacityError):
         floor_study.main()
+
+
+def test_detector_gap_prints_one_row_per_point_at_any_worker_count(
+        monkeypatch, capsys):
+    detector_gap = load_script("detector_gap")
+    config = SCRIPTS.parent / "configs" / "qpsk3_near_far.json"
+    tables = []
+    for workers in (1, 2):
+        monkeypatch.setattr(sys, "argv", [
+            "detector_gap.py", "--config", str(config), "--start", "12",
+            "--stop", "14", "--step", "2", "--symbols", "20000",
+            "--workers", str(workers)])
+        assert detector_gap.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert [line.split()[0] for line in lines[1:]] == ["12.0", "14.0"]
+        tables.append(lines)
+    assert tables[0] == tables[1]
