@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from nomalab.analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers
+from nomalab.analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers_grid
 from nomalab.config import build_model, load_config, sweep_grid
 from nomalab.detectors import SystemModel
 
@@ -24,11 +24,9 @@ from nomalab.detectors import SystemModel
 def floor_table(model: SystemModel, grid, mode: str,
                 prune_threshold: float = DEFAULT_PRUNE,
                 max_leaves: int = DEFAULT_MAX_LEAVES):
-    rows = []
-    for off in grid:
-        bers = stage_bers(model.scaled(off), mode, prune_threshold, max_leaves)
-        rows.append([off] + list(bers))
-    return rows
+    bers = stage_bers_grid(model, model.scaled_powers(grid), mode,
+                           prune_threshold, max_leaves)
+    return [[off] + row for off, row in zip(grid, bers.tolist())]
 
 
 def main() -> int:

@@ -4,7 +4,7 @@ fading, Monte Carlo validation, and sum-BER power allocation."""
 
 from .analytic import (ber_user, ber_user_qam, ber_user_qpsk,
                        conditional_ber_user, effective_noise_variance,
-                       sep_table_user, stage_bers, sum_ber)
+                       sep_table_user, stage_bers, stage_bers_grid, sum_ber)
 from .channel import StreamKey, erlang_pdf, generator, sample_channel, sample_noise
 from .constellation import (Constellation, MagnitudeClass, build_rect_qam,
                             hamming_table, magnitude_classes,
@@ -36,5 +36,5 @@ __all__ = [
     "map_bits", "mrc_sic_detect", "neighbor_count", "optimize_powers",
     "q_approx", "q_exact", "qpsk_sep_triplet", "sample_channel",
     "sample_noise", "sep_table_user", "sic_detect_batch", "stage_bers",
-    "sum_ber", "sum_ber_db_cost", "superimpose", "symbol_class",
+    "stage_bers_grid", "sum_ber", "sum_ber_db_cost", "superimpose", "symbol_class",
 ]

@@ -1,15 +1,23 @@
 """Closed-form average BER for SIC detection under Rayleigh fading.
 
-One depth-first walk, in decoding-stage order (stage 1 decoded first),
-yields the BER of every stage. Its roots are the magnitude-class
-assignments for stages 2..K, weighted by class priors. A node at depth
-k carries the upstream error distances d_j, j < k, and sees
+One breadth-first walk, in decoding-stage order (stage 1 decoded first),
+yields the BER of every stage for a batch of power vectors. Its roots
+are the magnitude-class assignments for stages 2..K, weighted by class
+priors. A node at depth k carries the upstream error distances d_j,
+j < k, and sees
     sigma_tot^2 = sigma_n^2 + sum_{j<k} P_j d_j^2 sigma_j^2
                             + sum_{j>k} P_j |x_j|^2 sigma_j^2
 (residuals strictly upstream, uncancelled interference strictly
 downstream) at SINR parameter 2 P_k sigma_k^2 / sigma_tot^2. It adds
 its weighted stage-k BER, then expands stage k's SEP table (error
 distances d_k with closed-form probabilities) to depth k + 1.
+
+The walk goes level by level. A level is an array of (node, column)
+rows, one column per power vector, a node's children contiguous and in
+table order; a node stays while any column keeps it above the pruning
+threshold. Each kernel runs once per level over all its rows, and the
+leaf BERs once per walk. Stage sums fold back up by adding children in
+table order, so every column gets the result it gets alone.
 
 Both per-node kernels compile once per alphabet and transmitted class:
 the SEP table is kernels.sep_program (the QPSK one has a closed form,
@@ -26,6 +34,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .constellation import (Constellation, MagnitudeClass, _axis_gray_labels,
                             magnitude_classes, neighbor_count)
 from .detectors import SystemModel
@@ -36,6 +46,7 @@ from .kernels import (erlang_fade_average, qpsk_sep_triplet, sep_probabilities,
 DEFAULT_PRUNE = 1e-12
 DEFAULT_MAX_LEAVES = 10_000_000
 AUTO_APPROX_ORDER = 64  # mode "auto" gives stages of this many points approx leaves
+WALK_LEAVES = 1 << 18  # unpruned leaves, over all columns, that one walk holds
 
 
 @dataclass(frozen=True)
@@ -108,12 +119,17 @@ def _admissible_tx(c: Constellation, tx_class) -> tuple[int, ...]:
     return out
 
 
-def _sep_entries(c: Constellation, tx_class, gain: float, n: int):
-    """SEP table entries (distance, probability), ascending in distance."""
-    program = sep_program(c, _admissible_tx(c, tx_class))
-    probs = (qpsk_sep_triplet(gain, n) if c.is_qpsk
-             else sep_probabilities(program, gain, n).tolist())
-    return tuple(zip(program[0], probs))
+def _sep_table(c: Constellation, tx_class, gain, n: int) -> np.ndarray:
+    """SEP table probabilities at each gain, in gain.shape + (D,), for
+    the distances of _table_distances(c, tx_class)."""
+    if c.is_qpsk:
+        return np.array(qpsk_sep_triplet(gain, n)).T
+    return sep_probabilities(sep_program(c, _admissible_tx(c, tx_class)), gain, n)
+
+
+def _table_distances(c: Constellation, tx_class) -> tuple[float, ...]:
+    """Error distances of a SEP table, ascending."""
+    return sep_program(c, _admissible_tx(c, tx_class))[0]
 
 
 @lru_cache(maxsize=None)
@@ -145,11 +161,25 @@ def _leaf_terms(c: Constellation, tx_class, mode: str):
     return tuple((coef / norm, d * d) for d, coef in sorted(acc.items()) if coef)
 
 
-def _leaf_ber(terms, gain: float, n: int) -> float:
-    ber = 0.0
-    for coef, d2 in terms:
-        ber += coef * erlang_fade_average(gain * d2, n)
-    return ber
+def _leaf_bers(terms, gains, n: int) -> list[np.ndarray]:
+    """Conditional BERs at each array in gains, with the matching
+    _leaf_terms in terms. One erlang_fade_average call serves them all;
+    each BER adds its terms in order."""
+    if not gains:
+        return []
+    args = [np.multiply.outer(g, [d2 for _, d2 in t]).ravel()
+            for g, t in zip(gains, terms)]
+    fades = erlang_fade_average(np.concatenate(args), n)
+    out = []
+    lo = 0
+    for g, t in zip(gains, terms):
+        f = fades[lo:lo + g.size * len(t)].reshape(g.size, len(t))
+        lo += f.size
+        ber = np.zeros(g.size)
+        for j, (coef, _) in enumerate(t):
+            ber += coef * f[:, j]
+        out.append(ber)
+    return out
 
 
 def _branch_point(model: SystemModel, k: int, branch: TreeBranch):
@@ -174,8 +204,9 @@ def _branch_point(model: SystemModel, k: int, branch: TreeBranch):
 def sep_table_user(model: SystemModel, k: int, branch: TreeBranch) -> SepTable:
     """Closed-form error-distance table for stage k on the given branch."""
     c, tx_class, sigma_tot_sq, gain = _branch_point(model, k, branch)
-    entries = _sep_entries(c, tx_class, gain, model.n_antennas)
-    return SepTable(entries, tx_class, sigma_tot_sq, gain)
+    probs = _sep_table(c, tx_class, gain, model.n_antennas).tolist()
+    return SepTable(tuple(zip(_table_distances(c, tx_class), probs)), tx_class,
+                    sigma_tot_sq, gain)
 
 
 def conditional_ber_user(model: SystemModel, k: int, branch: TreeBranch,
@@ -184,20 +215,27 @@ def conditional_ber_user(model: SystemModel, k: int, branch: TreeBranch,
     c, tx_class, _, gain = _branch_point(model, k, branch)
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _leaf_ber(_leaf_terms(c, tx_class, mode), gain, model.n_antennas)
+    terms = _leaf_terms(c, tx_class, mode)
+    return float(_leaf_bers([terms], [np.array([gain])], model.n_antennas)[0][0])
+
+
+@lru_cache(maxsize=None)
+def _assignments(consts: tuple[Constellation, ...]):
+    """Magnitude-class assignments of the alphabets consts, with prior
+    weights."""
+    out = []
+    for combo in itertools.product(*(magnitude_classes(c) for c in consts)):
+        weight = 1.0
+        for cls in combo:
+            weight *= cls.probability
+        out.append((tuple(combo), weight))
+    return tuple(out)
 
 
 def class_assignments(model: SystemModel):
     """Magnitude-class assignments for stages 2..K with prior weights."""
     stages = model.stage_profiles()
-    lists = [magnitude_classes(u.constellation) for u in stages[1:]]
-    out = []
-    for combo in itertools.product(*lists):
-        weight = 1.0
-        for cls in combo:
-            weight *= cls.probability
-        out.append((tuple(combo), weight))
-    return out
+    return list(_assignments(tuple(u.constellation for u in stages[1:])))
 
 
 def _resolve_mode(c: Constellation, mode: str) -> str:
@@ -208,73 +246,164 @@ def _resolve_mode(c: Constellation, mode: str) -> str:
     return "approx" if c.size >= AUTO_APPROX_ORDER else "exact"
 
 
-def _walk(model: SystemModel, mode: str, prune_threshold: float,
-          max_leaves: int, last: int):
-    """BERs of stages 1..last from one walk, and the mass it pruned.
+@lru_cache(maxsize=None)
+def _plan(consts: tuple[Constellation, ...], mode: str, last: int):
+    """The walk's fixed part for stage alphabets consts, walked to stage
+    last: the number of leaves per column without pruning, and per class
+    assignment its weight, the squared magnitudes of stages 2..K, and
+    per stage 1..last its alphabet, transmitted class, leaf terms and
+    SEP-table distances."""
+    modes = [_resolve_mode(c, mode) for c in consts[:last]]
+    out = []
+    leaves = 0
+    for classes, weight in _assignments(consts[1:]):
+        tx_classes = (None,) + classes
+        levels = tuple(
+            (c, cls, _leaf_terms(c, cls, m),
+             np.array(_table_distances(c, cls)) if i + 1 < last else None)
+            for i, (c, cls, m) in enumerate(zip(consts, tx_classes, modes)))
+        mags = np.array([cls.squared_magnitude for cls in classes])
+        out.append((weight, mags, levels))
+        leaves += math.prod(len(level[3]) for level in levels[:-1])
+    return leaves, tuple(out)
 
-    Each stage's sum starts at 0.0 and adds the children's subtree sums
-    in table order. The upstream noise is carried down in stage order,
-    and the downstream terms are added after it."""
+
+def _count_leaves(leaves: np.ndarray, new, max_leaves: int) -> None:
+    """Add new leaves per column; CapacityError past max_leaves."""
+    leaves += new
+    if leaves.max() > max_leaves:
+        raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
+
+
+def _walk(model: SystemModel, powers: np.ndarray, mode: str,
+          prune_threshold: float, max_leaves: int, last: int):
+    """BERs of stages 1..last for each row of powers, a (P, K) array of
+    linear powers in stage order, as a (P, last) array; and the mass each
+    column pruned, as a (P,) array.
+
+    A level holds (node, column) rows: its column col, the column's
+    per-stage values pc, the upstream noise up and the weight w. A child
+    row stays while its weight is at least prune_threshold; a node with
+    no row left is not expanded. The upstream noise is carried down in
+    stage order, and the downstream terms are added after it. Leaf BERs
+    wait for one kernel call after the descent; then stage sums fold up,
+    each node adding its children's subtree sums in table order, a
+    pruned child adding nothing. Columns go in slices of at most
+    WALK_LEAVES unpruned leaves, which bounds the memory a level takes."""
     _check_stage(model, last)
     stages = model.stage_profiles()
-    modes = [_resolve_mode(u.constellation, mode) for u in stages[:last]]
-    sigma_sq = [u.sigma**2 for u in stages]
-    numerators = [2.0 * u.power * s2 for u, s2 in zip(stages, sigma_sq)]
+    leaf_bound, plan = _plan(tuple(u.constellation for u in stages), mode, last)
+    count = powers.shape[0]
+    chunk = max(1, WALK_LEAVES // min(leaf_bound, max_leaves))
+    if count > chunk:  # columns are independent: walk them in slices
+        parts = [_walk(model, powers[lo:lo + chunk], mode, prune_threshold,
+                       max_leaves, last) for lo in range(0, count, chunk)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    k = model.k
+    sigma_sq = np.array([u.sigma**2 for u in stages])
+    numerators = 2.0 * powers * sigma_sq
+    noise_sq = model.noise_sigma**2
+    if not (0.0 < noise_sq < math.inf and np.isfinite(numerators).all()):
+        raise ValueError("noise_sigma^2 or 2 P sigma^2 is out of float range")
     n = model.n_antennas
-    totals = [0.0] * last
-    dropped = 0.0
-    leaves = 0
-
-    # visit reads tx_classes, terms and down, set per class assignment below
-    def visit(i: int, upstream: float, weight: float) -> list[float]:
-        nonlocal dropped, leaves
-        sigma_tot_sq = upstream
-        for t in down[i]:
-            sigma_tot_sq += t
-        gain = numerators[i] / sigma_tot_sq
-        out = [weight * _leaf_ber(terms[i], gain, n)] + [0.0] * (last - 1 - i)
-        if i + 1 == last:
-            leaves += 1
-            if leaves > max_leaves:
-                raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
-            return out
-        for d, p in _sep_entries(stages[i].constellation, tx_classes[i], gain, n):
-            w = weight * p
-            if w < prune_threshold:
-                dropped += w
-                continue
-            sub = visit(i + 1, upstream + stages[i].power * d * d * sigma_sq[i], w)
-            for j, v in enumerate(sub, 1):
-                out[j] += v
-        return out
-
-    for classes, weight in class_assignments(model):
+    dropped = np.zeros(count)
+    leaves = np.zeros(count)
+    trees = []  # per class assignment: per level (w, keep)
+    gains, terms = [], []
+    for weight, mags, levels in plan:
         if weight < prune_threshold:
             dropped += weight
             continue
-        tx_classes = (None,) + classes
-        terms = [_leaf_terms(u.constellation, cls, m)
-                 for u, cls, m in zip(stages, tx_classes, modes)]
-        inter = [u.power * cls.squared_magnitude * s2
-                 for u, s2, cls in zip(stages[1:], sigma_sq[1:], classes)]
-        down = [inter[i:] for i in range(last)]
-        for i, v in enumerate(visit(0, model.noise_sigma**2, weight)):
-            totals[i] += v
+        # columns: numerators (k), downstream interference (k - 1), powers (k)
+        pc = np.concatenate(
+            (numerators, powers[:, 1:] * mags * sigma_sq[1:], powers), axis=1)
+        col = np.arange(count)
+        up = np.full(count, noise_sq)
+        w = np.full(count, weight)
+        tree = []
+        trees.append(tree)
+        if last == 1:
+            _count_leaves(leaves, 1, max_leaves)
+        for i, (c, tx_class, leaf_terms, dists) in enumerate(levels):
+            sigma_tot_sq = up
+            for j in range(k + i, 2 * k - 1):
+                sigma_tot_sq = sigma_tot_sq + pc[:, j]
+            gain = pc[:, i] / sigma_tot_sq
+            gains.append(gain)
+            terms.append(leaf_terms)
+            if i + 1 == last:
+                tree.append((w, None))
+                break
+            child_w = w[:, None] * _sep_table(c, tx_class, gain, n)
+            keep = ~(child_w < prune_threshold)
+            tree.append((w, keep))
+            if i + 2 == last:  # count the leaves before making their rows
+                _count_leaves(leaves, np.bincount(col, keep.sum(axis=1), count),
+                              max_leaves)
+            if not keep.all():
+                cut = ~keep
+                dropped += np.bincount(np.broadcast_to(col[:, None], cut.shape)[cut],
+                                       child_w[cut], count)
+            rows, slots = np.nonzero(keep)
+            col = col[rows]
+            pc = pc[rows]
+            d = dists[slots]
+            up = up[rows] + pc[:, 2 * k - 1 + i] * d * d * sigma_sq[i]
+            w = child_w[keep]
+    bers = iter(_leaf_bers(terms, gains, n))
+    totals = np.zeros((count, last))
+    for tree in trees:
+        own = [w * next(bers) for w, _ in tree]
+        value = own[-1][:, None]
+        for (_, keep), node_ber in zip(tree[-2::-1], own[-2::-1]):
+            if keep.all():
+                grid = value.reshape(keep.shape + value.shape[1:])
+            else:
+                grid = np.zeros(keep.shape + value.shape[1:])
+                grid[keep] = value
+            value = np.empty((keep.shape[0], grid.shape[2] + 1))
+            value[:, 0] = node_ber
+            subtree = value[:, 1:]
+            subtree[...] = grid[:, 0]
+            for slot in range(1, keep.shape[1]):
+                subtree += grid[:, slot]
+        totals += value
     return totals, dropped
+
+
+def stage_bers_grid(model: SystemModel, powers, mode: str = "auto",
+                    prune_threshold: float = DEFAULT_PRUNE,
+                    max_leaves: int = DEFAULT_MAX_LEAVES) -> np.ndarray:
+    """Average BER of every decoding stage for each of P power vectors.
+
+    powers is a (P, K) array of linear per-user powers in user order;
+    the result is (P, K), each row in stage order. One walk serves all
+    rows, and each row equals what it gives alone. Pruning and the leaf
+    limit apply per row, as in stage_bers.
+    """
+    powers = np.asarray(powers, dtype=float)
+    if powers.ndim != 2 or powers.shape[1] != model.k:
+        raise ValueError(f"powers must be (P, {model.k}), got {powers.shape}")
+    if not np.all(powers >= 0):
+        raise ValueError("user power must be nonnegative")
+    powers = powers[:, list(model.decode_order())]
+    return _walk(model, powers, mode, prune_threshold, max_leaves, model.k)[0]
 
 
 def stage_bers(model: SystemModel, mode: str = "auto",
                prune_threshold: float = DEFAULT_PRUNE,
                max_leaves: int = DEFAULT_MAX_LEAVES) -> tuple[float, ...]:
     """Average BER of every decoding stage 1..K, in stage order, from one
-    walk over the expansion tree.
+    walk over the expansion tree: stage_bers_grid's batch of one.
 
     mode "auto" picks "approx" for stages whose alphabet has at least
     AUTO_APPROX_ORDER points and "exact" otherwise. Branches whose
     accumulated probability falls below prune_threshold are dropped;
     more than max_leaves nodes at depth K raise CapacityError.
     """
-    return tuple(_walk(model, mode, prune_threshold, max_leaves, model.k)[0])
+    bers = stage_bers_grid(model, [[u.power for u in model.users]], mode,
+                           prune_threshold, max_leaves)
+    return tuple(bers[0].tolist())
 
 
 def ber_user_qam(model: SystemModel, k: int, mode: str = "exact",
@@ -287,8 +416,10 @@ def ber_user_qam(model: SystemModel, k: int, mode: str = "exact",
     stage k; it bounds the truncation error from above (each dropped
     leaf's conditional BER is at most 1).
     """
-    bers, dropped = _walk(model, mode, prune_threshold, max_leaves, k)
-    return (bers[-1], dropped) if return_dropped else bers[-1]
+    powers = np.array([[u.power for u in model.stage_profiles()]])
+    bers, dropped = _walk(model, powers, mode, prune_threshold, max_leaves, k)
+    ber = float(bers[0, -1])
+    return (ber, float(dropped[0])) if return_dropped else ber
 
 
 def ber_user_qpsk(model: SystemModel, k: int) -> float:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .analytic import stage_bers
+from .analytic import stage_bers_grid
 from .channel import StreamKey
 from .config import (RunConfig, build_model, check_ranges, load_config,
                      sweep_grid, to_dict)
@@ -61,9 +61,10 @@ def _analytic_rows(model: SystemModel, cfg: RunConfig, grid, seed: int,
                    source: str = "analytic") -> list[str]:
     rows = []
     order = model.decode_order()
-    for off in grid:
-        bers = stage_bers(model.scaled(off), cfg.analytic.mode,
-                          cfg.analytic.prune_threshold, cfg.analytic.max_leaves)
+    grid_bers = stage_bers_grid(model, model.scaled_powers(grid),
+                                cfg.analytic.mode, cfg.analytic.prune_threshold,
+                                cfg.analytic.max_leaves)
+    for off, bers in zip(grid, grid_bers.tolist()):
         for i in range(model.k):
             rows.append(_row(off, i + 1, source, bers[order.index(i)], 0.0, 0,
                              seed))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -212,7 +213,7 @@ def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
         (pa.multistart_points >= 1, "poweralloc.multistart_points",
          "must be at least 1"),
         (0 <= pa.armijo_c < 1, "poweralloc.armijo_c", "must lie in [0, 1)"),
-    ]
+    ] + _float_ranges(cfg)
     for ok, key, rule in ranges:
         if not ok:
             raise ConfigError(f"{path}.{key}: {rule}")
@@ -221,6 +222,43 @@ def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}.montecarlo: {exc}") from exc
     return cfg
+
+
+def _linear(db: float) -> float:
+    """10^(db/10): inf past the float range, 0.0 below it."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def _float_ranges(cfg: RunConfig) -> list[tuple[bool, str, str]]:
+    """Rules that keep the analytic walk's inputs finite and nonzero:
+    sigma_n^2, each sigma^2, each linear power at its own level and at
+    p_max_db, both also offset by the sweep's ends, and 2 P sigma^2 at
+    the largest of those powers."""
+    noise_sq = cfg.system.noise_sigma * cfg.system.noise_sigma
+    out = [(0.0 < noise_sq < math.inf, "system.noise_sigma",
+            "its square must be finite and nonzero")]
+    offsets = ((None, 0.0), ("sweep.start_db", cfg.sweep.start_db),
+               ("sweep.stop_db", cfg.sweep.stop_db))
+    for i, u in enumerate(cfg.system.users):
+        user = f"system.users[{i}]"
+        sigma_sq = u.sigma * u.sigma
+        out.append((0.0 < sigma_sq < math.inf, f"{user}.sigma",
+                    "its square must be finite and nonzero"))
+        top = 0.0
+        for key, level in ((f"{user}.power_db", u.power_db),
+                           ("poweralloc.p_max_db", cfg.poweralloc.p_max_db)):
+            for off_key, off in offsets:
+                power = _linear(level + off)
+                out.append((0.0 < power < math.inf, off_key or key,
+                            f"user {i + 1}'s power at {level + off:g} dB must "
+                            "be finite and nonzero"))
+                top = max(top, power)
+        out.append((2.0 * top * sigma_sq < math.inf, f"{user}.sigma",
+                    "2 * power * sigma^2 must be finite at the largest power"))
+    return out
 
 
 def load_config(path: str) -> RunConfig:

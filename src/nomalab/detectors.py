@@ -95,8 +95,13 @@ class SystemModel:
 
     def scaled(self, offset_db: float) -> "SystemModel":
         """Common dB offset applied to every user power (ratios preserved)."""
-        factor = 10.0 ** (offset_db / 10.0)
-        return self.with_powers(u.power * factor for u in self.users)
+        return self.with_powers(self.scaled_powers([offset_db])[0])
+
+    def scaled_powers(self, offsets_db) -> list[list[float]]:
+        """Per-user powers, user order, under each common dB offset: one
+        row per offset, the powers scaled(offset) would carry."""
+        factors = [10.0 ** (float(off) / 10.0) for off in offsets_db]
+        return [[u.power * f for u in self.users] for f in factors]
 
 
 @dataclass(frozen=True)
@@ -281,7 +286,11 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
         xb[:] = x[:, :, None]
         xb[:, s] = c_s.points[sym]
         pred = np.einsum("tkb,knb->tnb", xb, g[:, :, lo:hi])
-        metric = np.sum(np.abs(y[None, :, lo:hi] - pred) ** 2, axis=1)
+        # |y - pred|^2 in place: fresh temporaries cost more to fault in
+        # than to compute
+        np.subtract(y[None, :, lo:hi], pred, out=pred)
+        dist = np.abs(pred)
+        metric = np.sum(np.square(dist, out=dist), axis=1)
         best = np.argmin(metric, axis=0)
         cols = np.arange(hi - lo)
         # equal metrics across candidates: keep the smallest full tuple

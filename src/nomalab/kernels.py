@@ -1,7 +1,10 @@
-"""Scalar kernels for fading-averaged error probabilities.
+"""Kernels for fading-averaged error probabilities.
 
 Everything here reduces to averages of Gaussian tail probabilities over
-the Erlang-distributed combining gain Z = ||g||^2 (shape n):
+the Erlang-distributed combining gain Z = ||g||^2 (shape n).
+erlang_fade_average, qpsk_sep_triplet and sep_probabilities take an
+array of gains as well as one gain, and compute each entry the same way
+whatever array it sits in:
 
 * erlang_fade_average(a, n) is the exact average of Q(sqrt(a Z)).
 * The two-term exponential approximation q_approx(x) (Chiani, Dardari,
@@ -33,6 +36,15 @@ from scipy.special import erfc
 from .channel import erlang_pdf
 from .constellation import Constellation
 
+BRACKET_FLOATS = 1 << 20  # bracket tensor size per sep_probabilities chunk
+_TRIPLET_NUM = np.array([[1.0], [2.0], [3.0], [6.0], [3.0]])
+_TRIPLET_SLOPE = np.array([[1.0], [1.0], [2.0], [7.0], [4.0]])
+# divisor of base j in (p_same, p_adj, p_diag); inf leaves the base out
+_TRIPLET_DIV = np.array([[144.0, -72.0, 144.0], [-6.0, 6.0, math.inf],
+                         [-2.0, 2.0, math.inf], [24.0, -12.0, 24.0],
+                         [16.0, -8.0, 16.0]])
+_TRIPLET_START = np.array([[1.0], [0.0], [0.0]])
+
 
 def q_exact(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
@@ -56,8 +68,9 @@ def q_approx(x):
     return out if out.ndim else float(out)
 
 
-def erlang_fade_average(a: float, n: int) -> float:
-    """Exact average of Q(sqrt(a Z)) over Erlang-n fading.
+def erlang_fade_average(a, n: int):
+    """Exact average of Q(sqrt(a Z)) over Erlang-n fading, elementwise
+    over an array a (a float for a scalar).
 
     Evaluated through the all-positive form
         f = p^n * sum_{k<n} C(n-1+k, k) q^k,
@@ -69,19 +82,29 @@ def erlang_fade_average(a: float, n: int) -> float:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("shape n must be a positive integer")
-    if not a >= 0:
+    a = np.asarray(a, dtype=float)
+    shape = a.shape
+    a = a.reshape(-1)  # never 0-d, so ** is numpy's, for scalars too
+    if not a.min(initial=0.0) >= 0:
         raise ValueError("a must be nonnegative")
-    if math.isinf(a):
-        return 0.0
-    mu = math.sqrt(a / (a + 2.0))
-    p = 1.0 / ((a + 2.0) * (1.0 + mu))
-    q = 0.5 * (1.0 + mu)
-    acc = 0.0
-    qk = 1.0
-    for k in range(n):
-        acc += math.comb(n - 1 + k, k) * qk
-        qk *= q
-    return p**n * acc
+    at_inf = None
+    if a.max(initial=0.0) == math.inf:
+        at_inf = a == math.inf
+        a = np.where(at_inf, 0.0, a)
+    t = a + 2.0
+    u = 1.0 + np.sqrt(a / t)  # 1 + mu
+    p = 1.0 / (t * u)
+    q = 0.5 * u
+    acc = 1.0
+    qk = q
+    for k in range(1, n):
+        acc = acc + float(math.comb(n - 1 + k, k)) * qk
+        qk = qk * q
+    out = p**n * acc
+    if at_inf is not None:
+        out[at_inf] = 0.0
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
 
 
 def erlang_fade_quadrature(a: float, n: int) -> float:
@@ -104,28 +127,35 @@ def erlang_fade_quadrature(a: float, n: int) -> float:
     return val
 
 
-def qpsk_sep_triplet(a: float, n: int) -> tuple[float, float, float]:
+def qpsk_sep_triplet(a, n: int):
     """Closed-form distribution of the QPSK error distance under fading.
 
     Returns (P[d=0], P[d=2], P[d=2 sqrt(2)]) for a QPSK decision at
     fading-averaged SINR parameter a with n-fold combining, built on the
-    two-term exponential approximation. Each base is kept as a ratio so
-    no intermediate overflows for large a or n; the three probabilities
-    sum to 1 by construction.
+    two-term exponential approximation: three floats for a scalar a,
+    three arrays of a's shape for an array. Each base is kept as a ratio
+    so no intermediate overflows for large a or n; the three
+    probabilities sum to 1 by construction.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("shape n must be a positive integer")
-    if not a >= 0:
+    a = np.asarray(a, dtype=float)
+    shape = a.shape
+    a = a.reshape(-1)  # never 0-d, so ** is numpy's, for scalars too
+    if not a.min(initial=0.0) >= 0:
         raise ValueError("a must be nonnegative")
-    e1 = (1.0 / (1.0 + a)) ** n
-    e2 = (2.0 / (2.0 + a)) ** n
-    e3 = (3.0 / (3.0 + 2.0 * a)) ** n
-    e4 = (6.0 / (6.0 + 7.0 * a)) ** n
-    e5 = (3.0 / (3.0 + 4.0 * a)) ** n
-    p_same = 1.0 + e1 / 144.0 - e2 / 6.0 - e3 / 2.0 + e4 / 24.0 + e5 / 16.0
-    p_adj = -e1 / 72.0 + e2 / 6.0 + e3 / 2.0 - e4 / 12.0 - e5 / 8.0
-    p_diag = e1 / 144.0 + e4 / 24.0 + e5 / 16.0
-    return p_same, p_adj, p_diag
+    # the five bases 1/(1+a), 2/(2+a), 3/(3+2a), 6/(6+7a), 3/(3+4a), each
+    # to the n; then each probability adds its terms base by base:
+    #   p_same = 1 + e1/144 - e2/6 - e3/2 + e4/24 + e5/16
+    #   p_adj  =    -e1/72  + e2/6 + e3/2 - e4/12 - e5/8
+    #   p_diag =     e1/144               + e4/24 + e5/16
+    e = (_TRIPLET_NUM / (_TRIPLET_NUM + _TRIPLET_SLOPE * a)) ** n
+    terms = e[:, None, :] / _TRIPLET_DIV[:, :, None]
+    out = _TRIPLET_START + terms[0]
+    for term in terms[1:]:
+        out += term
+    out = out.reshape((3,) + shape)
+    return tuple(out) if shape else tuple(out.tolist())
 
 
 def _axis_brackets(bounds, level: float, gain: float):
@@ -163,10 +193,10 @@ def _cell_offsets(c: Constellation, tx: complex, cell_i: int, cell_q: int):
     return u, v
 
 
-def _check_gain_n(gain: float, n: int) -> None:
+def _check_gain_n(gain, n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError("shape n must be a positive integer")
-    if not gain >= 0:
+    if not np.all(np.asarray(gain) >= 0):
         raise ValueError("gain must be nonnegative")
 
 
@@ -225,15 +255,27 @@ def sep_program(c: Constellation, tx_set: tuple[int, ...]):
     return tuple(np.sqrt(d2).tolist()), brackets, merge
 
 
-def sep_probabilities(program, gain: float, n: int) -> np.ndarray:
-    """A compiled SEP table's probabilities at one gain: each tx's cell
-    table as in cell_probability_table, merged by distance. (One flat sum
-    over all bracket products loses 2e-12 relative at small gains.)"""
+def sep_probabilities(program, gain, n: int) -> np.ndarray:
+    """A compiled SEP table's probabilities: each tx's cell table as in
+    cell_probability_table, merged by distance. A scalar gain gives one
+    row, an array of gains one row per gain, in gain.shape + (D,).
+    (One flat sum over all bracket products loses 2e-12 relative at
+    small gains.) Gains go through in chunks that keep the bracket
+    tensor at about 2^20 floats; each row comes out the same whatever
+    shares its chunk."""
     _check_gain_n(gain, n)
     _, (c_i, r_i, c_qt, r_q), merge = program
-    e = (1.0 + (gain * r_i[:, :, None] + gain * r_q[:, None, :])) ** (-n)
-    cells = c_i @ e @ c_qt
-    return _clamp_probability(merge @ cells.ravel(), "sep_probabilities")
+    gains = np.asarray(gain, dtype=float)
+    flat = gains.reshape(-1)
+    out = np.empty((flat.size, merge.shape[0]))
+    chunk = max(1, BRACKET_FLOATS // (r_i.size * r_q.shape[1]))
+    for lo in range(0, flat.size, chunk):
+        g = flat[lo:lo + chunk, None, None, None]
+        e = (1.0 + (g * r_i[:, :, None] + g * r_q[:, None, :])) ** (-n)
+        cells = c_i @ e @ c_qt
+        out[lo:lo + chunk] = (merge @ cells.reshape(len(g), -1, 1))[..., 0]
+    out = _clamp_probability(out, "sep_probabilities")
+    return out.reshape(gains.shape + (merge.shape[0],))
 
 
 def cell_probability_closed(tx: complex, cell_i: int, cell_q: int,

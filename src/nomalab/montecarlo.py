@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers
+from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers_grid
 from .channel import StreamKey, generator, sample_channel, sample_noise
 from .constellation import hamming_table
 from .detectors import (SystemModel, jmld_detect_batch, sic_detect_batch,
@@ -181,8 +181,9 @@ def compare_analytic(model: SystemModel, curve: BerCurve,
     """Check a simulated curve against the closed-form predictions."""
     checks = []
     order = model.decode_order()
-    for off, est in zip(curve.offsets_db, curve.points):
-        bers = stage_bers(model.scaled(off), mode, prune_threshold, max_leaves)
+    grid_bers = stage_bers_grid(model, model.scaled_powers(curve.offsets_db),
+                                mode, prune_threshold, max_leaves)
+    for off, est, bers in zip(curve.offsets_db, curve.points, grid_bers.tolist()):
         for u_idx in range(model.k):
             ana = float(bers[order.index(u_idx)])
             sim = float(est.ber[u_idx])

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, sum_ber
+from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers_grid
 from .detectors import SystemModel
 from .errors import OptimizationError
 
@@ -53,12 +53,19 @@ class PaResult:
 
 def sum_ber_db_cost(model: SystemModel, powers_db, mode: str = "auto",
                     prune_threshold: float = DEFAULT_PRUNE,
-                    max_leaves: int = DEFAULT_MAX_LEAVES) -> float:
-    """Objective value for absolute per-user powers given in dB; the
-    other arguments are sum_ber's."""
-    linear = [10.0 ** (float(p) / 10.0) for p in powers_db]
-    total = sum_ber(model.with_powers(linear), mode, prune_threshold, max_leaves)
-    return 10.0 * math.log10(max(total, BER_FLOOR))
+                    max_leaves: int = DEFAULT_MAX_LEAVES):
+    """Objective value for absolute per-user powers given in dB: a float
+    for one power vector, or a (P,) array for a (P, K) array of them,
+    all from one walk. The other arguments are sum_ber's."""
+    rows = np.asarray(powers_db, dtype=float)
+    linear = [[10.0 ** (p / 10.0) for p in row]
+              for row in np.atleast_2d(rows).tolist()]
+    bers = stage_bers_grid(model, linear, mode, prune_threshold, max_leaves)
+    costs = []
+    for stage_row in bers.tolist():
+        total = sum(stage_row)
+        costs.append(10.0 * math.log10(max(total, BER_FLOOR)))
+    return costs[0] if rows.ndim == 1 else np.array(costs)
 
 
 def _starts(model: SystemModel, cfg: PaConfig, warm_db) -> list[np.ndarray]:
@@ -82,32 +89,42 @@ def _starts(model: SystemModel, cfg: PaConfig, warm_db) -> list[np.ndarray]:
     return starts[:count]
 
 
+def _armijo(model: SystemModel, p: np.ndarray, cost: float, grad: np.ndarray,
+            cfg: PaConfig, limits):
+    """The first rung of the ladder step0_db, step0_db/2, ... down to
+    min_step_db whose projected step decreases the cost enough, as
+    (point, cost); None if no rung does. Two rungs share each walk."""
+    ladder = []
+    step = cfg.step0_db
+    while step >= cfg.min_step_db:
+        ladder.append(step)
+        step *= 0.5
+    for lo in range(0, len(ladder), 2):
+        cands = np.minimum(p - np.multiply.outer(ladder[lo:lo + 2], grad),
+                           cfg.p_max_db)
+        costs = sum_ber_db_cost(model, cands, cfg.mode, *limits)
+        for cand, cand_cost in zip(cands, costs.tolist()):
+            # sufficient decrease against the projected displacement
+            if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
+                return cand, cand_cost
+    return None
+
+
 def _descend(model: SystemModel, p0: np.ndarray, cfg: PaConfig, limits):
     pmax = cfg.p_max_db
     p = np.minimum(np.asarray(p0, dtype=float), pmax)
     cost = sum_ber_db_cost(model, p, cfg.mode, *limits)
     trace = [cost]
     k = model.k
+    probes = cfg.fd_step_db * np.eye(k)
     for _ in range(cfg.max_iters):
-        grad = np.empty(k)
-        for i in range(k):
-            probe = np.zeros(k)
-            probe[i] = cfg.fd_step_db
-            up = sum_ber_db_cost(model, p + probe, cfg.mode, *limits)
-            dn = sum_ber_db_cost(model, p - probe, cfg.mode, *limits)
-            grad[i] = (up - dn) / (2.0 * cfg.fd_step_db)
+        # central differences: the 2K probes p +- step e_i share one walk
+        costs = sum_ber_db_cost(model, np.vstack([p + probes, p - probes]),
+                                cfg.mode, *limits)
+        grad = (costs[:k] - costs[k:]) / (2.0 * cfg.fd_step_db)
         if not np.all(np.isfinite(grad)) or float(grad @ grad) == 0.0:
             break
-        step = cfg.step0_db
-        accepted = None
-        while step >= cfg.min_step_db:
-            cand = np.minimum(p - step * grad, pmax)
-            cand_cost = sum_ber_db_cost(model, cand, cfg.mode, *limits)
-            # sufficient decrease against the projected displacement
-            if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
-                accepted = (cand, cand_cost)
-                break
-            step *= 0.5
+        accepted = _armijo(model, p, cost, grad, cfg, limits)
         if accepted is None:
             break
         improvement = cost - accepted[1]

@@ -12,7 +12,8 @@ from nomalab.analytic import (
     TreeBranch,
     _admissible_tx,
     _resolve_mode,
-    _sep_entries,
+    _sep_table,
+    _table_distances,
     ber_user,
     ber_user_qam,
     ber_user_qpsk,
@@ -21,6 +22,7 @@ from nomalab.analytic import (
     effective_noise_variance,
     sep_table_user,
     stage_bers,
+    stage_bers_grid,
     sum_ber,
 )
 from nomalab.constellation import build_rect_qam, magnitude_classes
@@ -159,25 +161,25 @@ def test_stage_bers_all_qpsk_matches_nested_triplet_reference():
 def test_stage_bers_match_uncached_reference_walk(monkeypatch):
     import nomalab.analytic as ana
 
-    tables = []
-    real = ana._sep_entries
-    monkeypatch.setattr(ana, "_sep_entries",
-                        lambda *args: tables.append(args) or real(*args))
+    rows = []  # (node, column) rows fed to the SEP-table kernels
+    real = ana._sep_table
+    monkeypatch.setattr(ana, "_sep_table", lambda c, cls, gain, n: (
+        rows.append(np.size(gain)) or real(c, cls, gain, n)))
     rng = np.random.default_rng(2417)
     systems = [[QAM16, QAM8], [QAM16, QAM8, QPSK], [QPSK, QAM16, QAM8],
                [QAM16, QAM8, QAM8, QAM8]]
     for consts in systems:
         p, s, n, ns = random_draw(rng, len(consts), n_max=2)
         m = make_model(p, s, consts, n=n, noise_sigma=ns)
-        tables.clear()
+        rows.clear()
         bers = stage_bers(m, "exact", prune_threshold=0.0)
-        walk_tables = len(tables)
+        walk_rows = sum(rows)
         for k in range(1, m.k + 1):
-            tables.clear()
+            rows.clear()
             ref = oracles.reference_walk_ber(m, k)
             assert bers[k - 1] == pytest.approx(ref, rel=1e-12)
-        # both build one table per inner node of the stage-K tree
-        assert walk_tables == len(tables)
+        # both evaluate one table row per inner node of the stage-K tree
+        assert walk_rows == sum(rows) == len(rows)
 
 
 @pytest.mark.parametrize("m_i,m_q", [(4, 2), (4, 4), (8, 4), (8, 8), (2, 4),
@@ -187,7 +189,8 @@ def test_compiled_sep_table_matches_cell_merge(m_i, m_q):
     for tx_class in (None,) + magnitude_classes(c):
         for gain in (0.0, 1e-3, 0.3, 30.0, 3e3, 3e6):
             for n in (1, 2, 4, 16):
-                got = _sep_entries(c, tx_class, gain, n)
+                got = tuple(zip(_table_distances(c, tx_class),
+                                _sep_table(c, tx_class, gain, n)))
                 ref = oracles.reference_sep_entries(c, tx_class, gain, n)
                 assert len(got) == len(ref)
                 for (d, p), (d_ref, p_ref) in zip(got, ref):
@@ -317,6 +320,9 @@ def test_prune_mass_bounds_truncation_error():
     assert dropped > 0.0
     assert pruned <= exact * (1.0 + 1e-12)
     assert exact <= pruned + dropped + 1e-15
+    # every class assignment (prior 1/4) pruned: nothing walked, all dropped
+    assert ber_user_qam(m, 3, "exact", prune_threshold=0.3,
+                        return_dropped=True) == (0.0, 1.0)
 
 
 def test_max_leaves_guard():
@@ -324,6 +330,10 @@ def test_max_leaves_guard():
                    [QAM16, QAM8, QAM8], n=2)
     with pytest.raises(CapacityError):
         ber_user_qam(m, 3, "exact", prune_threshold=0.0, max_leaves=10)
+    # walked to stage 1, each of the four class assignments is a leaf
+    assert ber_user_qam(m, 1, "exact", prune_threshold=0.0, max_leaves=4) > 0.0
+    with pytest.raises(CapacityError):
+        ber_user_qam(m, 1, "exact", prune_threshold=0.0, max_leaves=3)
 
 
 def test_mode_resolution():
@@ -390,3 +400,106 @@ def test_canonical_mixed_order_values_frozen():
     for k, ref in zip((1, 2, 3), expect):
         got = ber_user_qam(m, k, "exact", prune_threshold=0.0)
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+BATCH_SYSTEMS = {
+    "qpsk3": ([QPSK] * 3, [10.0, 2.5, 0.625], [0.0, -8.0, -14.0], 2),
+    "16_8_8": ([QAM16, QAM8, QAM8], [10.0, 2.5, 0.625], [0.0, -8.0, -14.0], 2),
+    "8_4_4": ([QAM8, QPSK, QPSK], [10.0, 2.5, 0.625], [0.0, -6.0, -12.0], 1),
+    "k4": ([QAM8, QPSK, QAM8, QPSK], [8.0, 4.0, 2.0, 1.0],
+           [0.0, -5.0, -10.0, -15.0], 2),
+}
+
+
+def batch_columns(base_db, offsets_db):
+    """(P, K) linear powers: the base profile at each common offset."""
+    return np.array([[10.0 ** ((b + off) / 10.0) for b in base_db]
+                     for off in offsets_db])
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_stage_bers_grid_columns_equal_their_batch_of_one(name, monkeypatch):
+    import nomalab.analytic as ana
+
+    consts, sigmas, base_db, n = BATCH_SYSTEMS[name]
+    m = make_model([1.0] * len(consts), sigmas, consts, n=n)
+    powers = batch_columns(base_db, [-10.0, 5.0, 20.0, 35.0, 50.0])
+    for thr in (0.0, 1e-6, 1e-3):
+        grid = stage_bers_grid(m, powers, "exact", thr)
+        assert grid.shape == powers.shape
+        for row, col in zip(powers, grid):
+            alone = stage_bers(m.with_powers(row), "exact", thr)
+            assert col.tolist() == list(alone)
+            one = stage_bers_grid(m, row[None], "exact", thr)
+            assert one[0].tolist() == list(alone)
+    # the columns prune different branches
+    _, dropped = ana._walk(m, powers, "exact", 1e-3, 10**7, m.k)
+    assert 0.0 < dropped.min() < dropped.max()
+    # a walk that holds fewer leaves takes the columns in slices
+    whole = stage_bers_grid(m, powers, "exact", 1e-6)
+    monkeypatch.setattr(ana, "WALK_LEAVES", 1)
+    assert stage_bers_grid(m, powers, "exact", 1e-6).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
+def test_stage_bers_grid_prune_bounds_hold_per_column(name):
+    import nomalab.analytic as ana
+
+    consts, sigmas, base_db, n = BATCH_SYSTEMS[name]
+    m = make_model([1.0] * len(consts), sigmas, consts, n=n)
+    powers = batch_columns(base_db, [-10.0, 5.0, 20.0, 35.0, 50.0])
+    exact = stage_bers_grid(m, powers, "exact", 0.0)
+    for k in range(1, m.k + 1):
+        pruned, dropped = ana._walk(m, powers, "exact", 1e-6, 10**7, k)
+        for p_col, e_col, d in zip(pruned[:, -1], exact[:, k - 1], dropped):
+            assert p_col <= e_col * (1.0 + 1e-12)
+            assert e_col <= p_col + d + 1e-15
+
+
+def test_stage_bers_grid_counts_leaves_per_column():
+    m = make_model([100.0, 10.0, 1.0], [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
+    powers = batch_columns([20.0, 10.0, 0.0], [-5.0, 0.0, 5.0, 10.0])
+    # nine stage-3 leaves per column: 36 in all, but 9 is the column limit
+    grid = stage_bers_grid(m, powers, prune_threshold=0.0, max_leaves=9)
+    assert np.all(grid > 0.0)
+    with pytest.raises(CapacityError):
+        stage_bers_grid(m, powers, prune_threshold=0.0, max_leaves=8)
+
+
+def test_stage_bers_grid_takes_user_order_and_checks_its_input():
+    consts = [QAM16, QAM8, QPSK]
+    m_fwd = make_model([1.0] * 3, [3.0, 1.0, 0.5], consts)
+    m_rev = make_model([1.0] * 3, [0.5, 1.0, 3.0], consts[::-1],
+                       ranks=[3, 2, 1])
+    powers = batch_columns([20.0, 10.0, 0.0], [0.0, 10.0])
+    fwd = stage_bers_grid(m_fwd, powers, "exact")
+    rev = stage_bers_grid(m_rev, powers[:, ::-1], "exact")
+    assert fwd.tolist() == rev.tolist()  # both in stage order
+    with pytest.raises(ValueError):
+        stage_bers_grid(m_fwd, powers[:, :2])
+    with pytest.raises(ValueError):
+        stage_bers_grid(m_fwd, -powers)
+    tiny_noise = make_model([1.0] * 3, [3.0, 1.0, 0.5], consts,
+                            noise_sigma=1e-200)
+    with pytest.raises(ValueError):  # sigma_n^2 underflows to 0
+        stage_bers_grid(tiny_noise, powers)
+
+
+def test_array_kernels_equal_their_scalar_calls():
+    rng = np.random.default_rng(8)
+    gains = np.concatenate([[0.0, 1e-9, math.inf], 10.0 ** rng.uniform(-4, 8, 300)])
+    for n in (1, 2, 3, 8, 64):
+        fades = erlang_fade_average(gains.reshape(3, -1), n).ravel()
+        assert fades.tolist() == [erlang_fade_average(float(g), n) for g in gains]
+        triplet = np.array(qpsk_sep_triplet(gains, n)).T
+        assert triplet.tolist() == [list(qpsk_sep_triplet(float(g), n))
+                                    for g in gains]
+    finite = gains[np.isfinite(gains)]
+    # 64-QAM, every class: 700 gains take three chunks of the bracket tensor
+    program = sep_program(QAM64, _admissible_tx(QAM64, None))
+    wide = np.resize(finite, 700)
+    for n in (1, 4):
+        table = sep_probabilities(program, wide, n)
+        assert table.shape == (700, len(program[0]))
+        for g, row in zip(wide[::37], table[::37]):
+            assert row.tolist() == sep_probabilities(program, float(g), n).tolist()

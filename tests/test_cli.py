@@ -232,6 +232,29 @@ def test_malformed_value_is_a_config_error(tmp_path, capsys, command, section,
     assert f"config error: config.{section}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,where,value,key", [
+    ("analytic", ("system", "users", 0, "power_db"), 4000.0,
+     "system.users[0].power_db"),
+    ("analytic", ("sweep", "stop_db"), 4000.0, "sweep.stop_db"),
+    ("analytic", ("system", "users", 1, "sigma"), 1e200,
+     "system.users[1].sigma"),
+    ("analytic", ("system", "noise_sigma"), 1e-200, "system.noise_sigma"),
+    ("optimize", ("poweralloc", "p_max_db"), 5000.0, "poweralloc.p_max_db"),
+], ids=["power_db", "stop_db", "sigma", "noise_sigma", "p_max_db"])
+def test_value_past_float_range_is_a_config_error(tmp_path, capsys, command,
+                                                  where, value, key):
+    # each of these once overflowed or divided by zero with a traceback
+    data = json.loads(json.dumps(BASE))
+    data.setdefault("poweralloc", {})
+    node = data
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = value
+    cfg = write_config(tmp_path, data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: config.{key}" in capsys.readouterr().err
+
+
 def test_capacity_error_exit_code(tmp_path, capsys):
     data = json.loads(json.dumps(BASE))
     data["system"]["users"] = [

@@ -3,6 +3,7 @@ multistart behavior."""
 
 import math
 
+import numpy as np
 import pytest
 
 from nomalab.analytic import sum_ber
@@ -78,14 +79,49 @@ def test_warm_start_is_tried_first():
 
 
 def test_all_non_finite_starts_raise(monkeypatch):
-    monkeypatch.setattr("nomalab.poweralloc.sum_ber",
-                        lambda model, *args: float("nan"))
+    monkeypatch.setattr("nomalab.poweralloc.stage_bers_grid",
+                        lambda model, powers, *args: np.full(np.shape(powers), np.nan))
     with pytest.raises(OptimizationError):
         optimize_powers(NEAR_FAR, PaConfig(max_iters=3))
 
 
 def test_cost_floor_keeps_log_finite(monkeypatch):
-    monkeypatch.setattr("nomalab.poweralloc.sum_ber",
-                        lambda model, *args: 0.0)
+    monkeypatch.setattr("nomalab.poweralloc.stage_bers_grid",
+                        lambda model, powers, *args: np.zeros(np.shape(powers)))
     cost = sum_ber_db_cost(NEAR_FAR, [0.0, 0.0, 0.0])
     assert math.isfinite(cost) and cost == pytest.approx(-3000.0)
+
+
+def test_batched_costs_equal_one_probe_at_a_time():
+    cfg = PaConfig()
+    for model in (NEAR_FAR, qpsk_model([1.0] * 3, [10.0, 2.5, 0.625], n=4)):
+        p = np.array([24.0, 13.5, 2.25])
+        probes = cfg.fd_step_db * np.eye(3)
+        points = np.vstack([p + probes, p - probes])
+        costs = sum_ber_db_cost(model, points)
+        assert costs.tolist() == [sum_ber_db_cost(model, q) for q in points]
+        grad = (costs[:3] - costs[3:]) / (2.0 * cfg.fd_step_db)
+        one_by_one = [(sum_ber_db_cost(model, p + e) - sum_ber_db_cost(model, p - e))
+                      / (2.0 * cfg.fd_step_db) for e in probes]
+        assert grad.tolist() == one_by_one
+
+
+def test_armijo_takes_the_first_acceptable_rung():
+    from nomalab.poweralloc import _armijo
+
+    rng = np.random.default_rng(3)
+    for step0 in (4.0, 40.0, 400.0):
+        cfg = PaConfig(p_max_db=30.0, step0_db=step0, min_step_db=1e-3)
+        for _ in range(5):
+            p = rng.uniform(0.0, 30.0, 3)
+            cost = sum_ber_db_cost(NEAR_FAR, p)
+            grad = rng.normal(size=3)
+            expect, step = None, cfg.step0_db
+            while step >= cfg.min_step_db and expect is None:
+                cand = np.minimum(p - step * grad, cfg.p_max_db)
+                cand_cost = sum_ber_db_cost(NEAR_FAR, cand)
+                if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
+                    expect = (cand.tolist(), cand_cost)
+                step *= 0.5
+            got = _armijo(NEAR_FAR, p, cost, grad, cfg, (1e-12, 10**7))
+            assert (got if got is None else (got[0].tolist(), got[1])) == expect
