@@ -8,6 +8,7 @@ sizes, e.g. "2x2" (QPSK), "4x2" (rectangular 8-QAM), "4x4" (16-QAM).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -22,6 +23,7 @@ from .montecarlo import StopRule, TolerancePolicy
 from .poweralloc import PaConfig
 
 _MOD_RE = re.compile(r"^(\d+)x(\d+)$")
+MAX_SWEEP_POINTS = 10_000  # sweep_grid's length at most
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,9 @@ def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
         (cfg.sweep.step_db > 0, "sweep.step_db", "must be positive"),
         (cfg.sweep.stop_db >= cfg.sweep.start_db, "sweep.stop_db",
          "must not be below start_db"),
+        (sum(1 for _ in itertools.islice(_sweep_offsets(cfg.sweep),
+                                         MAX_SWEEP_POINTS + 1)) <= MAX_SWEEP_POINTS,
+         "sweep.step_db", f"must give at most {MAX_SWEEP_POINTS} sweep points"),
         (0 <= cfg.montecarlo.seed < 2**64, "montecarlo.seed",
          "must fit in an unsigned 64-bit integer"),
         (cfg.montecarlo.workers >= 1, "montecarlo.workers", "must be at least 1"),
@@ -288,13 +293,17 @@ def build_model(cfg: RunConfig) -> SystemModel:
         raise ConfigError(str(exc)) from exc
 
 
+def _sweep_offsets(sweep: SweepConfig):
+    """The sweep's offsets in dB, accumulated step by step up to stop_db
+    plus a 1e-9 slack; endless if the step does not move the offset."""
+    off = sweep.start_db
+    while off <= sweep.stop_db + 1e-9:
+        yield off
+        off += sweep.step_db
+
+
 def sweep_grid(cfg: RunConfig) -> list[float]:
-    out = []
-    off = cfg.sweep.start_db
-    while off <= cfg.sweep.stop_db + 1e-9:
-        out.append(round(off, 10))
-        off += cfg.sweep.step_db
-    return out
+    return [round(off, 10) for off in _sweep_offsets(cfg.sweep)]
 
 
 def to_dict(cfg: RunConfig) -> dict:

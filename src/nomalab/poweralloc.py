@@ -7,6 +7,12 @@ gradients and Armijo backtracking. A fixed list of deterministic start
 points covers the useful basins: everyone at the cap, two decode-order
 staircases, and a received-power equalizer; an optional warm start is
 tried first.
+
+All starts descend in lock step. Each iteration evaluates the gradient
+probes of every start still moving in one call of the analytic walk,
+and each Armijo call takes the next two rungs of every start still
+searching. A walk's columns do not interact, so every start follows
+the trajectory it would follow alone.
 """
 
 from __future__ import annotations
@@ -89,50 +95,74 @@ def _starts(model: SystemModel, cfg: PaConfig, warm_db) -> list[np.ndarray]:
     return starts[:count]
 
 
-def _armijo(model: SystemModel, p: np.ndarray, cost: float, grad: np.ndarray,
-            cfg: PaConfig, limits):
-    """The first rung of the ladder step0_db, step0_db/2, ... down to
+def _armijo(model: SystemModel, p: np.ndarray, cost, grad: np.ndarray,
+            cfg: PaConfig, limits) -> list:
+    """For each row of the (S, K) points p, with its cost and its row of
+    grad: the first rung of the ladder step0_db, step0_db/2, ... down to
     min_step_db whose projected step decreases the cost enough, as
-    (point, cost); None if no rung does. Two rungs share each walk."""
+    (point, cost); None if no rung does. Each walk takes the next two
+    rungs of every row still searching."""
     ladder = []
     step = cfg.step0_db
     while step >= cfg.min_step_db:
         ladder.append(step)
         step *= 0.5
+    found = [None] * len(p)
+    searching = list(range(len(p)))
     for lo in range(0, len(ladder), 2):
-        cands = np.minimum(p - np.multiply.outer(ladder[lo:lo + 2], grad),
+        if not searching:
+            break
+        rungs = np.array(ladder[lo:lo + 2])
+        cands = np.minimum(p[searching, None] - rungs[:, None] * grad[searching, None],
                            cfg.p_max_db)
-        costs = sum_ber_db_cost(model, cands, cfg.mode, *limits)
-        for cand, cand_cost in zip(cands, costs.tolist()):
-            # sufficient decrease against the projected displacement
-            if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
-                return cand, cand_cost
-    return None
+        costs = sum_ber_db_cost(model, cands.reshape(-1, p.shape[1]), cfg.mode, *limits)
+        for s, row, row_costs in zip(searching, cands,
+                                     costs.reshape(len(searching), -1).tolist()):
+            for cand, cand_cost in zip(row, row_costs):
+                # sufficient decrease against the projected displacement
+                if cand_cost <= cost[s] - cfg.armijo_c * float(grad[s] @ (p[s] - cand)):
+                    found[s] = (cand, cand_cost)
+                    break
+        searching = [s for s in searching if found[s] is None]
+    return found
 
 
-def _descend(model: SystemModel, p0: np.ndarray, cfg: PaConfig, limits):
-    pmax = cfg.p_max_db
-    p = np.minimum(np.asarray(p0, dtype=float), pmax)
-    cost = sum_ber_db_cost(model, p, cfg.mode, *limits)
-    trace = [cost]
+def _descend(model: SystemModel, starts: np.ndarray, cfg: PaConfig, limits):
+    """Descend from every row of starts in lock step: each walk serves
+    the probes, or the rungs, of every start still moving. A start stops
+    on its own at a non-finite or zero gradient, when no rung is
+    acceptable, when it improves by less than tol_db, or at max_iters.
+    Returns each start's (point, cost, trace)."""
+    p = np.minimum(starts, cfg.p_max_db)
+    cost = sum_ber_db_cost(model, p, cfg.mode, *limits).tolist()
+    traces = [[c] for c in cost]
     k = model.k
     probes = cfg.fd_step_db * np.eye(k)
+    moving = list(range(len(p)))
     for _ in range(cfg.max_iters):
-        # central differences: the 2K probes p +- step e_i share one walk
-        costs = sum_ber_db_cost(model, np.vstack([p + probes, p - probes]),
-                                cfg.mode, *limits)
-        grad = (costs[:k] - costs[k:]) / (2.0 * cfg.fd_step_db)
-        if not np.all(np.isfinite(grad)) or float(grad @ grad) == 0.0:
+        if not moving:
             break
-        accepted = _armijo(model, p, cost, grad, cfg, limits)
-        if accepted is None:
-            break
-        improvement = cost - accepted[1]
-        p, cost = accepted
-        trace.append(cost)
-        if improvement < cfg.tol_db:
-            break
-    return p, cost, tuple(trace)
+        # central differences: the 2K probes p +- step e_i of every start
+        # still moving share one walk
+        at = p[moving, None]
+        points = np.concatenate([at + probes, at - probes], axis=1).reshape(-1, k)
+        costs = sum_ber_db_cost(model, points, cfg.mode, *limits).reshape(-1, 2, k)
+        grads = (costs[:, 0] - costs[:, 1]) / (2.0 * cfg.fd_step_db)
+        ok = [bool(np.all(np.isfinite(g))) and float(g @ g) != 0.0 for g in grads]
+        moving = [s for s, keep in zip(moving, ok) if keep]
+        accepted = _armijo(model, p[moving], [cost[s] for s in moving], grads[ok],
+                           cfg, limits)
+        still = []
+        for s, step in zip(moving, accepted):
+            if step is None:
+                continue
+            improvement = cost[s] - step[1]
+            p[s], cost[s] = step
+            traces[s].append(cost[s])
+            if not improvement < cfg.tol_db:  # a NaN improvement keeps moving
+                still.append(s)
+        moving = still
+    return [(row, c, tuple(trace)) for row, c, trace in zip(p, cost, traces)]
 
 
 def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),
@@ -142,8 +172,9 @@ def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),
     prune_threshold and max_leaves go to every sum_ber call."""
     best = None
     start_costs = []
-    for s_idx, p0 in enumerate(_starts(model, cfg, warm_db)):
-        p, cost, trace = _descend(model, p0, cfg, (prune_threshold, max_leaves))
+    runs = _descend(model, np.array(_starts(model, cfg, warm_db)), cfg,
+                    (prune_threshold, max_leaves))
+    for s_idx, (p, cost, trace) in enumerate(runs):
         start_costs.append(cost)
         if math.isfinite(cost) and (best is None or cost < best[1]):
             best = (p, cost, s_idx, trace)

@@ -2,11 +2,12 @@
 
 Everything here is written independently of the package internals:
 literal series forms, direct quadrature, hard-coded constellation
-geometry, and brute-force searches. The two exceptions reuse package
+geometry, and brute-force searches. The three exceptions reuse package
 kernels to check one layer alone: reference_sep_entries merges the
-package's cell tables, and reference_walk_ber walks the package's
-per-node kernels. Tests compare package outputs against these, or freeze
-values computed from them.
+package's cell tables, reference_walk_ber walks the package's per-node
+kernels, and reference_descend runs one power-allocation start alone on
+the package's cost function. Tests compare package outputs against
+these, or freeze values computed from them.
 """
 
 from __future__ import annotations
@@ -346,3 +347,60 @@ def reference_walk_ber(model, k, mode="exact"):
     for classes, weight in class_assignments(model):
         walk(1, TreeBranch(classes, (), weight))
     return total
+
+
+# ---- sequential power-allocation descent ----
+
+def _reference_armijo(model, p, cost, grad, cfg, limits):
+    """One start's Armijo search, two rungs per cost call."""
+    from nomalab.poweralloc import sum_ber_db_cost
+
+    ladder = []
+    step = cfg.step0_db
+    while step >= cfg.min_step_db:
+        ladder.append(step)
+        step *= 0.5
+    for lo in range(0, len(ladder), 2):
+        cands = np.minimum(p - np.multiply.outer(ladder[lo:lo + 2], grad),
+                           cfg.p_max_db)
+        costs = sum_ber_db_cost(model, cands, cfg.mode, *limits)
+        for cand, cand_cost in zip(cands, costs.tolist()):
+            # sufficient decrease against the projected displacement
+            if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
+                return cand, cand_cost
+    return None
+
+
+def reference_descend(model, p0, cfg, limits):
+    """One start's projected-gradient descent, run alone, with the reason
+    it stopped: the sequential reference that each start of the package's
+    lock-step descent must match bit for bit. Returns (p, cost, trace,
+    reason), reason one of "max_iters", "gradient", "ladder" and "tol"."""
+    from nomalab.poweralloc import sum_ber_db_cost
+
+    pmax = cfg.p_max_db
+    p = np.minimum(np.asarray(p0, dtype=float), pmax)
+    cost = sum_ber_db_cost(model, p, cfg.mode, *limits)
+    trace = [cost]
+    k = model.k
+    probes = cfg.fd_step_db * np.eye(k)
+    reason = "max_iters"
+    for _ in range(cfg.max_iters):
+        # central differences: the 2K probes p +- step e_i share one walk
+        costs = sum_ber_db_cost(model, np.vstack([p + probes, p - probes]),
+                                cfg.mode, *limits)
+        grad = (costs[:k] - costs[k:]) / (2.0 * cfg.fd_step_db)
+        if not np.all(np.isfinite(grad)) or float(grad @ grad) == 0.0:
+            reason = "gradient"
+            break
+        accepted = _reference_armijo(model, p, cost, grad, cfg, limits)
+        if accepted is None:
+            reason = "ladder"
+            break
+        improvement = cost - accepted[1]
+        p, cost = accepted
+        trace.append(cost)
+        if improvement < cfg.tol_db:
+            reason = "tol"
+            break
+    return p, cost, tuple(trace), reason

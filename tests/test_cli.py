@@ -255,6 +255,23 @@ def test_value_past_float_range_is_a_config_error(tmp_path, capsys, command,
     assert f"config error: config.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", [
+    {"start_db": 0.0, "stop_db": 1.0, "step_db": 1e-5},
+    {"start_db": 20.0, "stop_db": 20.0, "step_db": 1e-300},
+], ids=["long_range", "slack_only"])
+def test_oversized_sweep_is_a_config_error(tmp_path, capsys, monkeypatch, sweep):
+    # once, sweep_grid ran for 100,001 or about 1e291 steps here; if the
+    # check lets the sweep through, fail instead of hanging
+    def unreachable(cfg):
+        raise AssertionError("sweep_grid called on an over-cap sweep")
+
+    monkeypatch.setattr("nomalab.cli.sweep_grid", unreachable)
+    data = dict(json.loads(json.dumps(BASE)), sweep=sweep)
+    cfg = write_config(tmp_path, data)
+    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config.sweep.step_db" in capsys.readouterr().err
+
+
 def test_capacity_error_exit_code(tmp_path, capsys):
     data = json.loads(json.dumps(BASE))
     data["system"]["users"] = [

@@ -1,12 +1,16 @@
 """Strict JSON configuration parsing and model construction."""
 
+import dataclasses
 import json
 
 import pytest
 
 from nomalab.config import (
+    MAX_SWEEP_POINTS,
     RunConfig,
+    SweepConfig,
     build_model,
+    check_ranges,
     load_config,
     parse_config,
     parse_modulation,
@@ -107,6 +111,26 @@ def test_sweep_grid_is_inclusive_and_stable():
     tiny = parse_config(dict(
         MINIMAL, sweep={"start_db": 0.0, "stop_db": 1.0, "step_db": 0.1}))
     assert len(sweep_grid(tiny)) == 11  # no float drift at the endpoint
+
+
+def test_sweep_point_count_is_capped():
+    # the tests never call sweep_grid on an over-cap sweep: if the cap
+    # stopped working, they would hang instead of failing
+    step = 2.0 ** -10  # every offset below is exact
+    at_cap = parse_config(dict(MINIMAL, sweep={
+        "start_db": 0.0, "stop_db": (MAX_SWEEP_POINTS - 1) * step, "step_db": step}))
+    assert len(sweep_grid(at_cap)) == MAX_SWEEP_POINTS
+    over = [
+        SweepConfig(0.0, MAX_SWEEP_POINTS * step, step),  # one point past
+        SweepConfig(0.0, 1.0, 1e-5),                      # 100,001 points
+        SweepConfig(0.0, 0.0, 1e-300),                    # 1e291 in the slack
+        SweepConfig(20.0, 20.0, 1e-20),                   # never leaves 20.0
+    ]
+    for sweep in over:
+        with pytest.raises(ConfigError, match=r"config\.sweep\.step_db: .*10000"):
+            check_ranges(dataclasses.replace(at_cap, sweep=sweep))
+        with pytest.raises(ConfigError, match=r"sweep\.step_db"):
+            parse_config(dict(MINIMAL, sweep=dataclasses.asdict(sweep)))
 
 
 def test_build_model_converts_db_and_ranks():

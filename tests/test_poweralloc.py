@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nomalab.analytic import sum_ber
+import oracles
+from nomalab.analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, sum_ber
 from nomalab.constellation import build_rect_qam
 from nomalab.detectors import SystemModel, UserProfile
 from nomalab.errors import OptimizationError
-from nomalab.poweralloc import PaConfig, optimize_powers, sum_ber_db_cost
+from nomalab.poweralloc import (PaConfig, PaResult, _starts, optimize_powers,
+                                sum_ber_db_cost)
 
 QPSK = build_rect_qam(2, 2)
 
@@ -109,9 +111,13 @@ def test_batched_costs_equal_one_probe_at_a_time():
 def test_armijo_takes_the_first_acceptable_rung():
     from nomalab.poweralloc import _armijo
 
+    def plain(found):
+        return [f if f is None else (f[0].tolist(), f[1]) for f in found]
+
     rng = np.random.default_rng(3)
     for step0 in (4.0, 40.0, 400.0):
         cfg = PaConfig(p_max_db=30.0, step0_db=step0, min_step_db=1e-3)
+        points, costs, grads, expects = [], [], [], []
         for _ in range(5):
             p = rng.uniform(0.0, 30.0, 3)
             cost = sum_ber_db_cost(NEAR_FAR, p)
@@ -123,5 +129,108 @@ def test_armijo_takes_the_first_acceptable_rung():
                 if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
                     expect = (cand.tolist(), cand_cost)
                 step *= 0.5
-            got = _armijo(NEAR_FAR, p, cost, grad, cfg, (1e-12, 10**7))
-            assert (got if got is None else (got[0].tolist(), got[1])) == expect
+            got = _armijo(NEAR_FAR, p[None], [cost], grad[None], cfg, (1e-12, 10**7))
+            assert plain(got) == [expect]
+            points.append(p)
+            costs.append(cost)
+            grads.append(grad)
+            expects.append(expect)
+        got = _armijo(NEAR_FAR, np.array(points), costs, np.array(grads), cfg,
+                      (1e-12, 10**7))
+        assert plain(got) == expects
+
+
+# ---- lock-step descent against the sequential per-start oracle ----
+
+LIMITS = (DEFAULT_PRUNE, DEFAULT_MAX_LEAVES)
+SPREADS = [10.0, 2.5, 0.625]
+
+
+def mixed_model(modulations, n):
+    users = tuple(UserProfile(1.0, s, build_rect_qam(*m))
+                  for m, s in zip(modulations, SPREADS))
+    return SystemModel(n, 1.0, users)
+
+
+def reference_runs(model, cfg, warm_db=None):
+    """Each start's oracle run, alone: (p, cost, trace, reason)."""
+    return [oracles.reference_descend(model, p0, cfg, LIMITS)
+            for p0 in _starts(model, cfg, warm_db)]
+
+
+def best_of(runs, cfg) -> PaResult:
+    """optimize_powers' report over the given per-start runs."""
+    costs = [run[1] for run in runs]
+    s_idx = min((i for i, c in enumerate(costs) if math.isfinite(c)),
+                key=costs.__getitem__)
+    p, cost, trace, _ = runs[s_idx]
+    return PaResult(powers_db=tuple(float(v) for v in p), cost_db=cost,
+                    start_index=s_idx, start_costs_db=tuple(costs),
+                    iterations=len(trace) - 1, trace=trace,
+                    at_bound=tuple(bool(v >= cfg.p_max_db - 1e-9) for v in p))
+
+
+def stops(runs):
+    return [(len(run[2]) - 1, run[3]) for run in runs]
+
+
+LOCK_STEP_CASES = {
+    "qpsk_n1": (qpsk_model([1.0] * 3, SPREADS, n=1),
+                PaConfig(p_max_db=30.0, max_iters=20)),
+    "qpsk_n4": (qpsk_model([1.0] * 3, SPREADS, n=4),
+                PaConfig(p_max_db=30.0, max_iters=40)),
+    "qpsk_n2_short_ladder": (
+        qpsk_model([1.0] * 3, SPREADS, n=2),
+        PaConfig(p_max_db=30.0, max_iters=6, min_step_db=2.5, tol_db=0.1)),
+    "qpsk_n4_short_ladder": (
+        qpsk_model([1.0] * 3, SPREADS, n=4),
+        PaConfig(p_max_db=30.0, max_iters=8, step0_db=8.0, min_step_db=0.75,
+                 tol_db=0.01)),
+    "8_4_4_n2": (mixed_model([(4, 2), (2, 2), (2, 2)], 2),
+                 PaConfig(p_max_db=30.0, max_iters=4)),
+    "16_8_8_n2": (mixed_model([(4, 4), (4, 2), (4, 2)], 2),
+                  PaConfig(p_max_db=30.0, max_iters=2, mode="exact")),
+    "single_user": (qpsk_model([1.0], [1.0]),
+                    PaConfig(p_max_db=18.0, max_iters=60)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCK_STEP_CASES))
+def test_lock_step_equals_the_best_sequential_start(name):
+    model, cfg = LOCK_STEP_CASES[name]
+    assert optimize_powers(model, cfg) == best_of(reference_runs(model, cfg), cfg)
+
+
+def test_short_ladder_cases_stop_starts_apart():
+    # the lock-step cases above include starts that exhaust the ladder,
+    # meet tol_db and hit max_iters, each in its own iteration
+    model, cfg = LOCK_STEP_CASES["qpsk_n2_short_ladder"]
+    assert stops(reference_runs(model, cfg)) == [
+        (5, "ladder"), (1, "ladder"), (6, "max_iters"), (2, "tol")]
+    model, cfg = LOCK_STEP_CASES["qpsk_n4_short_ladder"]
+    assert stops(reference_runs(model, cfg)) == [
+        (4, "tol"), (3, "ladder"), (8, "max_iters"), (2, "ladder")]
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 4])
+@pytest.mark.parametrize("warm", [False, True])
+def test_lock_step_over_start_counts(points, warm):
+    model = qpsk_model([1.0] * 3, SPREADS, n=2)
+    cfg = PaConfig(p_max_db=24.0, max_iters=30, multistart_points=points)
+    warm_db = [20.0, 9.0, 1.5] if warm else None
+    runs = reference_runs(model, cfg, warm_db)
+    assert len(runs) == points
+    assert optimize_powers(model, cfg, warm_db) == best_of(runs, cfg)
+
+
+def test_a_zero_gradient_stops_only_its_own_start(monkeypatch):
+    # a cost that is flat once every user is above 10 (linear): two
+    # starts begin on the flat, a third reaches it after three steps
+    monkeypatch.setattr(
+        "nomalab.poweralloc.stage_bers_grid",
+        lambda model, powers, *args: 1.0 / (1.0 + np.minimum(powers, 10.0)))
+    cfg = PaConfig(p_max_db=30.0, max_iters=8)
+    runs = reference_runs(NEAR_FAR, cfg)
+    assert stops(runs) == [(0, "gradient"), (0, "ladder"), (3, "gradient"),
+                           (0, "gradient")]
+    assert optimize_powers(NEAR_FAR, cfg) == best_of(runs, cfg)
