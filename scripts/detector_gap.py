@@ -4,7 +4,9 @@
 Runs both receivers on the same seeded channel and noise streams and
 prints the user-averaged BER side by side. With few antennas and equal
 received powers the joint detector wins clearly; with more antennas or
-a wide channel spread the gap shrinks toward zero.
+a wide channel spread the gap shrinks toward zero. The --start, --stop
+and --step grid goes through the config's sweep checks: a bad sweep
+exits 2 with "config error: ...", as in the CLI.
 
 Usage:
     python scripts/detector_gap.py --config configs/qpsk3_near_far.json \
@@ -12,13 +14,16 @@ Usage:
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nomalab.channel import StreamKey
-from nomalab.config import build_model, load_config
+from nomalab.config import (SweepConfig, build_model, check_ranges,
+                            load_config, sweep_grid)
+from nomalab.errors import ConfigError
 from nomalab.montecarlo import StopRule, sweep
 
 
@@ -33,13 +38,15 @@ def main() -> int:
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
-    model = build_model(cfg)
-    grid = []
-    off = args.start
-    while off <= args.stop + 1e-9:
-        grid.append(round(off, 10))
-        off += args.step
+    try:
+        cfg = check_ranges(dataclasses.replace(
+            load_config(args.config),
+            sweep=SweepConfig(args.start, args.stop, args.step)))
+        model = build_model(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    grid = sweep_grid(cfg)
 
     # fixed budget so both detectors see identical draws
     stop = StopRule(min_errors=2**31 - 1, max_symbols=args.symbols,

@@ -14,6 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nomalab.analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers_grid
@@ -24,9 +26,13 @@ from nomalab.detectors import SystemModel
 def floor_table(model: SystemModel, grid, mode: str,
                 prune_threshold: float = DEFAULT_PRUNE,
                 max_leaves: int = DEFAULT_MAX_LEAVES):
+    """One row per offset in grid: the offset, then each user's BER in
+    user order, as results.csv has them (stage_bers_grid gives stage
+    order)."""
     bers = stage_bers_grid(model, model.scaled_powers(grid), mode,
                            prune_threshold, max_leaves)
-    return [[off] + row for off, row in zip(grid, bers.tolist())]
+    users = bers[:, np.argsort(model.decode_order())]
+    return [[off] + row for off, row in zip(grid, users.tolist())]
 
 
 def main() -> int:

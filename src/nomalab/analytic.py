@@ -16,8 +16,9 @@ The walk goes level by level. A level is an array of (node, column)
 rows, one column per power vector, a node's children contiguous and in
 table order; a node stays while any column keeps it above the pruning
 threshold. Each kernel runs once per level over all its rows, and the
-leaf BERs once per walk. Stage sums fold back up by adding children in
-table order, so every column gets the result it gets alone.
+leaf BERs once per walk. A stage sums weight x conditional BER over
+its level's rows, per column; a column's rows keep their order whatever
+the others hold, so every column gets the result it gets alone.
 
 Both per-node kernels compile once per alphabet and transmitted class:
 the SEP table is kernels.sep_program (the QPSK one has a closed form,
@@ -281,14 +282,13 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     linear powers in stage order, as a (P, last) array; and the mass each
     column pruned, as a (P,) array.
 
-    A level holds (node, column) rows: its column col, the column's
-    per-stage values pc, the upstream noise up and the weight w. A child
-    row stays while its weight is at least prune_threshold; a node with
-    no row left is not expanded. The upstream noise is carried down in
-    stage order, and the downstream terms are added after it. Leaf BERs
-    wait for one kernel call after the descent; then stage sums fold up,
-    each node adding its children's subtree sums in table order, a
-    pruned child adding nothing. Columns go in slices of at most
+    A level holds (node, column) rows: its column col, the upstream noise
+    up and the weight w. A child row stays while its weight is at least
+    prune_threshold; a node with no row left is not expanded. The
+    upstream noise is carried down in stage order, and the downstream
+    terms are added after it. Leaf BERs wait for one kernel call after
+    the descent; then stage i of a column is the sum of w times its BER
+    over the column's rows at level i. Columns go in slices of at most
     WALK_LEAVES unpruned leaves, which bounds the memory a level takes."""
     _check_stage(model, last)
     stages = model.stage_profiles()
@@ -308,35 +308,30 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     n = model.n_antennas
     dropped = np.zeros(count)
     leaves = np.zeros(count)
-    trees = []  # per class assignment: per level (w, keep)
+    rows_at = []  # per level of every assignment: (stage index, col, w)
     gains, terms = [], []
     for weight, mags, levels in plan:
         if weight < prune_threshold:
             dropped += weight
             continue
-        # columns: numerators (k), downstream interference (k - 1), powers (k)
-        pc = np.concatenate(
-            (numerators, powers[:, 1:] * mags * sigma_sq[1:], powers), axis=1)
+        down = powers[:, 1:] * mags * sigma_sq[1:]  # interference of stages 2..K
         col = np.arange(count)
         up = np.full(count, noise_sq)
         w = np.full(count, weight)
-        tree = []
-        trees.append(tree)
         if last == 1:
             _count_leaves(leaves, 1, max_leaves)
         for i, (c, tx_class, leaf_terms, dists) in enumerate(levels):
             sigma_tot_sq = up
-            for j in range(k + i, 2 * k - 1):
-                sigma_tot_sq = sigma_tot_sq + pc[:, j]
-            gain = pc[:, i] / sigma_tot_sq
+            for j in range(i, k - 1):
+                sigma_tot_sq = sigma_tot_sq + down[col, j]
+            gain = numerators[col, i] / sigma_tot_sq
+            rows_at.append((i, col, w))
             gains.append(gain)
             terms.append(leaf_terms)
             if i + 1 == last:
-                tree.append((w, None))
                 break
             child_w = w[:, None] * _sep_table(c, tx_class, gain, n)
             keep = ~(child_w < prune_threshold)
-            tree.append((w, keep))
             if i + 2 == last:  # count the leaves before making their rows
                 _count_leaves(leaves, np.bincount(col, keep.sum(axis=1), count),
                               max_leaves)
@@ -346,28 +341,12 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
                                        child_w[cut], count)
             rows, slots = np.nonzero(keep)
             col = col[rows]
-            pc = pc[rows]
             d = dists[slots]
-            up = up[rows] + pc[:, 2 * k - 1 + i] * d * d * sigma_sq[i]
+            up = up[rows] + powers[col, i] * d * d * sigma_sq[i]
             w = child_w[keep]
-    bers = iter(_leaf_bers(terms, gains, n))
     totals = np.zeros((count, last))
-    for tree in trees:
-        own = [w * next(bers) for w, _ in tree]
-        value = own[-1][:, None]
-        for (_, keep), node_ber in zip(tree[-2::-1], own[-2::-1]):
-            if keep.all():
-                grid = value.reshape(keep.shape + value.shape[1:])
-            else:
-                grid = np.zeros(keep.shape + value.shape[1:])
-                grid[keep] = value
-            value = np.empty((keep.shape[0], grid.shape[2] + 1))
-            value[:, 0] = node_ber
-            subtree = value[:, 1:]
-            subtree[...] = grid[:, 0]
-            for slot in range(1, keep.shape[1]):
-                subtree += grid[:, slot]
-        totals += value
+    for (i, col, w), ber in zip(rows_at, _leaf_bers(terms, gains, n)):
+        totals[:, i] += np.bincount(col, w * ber, minlength=count)
     return totals, dropped
 
 

@@ -424,10 +424,12 @@ def test_stage_bers_grid_columns_equal_their_batch_of_one(name, monkeypatch):
     consts, sigmas, base_db, n = BATCH_SYSTEMS[name]
     m = make_model([1.0] * len(consts), sigmas, consts, n=n)
     powers = batch_columns(base_db, [-10.0, 5.0, 20.0, 35.0, 50.0])
-    for thr in (0.0, 1e-6, 1e-3):
-        grid = stage_bers_grid(m, powers, "exact", thr)
-        assert grid.shape == powers.shape
-        for row, col in zip(powers, grid):
+    # at 0.6 the weakest column, put last, loses every row at some level
+    cases = [(powers, thr) for thr in (0.0, 1e-6, 1e-3)] + [(powers[::-1], 0.6)]
+    for batch, thr in cases:
+        grid = stage_bers_grid(m, batch, "exact", thr)
+        assert grid.shape == batch.shape
+        for row, col in zip(batch, grid):
             alone = stage_bers(m.with_powers(row), "exact", thr)
             assert col.tolist() == list(alone)
             one = stage_bers_grid(m, row[None], "exact", thr)

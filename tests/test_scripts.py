@@ -3,6 +3,7 @@ settings."""
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,3 +73,74 @@ def test_detector_gap_prints_one_row_per_point_at_any_worker_count(
         assert [line.split()[0] for line in lines[1:]] == ["12.0", "14.0"]
         tables.append(lines)
     assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("step", ["0", "1e-6"])
+def test_detector_gap_rejects_a_bad_step(monkeypatch, capsys, step):
+    detector_gap = load_script("detector_gap")
+
+    # a zero step once looped forever; fail instead of hanging
+    def unreachable(cfg):
+        raise AssertionError("sweep_grid called on a bad sweep")
+
+    monkeypatch.setattr(detector_gap, "sweep_grid", unreachable)
+    config = SCRIPTS.parent / "configs" / "qpsk3_near_far.json"
+    monkeypatch.setattr(sys, "argv", [
+        "detector_gap.py", "--config", str(config), "--step", step])
+    assert detector_gap.main() == 2
+    assert "config error: config.sweep.step_db" in capsys.readouterr().err
+
+
+def test_floor_study_prints_users_in_user_order(tmp_path, monkeypatch, capsys):
+    from nomalab.cli import main as cli_main
+
+    floor_study = load_script("floor_study")
+    data = json.loads((SCRIPTS.parent / "configs" / "qpsk3_near_far.json")
+                      .read_text(encoding="utf-8"))
+    for user, rank in zip(data["system"]["users"], (3, 2, 1)):
+        user["sic_rank"] = rank
+    data["sweep"] = {"start_db": 20.0, "stop_db": 30.0, "step_db": 10.0}
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    model = build_model(load_config(str(path)))
+
+    rows = floor_study.floor_table(model, [20.0], "auto")
+    by_stage = stage_bers(model.scaled(20.0), "auto")
+    assert rows == [[20.0] + list(reversed(by_stage))]
+    assert by_stage[0] != by_stage[2]
+
+    out = tmp_path / "out"
+    assert cli_main(["analytic", "--config", str(path), "--out", str(out)]) == 0
+    csv = {}
+    for line in (out / "results.csv").read_text(encoding="utf-8").splitlines()[2:]:
+        power_db, user, _, ber = line.split(",")[:4]
+        csv[float(power_db), int(user)] = f"{float(ber):.3e}"
+    monkeypatch.setattr(sys, "argv", ["floor_study.py", "--config", str(path),
+                                      "--antennas", "2"])
+    assert floor_study.main() == 0
+    # the table rows, each led by its right-aligned offset
+    printed = [line.split() for line in capsys.readouterr().out.splitlines()
+               if line.startswith(" ")]
+    assert [row[1:] for row in printed] == [
+        [csv[off, user] for user in (1, 2, 3)] for off in (20.0, 30.0)]
+
+
+def test_pa_study_prints_one_capped_row_per_cap(tmp_path, monkeypatch, capsys):
+    pa_study = load_script("pa_study")
+    data = json.loads((SCRIPTS.parent / "configs" / "qpsk3_near_far.json")
+                      .read_text(encoding="utf-8"))
+    data["sweep"] = {"start_db": 20.0, "stop_db": 30.0, "step_db": 10.0}
+    path = tmp_path / "two_caps.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["pa_study.py", "--config", str(path)])
+    assert pa_study.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    for line, cap in zip(lines[1:], (20.0, 30.0)):
+        head, powers = line.split("[")
+        pmax, _, _, gain = (float(v) for v in head.split())
+        assert pmax == cap
+        assert math.isfinite(gain)
+        powers_db = [float(v) for v in powers.rstrip("]").split(",")]
+        assert len(powers_db) == 3
+        assert all(p <= cap for p in powers_db)
