@@ -5,8 +5,9 @@ Runs both receivers on the same seeded channel and noise streams and
 prints the user-averaged BER side by side. With few antennas and equal
 received powers the joint detector wins clearly; with more antennas or
 a wide channel spread the gap shrinks toward zero. The --start, --stop
-and --step grid goes through the config's sweep checks: a bad sweep
-exits 2 with "config error: ...", as in the CLI.
+and --step grid goes through the config's sweep checks, and --symbols and
+--workers through its Monte Carlo checks: a bad value exits 2 with
+"config error: ...", as in the CLI.
 
 Usage:
     python scripts/detector_gap.py --config configs/qpsk3_near_far.json \
@@ -24,7 +25,7 @@ from nomalab.channel import StreamKey
 from nomalab.config import (SweepConfig, build_model, check_ranges,
                             load_config, sweep_grid)
 from nomalab.errors import ConfigError
-from nomalab.montecarlo import StopRule, sweep
+from nomalab.montecarlo import sweep
 
 
 def main() -> int:
@@ -39,22 +40,24 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
+        base = load_config(args.config)
+        # fixed budget so both detectors see identical draws
+        mc = dataclasses.replace(
+            base.montecarlo, min_errors=2**31 - 1, max_symbols=args.symbols,
+            batch_size=min(10_000, args.symbols), workers=args.workers)
         cfg = check_ranges(dataclasses.replace(
-            load_config(args.config),
-            sweep=SweepConfig(args.start, args.stop, args.step)))
+            base, sweep=SweepConfig(args.start, args.stop, args.step),
+            montecarlo=mc))
         model = build_model(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     grid = sweep_grid(cfg)
 
-    # fixed budget so both detectors see identical draws
-    stop = StopRule(min_errors=2**31 - 1, max_symbols=args.symbols,
-                    batch_size=min(10_000, args.symbols))
     curves = {}
     for det in ("sic", "jmld"):
-        curves[det] = sweep(model, grid, det, stop,
-                            StreamKey(cfg.montecarlo.seed), args.workers)
+        curves[det] = sweep(model, grid, det, mc.stop_rule(),
+                            StreamKey(mc.seed), mc.workers)
 
     print("power_db  sic_avg_ber  jmld_avg_ber  errors(sic/jmld)")
     for i, off in enumerate(grid):

@@ -5,6 +5,7 @@ With equal per-user power the later SIC stages inherit residual
 interference that grows with power, so every user's BER saturates.
 This script tabulates the curves for a config at several antenna
 counts to show where the floors sit.
+A bad config exits 2 with "config error: ...", as in the CLI.
 
 Usage:
     python scripts/floor_study.py --config configs/qpsk3_near_far.json
@@ -21,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nomalab.analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers_grid
 from nomalab.config import build_model, load_config, sweep_grid
 from nomalab.detectors import SystemModel
+from nomalab.errors import ConfigError
 
 
 def floor_table(model: SystemModel, grid, mode: str,
@@ -41,8 +43,12 @@ def main() -> int:
     ap.add_argument("--antennas", type=int, nargs="+", default=[1, 2, 4])
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
-    base = build_model(cfg)
+    try:
+        cfg = load_config(args.config)
+        base = build_model(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     grid = sweep_grid(cfg)
 
     for n in args.antennas:

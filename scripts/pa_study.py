@@ -4,6 +4,7 @@
 Sweeps the per-user power cap, runs the projected-gradient optimizer at
 each cap, and compares the optimized sum BER with the equal-power curve.
 Optimization keeps the sum BER falling where equal power saturates.
+A bad config exits 2 with "config error: ...", as in the CLI.
 
 Usage:
     python scripts/pa_study.py --config configs/qpsk3_near_far.json
@@ -20,6 +21,7 @@ from dataclasses import replace
 
 from nomalab.analytic import sum_ber
 from nomalab.config import build_model, load_config, sweep_grid
+from nomalab.errors import ConfigError
 from nomalab.poweralloc import optimize_powers
 
 
@@ -28,8 +30,12 @@ def main() -> int:
     ap.add_argument("--config", default="configs/qpsk3_near_far.json")
     args = ap.parse_args()
 
-    cfg = load_config(args.config)
-    model = build_model(cfg)
+    try:
+        cfg = load_config(args.config)
+        model = build_model(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     grid = sweep_grid(cfg)
 
     print("pmax_db  equal_sum   opt_sum     gain_db  powers_db")

@@ -10,8 +10,12 @@ reused verbatim, so decision errors propagate. The joint detector
 enumerates the symbol tuples of every user but the one with the largest
 alphabet, and for each tuple slices that user to the point nearest its
 combined residual, which is its exact best reply. The cap still bounds
-the full cartesian product of all user alphabets. Both receivers share
-one per-axis slicer on the odd-integer grid.
+the full cartesian product of all user alphabets. It scores candidates
+by the Gram form of the metric, from G = g^H g and p = g^H y, in
+cache-sized chunks; a column whose runner-up lies within a proven
+rounding margin of its best is rescored by the direct metric, so every
+decision, exact ties included, is the direct metric's. Both receivers
+share one per-axis slicer on the odd-integer grid.
 
 Both receivers and superposition work on batches of (n, B) columns; the
 single-shot functions run a batch of one.
@@ -19,6 +23,7 @@ single-shot functions run a batch of one.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +34,55 @@ from .constellation import Constellation
 from .errors import CapacityError
 
 JMLD_DEFAULT_CAP = 1 << 20
+
+# Joint ML scores chunks of this many (tuple, column) entries, 256 kB per
+# (T, chunk) float array, so a chunk's working arrays stay in cache. On a
+# 2-core Xeon with 2 MB of L2 per core, 2^15 beat 2^14 and 2^16.
+_CHUNK_ENTRIES = 1 << 15
+
+# Near-tie margin of the Gram scores, per rounding step on a path.
+# Written out in real and imaginary parts, the direct metric
+# ||y - sum_k x_k g_k||^2 and its Gram form minus ||y||^2 are sums of
+# monomials in the parts of y, g and the points. Per column their
+# absolute values add up to at most 4 S^2, S = ||y|| + sum_k ||g_k||
+# max|x_k|: a complex factor a gives |Re a| + |Im a| <= sqrt(2) |a|, and
+# Minkowski's inequality sums over the antennas. No monomial passes
+# through more than d = n + 3K + 10 roundings: n + 1 in an antenna sum
+# of products, 2 per complex product, K - 1 residual updates, 2 per
+# level of the Gram sum and 3 for |x|^2, or K + 3 for each part of the
+# residual and 3 for its |r|^2 via hypot. So either form is within
+# 4 gamma_d S^2 of its exact value, gamma_d = d u / (1 - d u), u = 2^-53
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+# When every other candidate scores more than 16 gamma_d S^2 <= 17 d u S^2
+# above the best (either form's error on either candidate), the direct
+# metric also puts the best strictly first.
+# The margin is 2^-40 per step, about 480 x the 17 u of the bound: the
+# count trusts numpy's complex products, hypot and reductions to round
+# as the model says, and a wider margin costs only a direct rescore of
+# columns that did not need it.
+_TIE_MARGIN_PER_STEP = 2.0 ** -40
+
+
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed batch memory in the process; the
+    batch detectors call this once, on first use.
+
+    By default glibc maps each block above 128 kB on its own and hands
+    free heap above 128 kB back to the system, so the multi-MB temporaries
+    of every JMLD chunk and every Monte Carlo batch are page-faulted in
+    afresh: about 2,100 faults per 10k-symbol QPSK x3 JMLD batch, and 700
+    per SIC batch run after it. glibc raises both limits itself after it
+    frees a large mapped block, so until something had, speed depended on
+    what ran before. These are the limits that rule reaches at its 32 MB
+    ceiling. Without glibc nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -228,6 +282,7 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     nearest scaled constellation point, ties going to the lowest index;
     a zero combining gain (zero power or zero channel) decides index 0.
     """
+    _keep_freed_memory()
     out = np.zeros((model.k, y.shape[1]), dtype=np.int64)
     r = y.astype(complex, copy=True)
     for idx in model.decode_order():
@@ -241,6 +296,24 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     return out
 
 
+def _direct_metric(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||y - sum_k x_k g_k||^2 per candidate and column: x is (T, K, B),
+    g is (K, n, B) and y is (n, B). Returns (T, B)."""
+    pred = np.einsum("tkb,knb->tnb", x, g)
+    # in place: fresh temporaries cost more to fault in than to compute
+    np.subtract(y[None], pred, out=pred)
+    dist = np.abs(pred)
+    return np.sum(np.square(dist, out=dist), axis=1)
+
+
+def _near_ties(metric: np.ndarray, best: np.ndarray,
+               margin: np.ndarray) -> np.ndarray:
+    """Columns of the (T, B) metric where a second candidate lies within
+    margin of the best one."""
+    near = metric <= metric[best, np.arange(best.size)] + margin
+    return np.flatnonzero(np.count_nonzero(near, axis=0) > 1)
+
+
 def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
                       cap: int = JMLD_DEFAULT_CAP) -> np.ndarray:
     """Vectorized joint ML over a batch: y is (n, B). Returns (K, B).
@@ -248,7 +321,13 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
     Given the other users, the best symbol of user s is the grid point
     nearest g_s^H r / ||g_s||^2, with r the residual after the others;
     so only the others' tuples are enumerated and user s is sliced.
+    Candidates are scored by the Gram form of ||y - sum_k x_k g_k||^2 -
+    ||y||^2, from G = g^H g and p = g^H y. A column whose runner-up lies
+    within the rounding margin of its best Gram metric is rescored by
+    the direct metric, so near-ties and exact ties decide as the direct
+    metric does: its first minimum, the smallest full tuple on a tie.
     """
+    _keep_freed_memory()
     tuples = joint_symbol_tuples(model, cap)
     sizes = [u.constellation.size for u in model.users]
     s = max(range(model.k), key=lambda k: (sizes[k], k))
@@ -269,38 +348,59 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
     gs_conj = np.conj(g[s])
     proj_y = np.sum(gs_conj * y, axis=0)
     proj_g = np.sum(gs_conj * g, axis=1)
+    # the enumerated users' p_k = g_k^H y and G_kj = g_k^H g_j
+    enum = [k for k in range(model.k) if k != s]
+    g_conj = np.conj(g[enum])
+    proj = np.sum(g_conj * y, axis=1)
+    gram = np.sum(g_conj[:, None] * g[enum], axis=2)
     c_s = model.users[s].constellation
+    energy_s = np.abs(c_s.points) ** 2
+    # per column, S = ||y|| + sum_k ||g_k|| max|x_k| sets the near-tie margin
+    peak = np.array([np.abs(u.constellation.points).max() for u in model.users])
+    reach = np.linalg.norm(y, axis=0) + peak @ np.linalg.norm(g, axis=1)
+    margin = _TIE_MARGIN_PER_STEP * (n + 3 * model.k + 10) * reach ** 2
     out = np.zeros((model.k, b), dtype=np.int64)
-    # chunk the batch so the (T, K, chunk) candidates and the (T, n, chunk)
-    # predictions stay small
-    chunk = max(1, (1 << 22) // (t_count * max(n, model.k)))
+    chunk = max(1, _CHUNK_ENTRIES // t_count)
     for lo in range(0, b, chunk):
         hi = min(lo + chunk, b)
+        w = hi - lo
         z = proj_y[None, lo:hi]
-        for k, u in enumerate(model.users):
-            if k != s:  # one more user, in tuple order
-                z = (z[:, None] - u.constellation.points[:, None]
-                     * proj_g[k, lo:hi]).reshape(-1, hi - lo)
+        # the enumerated users' part of metric - ||y||^2, and each one's
+        # residual projection p_k - sum_j G_kj x_j over the users before it
+        part = np.zeros((1, w))
+        res = [proj[i, None, lo:hi] for i in range(len(enum))]
+        for i, k in enumerate(enum):  # one more user, in tuple order
+            pts = model.users[k].constellation.points[:, None]
+            r = res[i][:, None]
+            part = (part[:, None] + np.abs(pts) ** 2 * gram[i, i, lo:hi].real
+                    - 2 * (pts.real * r.real + pts.imag * r.imag)
+                    ).reshape(-1, w)
+            for j in range(i + 1, len(enum)):
+                res[j] = (res[j][:, None] - pts * gram[j, i, lo:hi]
+                          ).reshape(-1, w)
+            z = (z[:, None] - pts * proj_g[k, lo:hi]).reshape(-1, w)
         sym = _slice(c_s, z, proj_g[s, lo:hi].real)
-        xb = np.empty((t_count, model.k, hi - lo), dtype=complex)
-        xb[:] = x[:, :, None]
-        xb[:, s] = c_s.points[sym]
-        pred = np.einsum("tkb,knb->tnb", xb, g[:, :, lo:hi])
-        # |y - pred|^2 in place: fresh temporaries cost more to fault in
-        # than to compute
-        np.subtract(y[None, :, lo:hi], pred, out=pred)
-        dist = np.abs(pred)
-        metric = np.sum(np.square(dist, out=dist), axis=1)
+        xs = c_s.points[sym]
+        metric = part + energy_s[sym] * proj_g[s, lo:hi].real - 2 * (
+            xs.real * z.real + xs.imag * z.imag)
+        cols = np.arange(w)
         best = np.argmin(metric, axis=0)
-        cols = np.arange(hi - lo)
-        # equal metrics across candidates: keep the smallest full tuple
-        tied = np.flatnonzero(
-            np.count_nonzero(metric == metric[best, cols], axis=0) > 1)
-        if tied.size:
-            key = np.where(metric[:, tied] == metric[best[tied], tied],
-                           rank[:, None] + sym[:, tied] * strides[s],
-                           np.iinfo(np.int64).max)
-            best[tied] = np.argmin(key, axis=0)
+        near = _near_ties(metric, best, margin[lo:hi])
+        if near.size:
+            xb = np.empty((t_count, model.k, near.size), dtype=complex)
+            xb[:] = x[:, :, None]
+            xb[:, s] = c_s.points[sym[:, near]]
+            direct = _direct_metric(xb, g[:, :, lo + near], y[:, lo + near])
+            pick = np.argmin(direct, axis=0)
+            # equal metrics across candidates: keep the smallest full tuple
+            tied = np.flatnonzero(np.count_nonzero(
+                direct == direct[pick, np.arange(near.size)], axis=0) > 1)
+            if tied.size:
+                key = np.where(direct[:, tied] == direct[pick[tied], tied],
+                               rank[:, None] + sym[:, near[tied]] * strides[s],
+                               np.iinfo(np.int64).max)
+                pick[tied] = np.argmin(key, axis=0)
+            best[near] = pick
         out[:, lo:hi] = others[best].T
         out[s, lo:hi] = sym[best, cols]
     return out

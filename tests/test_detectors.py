@@ -2,11 +2,14 @@
 brute-force references."""
 
 import itertools
+import platform
+import resource
 
 import numpy as np
 import pytest
 
 import oracles
+from nomalab import detectors
 from nomalab.channel import StreamKey, generator, sample_channel
 from nomalab.constellation import build_rect_qam
 from nomalab.detectors import (
@@ -209,6 +212,21 @@ def assert_jmld_matches_oracle(model, y, chans):
     for col in range(y.shape[1]):
         assert tuple(got[:, col]) == oracles.brute_force_joint_ml(
             y[:, col], [h[:, col] for h in chans], powers, points), col
+    return got
+
+
+def count_direct_columns(monkeypatch):
+    """Patch the direct metric to count the columns it rescores; returns
+    the one-item list that holds the count."""
+    count = [0]
+    direct = detectors._direct_metric
+
+    def counting(x, g, y):
+        count[0] += y.shape[1]
+        return direct(x, g, y)
+
+    monkeypatch.setattr(detectors, "_direct_metric", counting)
+    return count
 
 
 # (alphabets, powers, n, columns): the sliced user (largest alphabet, the
@@ -231,23 +249,80 @@ JMLD_SYSTEMS = [
                          ids=["16-8-4_n1", "4-16-8_n4", "8-8-16_n2",
                               "4-8-8_n2", "pam4x1-pam1x4_n1", "4-pam4x1_n4",
                               "16_n4", "4-4-8-4_n4", "16-4_n1"])
-def test_jmld_batch_matches_brute_force_oracle(consts, powers, n, cols):
+def test_jmld_batch_matches_brute_force_oracle(monkeypatch, consts, powers,
+                                               n, cols):
     rng = np.random.default_rng(sum(c.size for c in consts) * n + cols)
     model = make_model(powers, [1.0] * len(consts), consts, n=n,
                        noise_sigma=0.5)
-    assert_jmld_matches_oracle(model, *random_batch(rng, model, cols))
+    y, chans = random_batch(rng, model, cols)
+    got = assert_jmld_matches_oracle(model, y, chans)
+    # an infinite margin rescores every column by the direct metric, except
+    # with one user, whose one candidate per column has no runner-up
+    rescored = count_direct_columns(monkeypatch)
+    monkeypatch.setattr(detectors, "_TIE_MARGIN_PER_STEP", np.inf)
+    assert np.array_equal(jmld_detect_batch(model, y, chans), got)
+    assert rescored == [cols if len(consts) > 1 else 0]
+
+
+@pytest.mark.parametrize("mods", [(QPSK, QPSK, QPSK), (QAM16, QAM8, QAM8)],
+                         ids=["4-4-4", "16-8-8"])
+def test_jmld_gram_rounding_stays_far_inside_the_margin(monkeypatch, mods):
+    # 40 dB per user at N = 2 on the shipped spreads: ||y||^2 dwarfs the
+    # metric, so the Gram form cancels hard
+    rng = np.random.default_rng(43)
+    model = make_model([1e4] * 3, [10.0, 2.5, 0.625], mods, n=2)
+    y, chans = random_batch(rng, model, 1000)
+    seen = {"gram": [], "margin": [], "direct": []}
+    near_ties, direct = detectors._near_ties, detectors._direct_metric
+
+    def every_column(metric, best, margin):
+        seen["gram"].append(metric)
+        seen["margin"].append(margin)
+        assert near_ties(metric, best, margin).size == 0
+        return np.arange(metric.shape[1])
+
+    def recording(x, g, y):
+        seen["direct"].append(direct(x, g, y))
+        return seen["direct"][-1]
+
+    monkeypatch.setattr(detectors, "_near_ties", every_column)
+    monkeypatch.setattr(detectors, "_direct_metric", recording)
+    jmld_detect_batch(model, y, chans)
+    gram, margin, direct = (np.concatenate(seen[k], axis=-1)
+                            for k in ("gram", "margin", "direct"))
+    gap = np.abs(gram - (direct - np.sum(np.abs(y) ** 2, axis=0)))
+    assert np.all(1000 * gap.max(axis=0) <= margin)
 
 
 def test_jmld_batch_chunks_give_the_same_decisions():
-    # 1,024 enumerated tuples at n = 4 give chunks of 1,024 columns
+    # 16 * 16 * 4 = 1,024 enumerated tuples give chunks of 32 columns: the
+    # whole batch crosses several chunk boundaries, and the cut at 75 moves
+    # every boundary after it
+    chunk = detectors._CHUNK_ENTRIES // 1024
+    assert 75 % chunk and 300 > 4 * chunk
     rng = np.random.default_rng(41)
     model = make_model([16.0, 8.0, 4.0, 1.0], [1.0] * 4,
                        [QAM16, QAM16, QAM16, QPSK], n=4)
-    y, chans = random_batch(rng, model, 1500)
+    y, chans = random_batch(rng, model, 300)
     whole = jmld_detect_batch(model, y, chans)
     halves = [jmld_detect_batch(model, y[:, cut], [h[:, cut] for h in chans])
-              for cut in (slice(0, 750), slice(750, None))]
+              for cut in (slice(0, 75), slice(75, None))]
     assert np.array_equal(whole, np.concatenate(halves, axis=1))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="sets glibc's malloc limits")
+def test_jmld_batches_reuse_freed_memory():
+    # a second batch finds its chunk temporaries in the memory the first
+    # one freed; under glibc's default limits it faulted about 1,100
+    # pages back in
+    rng = np.random.default_rng(47)
+    model = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
+    y, chans = random_batch(rng, model, 10_000)
+    jmld_detect_batch(model, y, chans)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    jmld_detect_batch(model, y, chans)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
 
 
 def grid_columns(reach):
@@ -284,12 +359,15 @@ def test_detectors_put_exact_midpoints_on_the_lowest_index(c):
             (0, 1))
 
 
-def test_jmld_ties_across_tuples_keep_the_smallest_tuple():
+def test_jmld_ties_across_tuples_keep_the_smallest_tuple(monkeypatch):
     # 16-QAM (sliced, first) plus QPSK at twice the amplitude on the same
     # channel: integer points of the plane have several exact optima
     model = make_model([1.0, 4.0], [1.0, 1.0], [QAM16, QPSK], n=1)
     y = grid_columns(6)
+    rescored = count_direct_columns(monkeypatch)
     assert_jmld_matches_oracle(model, y, [np.ones(y.shape, complex)] * 2)
+    # the exact ties reach the direct metric
+    assert 0 < rescored[0] < y.shape[1]
 
 
 @pytest.mark.parametrize("zeroed", [0, 1], ids=["sliced", "enumerated"])

@@ -91,6 +91,35 @@ def test_detector_gap_rejects_a_bad_step(monkeypatch, capsys, step):
     assert "config error: config.sweep.step_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("symbols", ["0", "-5"])
+def test_detector_gap_rejects_a_bad_symbol_count(monkeypatch, capsys, symbols):
+    detector_gap = load_script("detector_gap")
+
+    def unreachable(*args):
+        raise AssertionError("sweep called with a bad symbol count")
+
+    monkeypatch.setattr(detector_gap, "sweep", unreachable)
+    config = SCRIPTS.parent / "configs" / "qpsk3_near_far.json"
+    monkeypatch.setattr(sys, "argv", [
+        "detector_gap.py", "--config", str(config), "--symbols", symbols])
+    assert detector_gap.main() == 2
+    assert "config error: config.montecarlo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("script", ["floor_study", "pa_study"])
+def test_study_scripts_reject_a_bad_config(tmp_path, monkeypatch, capsys,
+                                           script):
+    module = load_script(script)
+    data = json.loads((SCRIPTS.parent / "configs" / "qpsk3_near_far.json")
+                      .read_text(encoding="utf-8"))
+    data["sweep"]["step_db"] = 0
+    path = tmp_path / "zero_step.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", [f"{script}.py", "--config", str(path)])
+    assert module.main() == 2
+    assert "config error: config.sweep.step_db" in capsys.readouterr().err
+
+
 def test_floor_study_prints_users_in_user_order(tmp_path, monkeypatch, capsys):
     from nomalab.cli import main as cli_main
 
