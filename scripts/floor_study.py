@@ -5,13 +5,15 @@ With equal per-user power the later SIC stages inherit residual
 interference that grows with power, so every user's BER saturates.
 This script tabulates the curves for a config at several antenna
 counts to show where the floors sit.
-A bad config exits 2 with "config error: ...", as in the CLI.
+A bad config or antenna count exits 2 with "config error: ...", as in
+the CLI.
 
 Usage:
     python scripts/floor_study.py --config configs/qpsk3_near_far.json
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -45,14 +47,15 @@ def main() -> int:
 
     try:
         cfg = load_config(args.config)
-        base = build_model(cfg)
+        models = [build_model(dataclasses.replace(
+            cfg, system=dataclasses.replace(cfg.system, n_antennas=n)))
+            for n in args.antennas]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     grid = sweep_grid(cfg)
 
-    for n in args.antennas:
-        model = SystemModel(n, base.noise_sigma, base.users)
+    for n, model in zip(args.antennas, models):
         rows = floor_table(model, grid, cfg.analytic.mode,
                            cfg.analytic.prune_threshold, cfg.analytic.max_leaves)
         print(f"\nN = {n} antennas")

@@ -12,10 +12,9 @@ alphabet, and for each tuple slices that user to the point nearest its
 combined residual, which is its exact best reply. The cap still bounds
 the full cartesian product of all user alphabets. It scores candidates
 by the Gram form of the metric, from G = g^H g and p = g^H y, in
-cache-sized chunks; a column whose runner-up lies within a proven
-rounding margin of its best is rescored by the direct metric, so every
-decision, exact ties included, is the direct metric's. Both receivers
-share one per-axis slicer on the odd-integer grid.
+cache-sized chunks. Candidates whose Gram metrics agree within the
+proven rounding bound are ties, and ties go to the smallest full tuple.
+Both receivers share one per-axis slicer on the odd-integer grid.
 
 Both receivers and superposition work on batches of (n, B) columns; the
 single-shot functions run a batch of one.
@@ -40,27 +39,26 @@ JMLD_DEFAULT_CAP = 1 << 20
 # 2-core Xeon with 2 MB of L2 per core, 2^15 beat 2^14 and 2^16.
 _CHUNK_ENTRIES = 1 << 15
 
-# Near-tie margin of the Gram scores, per rounding step on a path.
-# Written out in real and imaginary parts, the direct metric
-# ||y - sum_k x_k g_k||^2 and its Gram form minus ||y||^2 are sums of
-# monomials in the parts of y, g and the points. Per column their
-# absolute values add up to at most 4 S^2, S = ||y|| + sum_k ||g_k||
-# max|x_k|: a complex factor a gives |Re a| + |Im a| <= sqrt(2) |a|, and
-# Minkowski's inequality sums over the antennas. No monomial passes
-# through more than d = n + 3K + 10 roundings: n + 1 in an antenna sum
-# of products, 2 per complex product, K - 1 residual updates, 2 per
-# level of the Gram sum and 3 for |x|^2, or K + 3 for each part of the
-# residual and 3 for its |r|^2 via hypot. So either form is within
-# 4 gamma_d S^2 of its exact value, gamma_d = d u / (1 - d u), u = 2^-53
-# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
-# When every other candidate scores more than 16 gamma_d S^2 <= 17 d u S^2
-# above the best (either form's error on either candidate), the direct
-# metric also puts the best strictly first.
-# The margin is 2^-40 per step, about 480 x the 17 u of the bound: the
-# count trusts numpy's complex products, hypot and reductions to round
-# as the model says, and a wider margin costs only a direct rescore of
-# columns that did not need it.
-_TIE_MARGIN_PER_STEP = 2.0 ** -40
+# Tie margin of the Gram scores, per rounding step on a path.
+# Written out in real and imaginary parts, the Gram form of
+# ||y - sum_k x_k g_k||^2 - ||y||^2 is a sum of monomials in the parts of
+# y, g and the points. Per column their absolute values add up to at most
+# 4 S^2, S = ||y|| + sum_k ||g_k|| max|x_k|: a complex factor a gives
+# |Re a| + |Im a| <= sqrt(2) |a|, and Minkowski's inequality sums over the
+# antennas. No monomial passes through more than d = n + 3K + 10
+# roundings: n + 1 in an antenna sum of products, 2 per complex product,
+# K - 1 residual updates, 2 per level of the Gram sum and 3 for |x|^2.
+# So a score is within 4 gamma_d S^2 of its exact value, gamma_d =
+# d u / (1 - d u), u = 2^-53 (Higham, Accuracy and Stability of Numerical
+# Algorithms, sec. 3.1), and two candidates with exactly equal metrics
+# score within 8 gamma_d S^2 of each other. Candidates within the margin
+# of the best are ties and go to the smallest tuple, so the margin must
+# cover that spread: a narrower one lets rounding split exact ties, and a
+# wider one turns candidates that are truly apart into ties. 17 u per step
+# gives 17 d u S^2 >= 16 gamma_d S^2, the spread twice over, which leaves
+# room for numpy's reductions and complex products rounding a little
+# worse than the model.
+_TIE_MARGIN_PER_STEP = 17 * 2.0 ** -53
 
 
 @lru_cache(maxsize=None)
@@ -231,9 +229,10 @@ def jmld_detect(model: SystemModel, y, channels,
 
     Minimizes ||y - sum_k sqrt(P_k) h_k x_k||^2 over the product alphabet
     by enumerating every user but the largest-alphabet one (the last such
-    user on a tie) and slicing that user given the others; ties resolve
-    to the lexicographically smallest index tuple. Raises CapacityError
-    when the full product exceeds cap.
+    user on a tie) and slicing that user given the others. Candidates
+    whose metrics agree within the proven rounding bound are ties, and
+    ties resolve to the lexicographically smallest index tuple. Raises
+    CapacityError when the full product exceeds cap.
     """
     return DetectionResult(
         jmld_detect_batch(model, *_batch_of_one(model, y, channels), cap=cap)[:, 0])
@@ -296,16 +295,6 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     return out
 
 
-def _direct_metric(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """||y - sum_k x_k g_k||^2 per candidate and column: x is (T, K, B),
-    g is (K, n, B) and y is (n, B). Returns (T, B)."""
-    pred = np.einsum("tkb,knb->tnb", x, g)
-    # in place: fresh temporaries cost more to fault in than to compute
-    np.subtract(y[None], pred, out=pred)
-    dist = np.abs(pred)
-    return np.sum(np.square(dist, out=dist), axis=1)
-
-
 def _near_ties(metric: np.ndarray, best: np.ndarray,
                margin: np.ndarray) -> np.ndarray:
     """Columns of the (T, B) metric where a second candidate lies within
@@ -322,10 +311,9 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
     nearest g_s^H r / ||g_s||^2, with r the residual after the others;
     so only the others' tuples are enumerated and user s is sliced.
     Candidates are scored by the Gram form of ||y - sum_k x_k g_k||^2 -
-    ||y||^2, from G = g^H g and p = g^H y. A column whose runner-up lies
-    within the rounding margin of its best Gram metric is rescored by
-    the direct metric, so near-ties and exact ties decide as the direct
-    metric does: its first minimum, the smallest full tuple on a tie.
+    ||y||^2, from G = g^H g and p = g^H y. Candidates whose scores lie
+    within the rounding margin of the best are ties, and ties go to the
+    smallest full tuple.
     """
     _keep_freed_memory()
     tuples = joint_symbol_tuples(model, cap)
@@ -334,9 +322,6 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
     others = tuples[tuples[:, s] == 0]  # lexicographic over the others
     t_count = others.shape[0]
     n, b = y.shape
-    x = np.empty((t_count, model.k), dtype=complex)
-    for u_idx, u in enumerate(model.users):
-        x[:, u_idx] = u.constellation.points[others[:, u_idx]]
     # a full tuple's lexicographic rank: the others' part, plus user s's
     # index times its stride
     strides = np.cumprod([1] + sizes[:0:-1])[::-1]
@@ -355,7 +340,7 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
     gram = np.sum(g_conj[:, None] * g[enum], axis=2)
     c_s = model.users[s].constellation
     energy_s = np.abs(c_s.points) ** 2
-    # per column, S = ||y|| + sum_k ||g_k|| max|x_k| sets the near-tie margin
+    # per column, S = ||y|| + sum_k ||g_k|| max|x_k| sets the tie margin
     peak = np.array([np.abs(u.constellation.points).max() for u in model.users])
     reach = np.linalg.norm(y, axis=0) + peak @ np.linalg.norm(g, axis=1)
     margin = _TIE_MARGIN_PER_STEP * (n + 3 * model.k + 10) * reach ** 2
@@ -387,20 +372,13 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
         best = np.argmin(metric, axis=0)
         near = _near_ties(metric, best, margin[lo:hi])
         if near.size:
-            xb = np.empty((t_count, model.k, near.size), dtype=complex)
-            xb[:] = x[:, :, None]
-            xb[:, s] = c_s.points[sym[:, near]]
-            direct = _direct_metric(xb, g[:, :, lo + near], y[:, lo + near])
-            pick = np.argmin(direct, axis=0)
-            # equal metrics across candidates: keep the smallest full tuple
-            tied = np.flatnonzero(np.count_nonzero(
-                direct == direct[pick, np.arange(near.size)], axis=0) > 1)
-            if tied.size:
-                key = np.where(direct[:, tied] == direct[pick[tied], tied],
-                               rank[:, None] + sym[:, near[tied]] * strides[s],
-                               np.iinfo(np.int64).max)
-                pick[tied] = np.argmin(key, axis=0)
-            best[near] = pick
+            # every candidate within the margin of the best ties with it:
+            # keep the smallest full tuple
+            tied = metric[:, near] <= (metric[best[near], near]
+                                       + margin[lo + near])
+            key = np.where(tied, rank[:, None] + sym[:, near] * strides[s],
+                           np.iinfo(np.int64).max)
+            best[near] = np.argmin(key, axis=0)
         out[:, lo:hi] = others[best].T
         out[s, lo:hi] = sym[best, cols]
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -279,6 +280,40 @@ def brute_force_joint_ml(y, channels, powers, point_sets):
         if best_metric is None or metric < best_metric:
             best_metric, best = metric, combo
     return best
+
+
+def direct_metric(y, channels, powers, point_sets, tuples):
+    """||y - sum_k sqrt(P_k) h_k x_k||^2 of each column's candidates: y and
+    the channels are (n, B), tuples is (T, K, B) symbol indices. Returns
+    (T, B)."""
+    pred = sum(math.sqrt(p) * np.asarray(h)[None] * ps[idx][:, None]
+               for h, p, ps, idx in zip(channels, powers, point_sets,
+                                         np.moveaxis(tuples, 1, 0)))
+    return np.sum(np.abs(np.asarray(y)[None] - pred) ** 2, axis=1)
+
+
+def exact_joint_metrics(y, channels, powers, point_sets):
+    """The metric ||y - sum_k g_k x_k||^2 of every index tuple, in
+    lexicographic order, as exact fractions of the float inputs: y is
+    (n,), and g_k = sqrt(P_k) h_k is rounded as the detector rounds it."""
+    def parts(v):
+        return [(Fraction(float(z.real)), Fraction(float(z.imag))) for z in v]
+
+    ys = parts(np.asarray(y, dtype=complex))
+    gs = [parts(np.sqrt(p) * np.asarray(h)) for h, p in zip(channels, powers)]
+    xs = [parts(ps) for ps in point_sets]
+    out = []
+    for combo in itertools.product(*(range(len(ps)) for ps in point_sets)):
+        total = Fraction(0)
+        for a, (yr, yi) in enumerate(ys):
+            rr, ri = yr, yi
+            for g, x, idx in zip(gs, xs, combo):
+                (gr, gi), (xr, xi) = g[a], x[idx]
+                rr -= gr * xr - gi * xi
+                ri -= gr * xi + gi * xr
+            total += rr * rr + ri * ri
+        out.append(total)
+    return out
 
 
 def reference_sic(y, channels, powers, point_sets, order):

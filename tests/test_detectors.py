@@ -215,20 +215,6 @@ def assert_jmld_matches_oracle(model, y, chans):
     return got
 
 
-def count_direct_columns(monkeypatch):
-    """Patch the direct metric to count the columns it rescores; returns
-    the one-item list that holds the count."""
-    count = [0]
-    direct = detectors._direct_metric
-
-    def counting(x, g, y):
-        count[0] += y.shape[1]
-        return direct(x, g, y)
-
-    monkeypatch.setattr(detectors, "_direct_metric", counting)
-    return count
-
-
 # (alphabets, powers, n, columns): the sliced user (largest alphabet, the
 # last one on a tie) sits first, in the middle and last, and is a PAM on
 # either axis; 2,000+ columns
@@ -249,19 +235,12 @@ JMLD_SYSTEMS = [
                          ids=["16-8-4_n1", "4-16-8_n4", "8-8-16_n2",
                               "4-8-8_n2", "pam4x1-pam1x4_n1", "4-pam4x1_n4",
                               "16_n4", "4-4-8-4_n4", "16-4_n1"])
-def test_jmld_batch_matches_brute_force_oracle(monkeypatch, consts, powers,
-                                               n, cols):
+def test_jmld_batch_matches_brute_force_oracle(consts, powers, n, cols):
     rng = np.random.default_rng(sum(c.size for c in consts) * n + cols)
     model = make_model(powers, [1.0] * len(consts), consts, n=n,
                        noise_sigma=0.5)
     y, chans = random_batch(rng, model, cols)
-    got = assert_jmld_matches_oracle(model, y, chans)
-    # an infinite margin rescores every column by the direct metric, except
-    # with one user, whose one candidate per column has no runner-up
-    rescored = count_direct_columns(monkeypatch)
-    monkeypatch.setattr(detectors, "_TIE_MARGIN_PER_STEP", np.inf)
-    assert np.array_equal(jmld_detect_batch(model, y, chans), got)
-    assert rescored == [cols if len(consts) > 1 else 0]
+    assert_jmld_matches_oracle(model, y, chans)
 
 
 @pytest.mark.parametrize("mods", [(QPSK, QPSK, QPSK), (QAM16, QAM8, QAM8)],
@@ -272,26 +251,41 @@ def test_jmld_gram_rounding_stays_far_inside_the_margin(monkeypatch, mods):
     rng = np.random.default_rng(43)
     model = make_model([1e4] * 3, [10.0, 2.5, 0.625], mods, n=2)
     y, chans = random_batch(rng, model, 1000)
-    seen = {"gram": [], "margin": [], "direct": []}
-    near_ties, direct = detectors._near_ties, detectors._direct_metric
+    seen = {"gram": [], "margin": [], "sym": []}
+    near_ties, slice_ = detectors._near_ties, detectors._slice
 
-    def every_column(metric, best, margin):
+    def recording_ties(metric, best, margin):
         seen["gram"].append(metric)
         seen["margin"].append(margin)
-        assert near_ties(metric, best, margin).size == 0
-        return np.arange(metric.shape[1])
+        near = near_ties(metric, best, margin)
+        assert near.size == 0
+        return near
 
-    def recording(x, g, y):
-        seen["direct"].append(direct(x, g, y))
-        return seen["direct"][-1]
+    def recording_slice(c, z, gain):
+        seen["sym"].append(slice_(c, z, gain))
+        return seen["sym"][-1]
 
-    monkeypatch.setattr(detectors, "_near_ties", every_column)
-    monkeypatch.setattr(detectors, "_direct_metric", recording)
+    monkeypatch.setattr(detectors, "_near_ties", recording_ties)
+    monkeypatch.setattr(detectors, "_slice", recording_slice)
     jmld_detect_batch(model, y, chans)
-    gram, margin, direct = (np.concatenate(seen[k], axis=-1)
-                            for k in ("gram", "margin", "direct"))
+    gram, margin, sym = (np.concatenate(seen[k], axis=-1)
+                         for k in ("gram", "margin", "sym"))
+    # each candidate's full tuple: the enumerated users' tuple, in
+    # lexicographic order, with the sliced user (the last of the largest
+    # alphabet) at its per-column decision
+    sliced = 2 if mods[0] is QPSK else 0
+    full = joint_symbol_tuples(model)
+    others = full[full[:, sliced] == 0]
+    assert gram.shape == sym.shape == (len(others), 1000)
+    tuples = np.repeat(others[:, :, None], 1000, axis=2)
+    tuples[:, sliced] = sym
+    direct = oracles.direct_metric(y, chans, [u.power for u in model.users],
+                                   [u.constellation.points
+                                    for u in model.users], tuples)
     gap = np.abs(gram - (direct - np.sum(np.abs(y) ** 2, axis=0)))
-    assert np.all(1000 * gap.max(axis=0) <= margin)
+    # within d u S^2, a seventeenth of the margin: the two forms together
+    # round by less than one unit per step of the count
+    assert np.all(17 * gap.max(axis=0) <= margin)
 
 
 def test_jmld_batch_chunks_give_the_same_decisions():
@@ -364,10 +358,73 @@ def test_jmld_ties_across_tuples_keep_the_smallest_tuple(monkeypatch):
     # channel: integer points of the plane have several exact optima
     model = make_model([1.0, 4.0], [1.0, 1.0], [QAM16, QPSK], n=1)
     y = grid_columns(6)
-    rescored = count_direct_columns(monkeypatch)
+    tied = [0]
+    near_ties = detectors._near_ties
+
+    def counting(metric, best, margin):
+        near = near_ties(metric, best, margin)
+        tied[0] += near.size
+        return near
+
+    monkeypatch.setattr(detectors, "_near_ties", counting)
     assert_jmld_matches_oracle(model, y, [np.ones(y.shape, complex)] * 2)
-    # the exact ties reach the direct metric
-    assert 0 < rescored[0] < y.shape[1]
+    # the exact ties reach the tie rule
+    assert 0 < tied[0] < y.shape[1]
+
+
+@pytest.mark.parametrize("consts", [(QPSK,) * 3, (QAM16, QAM8, QAM8),
+                                    (QAM8, QAM8, QAM16)],
+                         ids=["4-4-4", "16-8-8", "8-8-16"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_jmld_exact_ties_on_float_channels_keep_the_smallest_tuple(consts, n):
+    # one random channel for every user at one power, and no noise: every
+    # tuple whose points sum to the sent sum fits y exactly, and only
+    # rounding tells the candidates' scores apart
+    rng = np.random.default_rng(59 + n)
+    b = 2000
+    model = make_model([1.0] * 3, [1.0] * 3, consts, n=n)
+    h = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
+    sym = [rng.integers(0, c.size, size=b) for c in consts]
+    y = superimpose(model, sym, [h] * 3, np.zeros((n, b), complex))
+    tuples = joint_symbol_tuples(model)
+    sums = sum(c.points[tuples[:, k]] for k, c in enumerate(consts))
+    sent = sum(c.points[s] for c, s in zip(consts, sym))
+    # the integer-grid sums are exact: the first tuple with the sent sum
+    smallest = tuples[np.argmax(sums[:, None] == sent, axis=0)].T
+    assert np.array_equal(jmld_detect_batch(model, y, [h] * 3), smallest)
+
+
+# (seed, columns) found by a seeded search over 2,000-column 16/8/8 batches
+# at N = 1 or 2 with each user's power drawn in -10..40 dB: in each column
+# a margin of 2^-40 per step hands the decision to a smaller tuple whose
+# exact metric is worse
+MARGIN_GUARD_DRAWS = [(5, [698]), (28, [868, 1294, 1795]), (141, [441])]
+
+
+@pytest.mark.parametrize("seed,cols", MARGIN_GUARD_DRAWS,
+                         ids=[str(seed) for seed, _ in MARGIN_GUARD_DRAWS])
+def test_jmld_margin_is_no_wider_than_the_rounding_bound(seed, cols):
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2]))
+    powers = 10.0 ** (rng.uniform(-10, 40, 3) / 10)
+    model = make_model(powers, [10.0, 2.5, 0.625], [QAM16, QAM8, QAM8], n=n)
+    y, chans = random_batch(rng, model, 2000)
+    y, chans = y[:, cols], [h[:, cols] for h in chans]
+    got = jmld_detect_batch(model, y, chans)
+    tuples = joint_symbol_tuples(model)
+    points = [u.constellation.points for u in model.users]
+    peak = [np.abs(pts).max() for pts in points]
+    for j in range(len(cols)):
+        col = [h[:, j] for h in chans]
+        metric = oracles.exact_joint_metrics(y[:, j], col, powers, points)
+        best = min(range(len(metric)), key=lambda t: (metric[t], t))
+        assert tuple(got[:, j]) == tuple(tuples[best])
+        # the guard: a smaller tuple lies within 2^-40 d S^2 of the best
+        reach = np.linalg.norm(y[:, j]) + sum(
+            np.linalg.norm(np.sqrt(p) * h) * m
+            for p, h, m in zip(powers, col, peak))
+        wide = 2.0 ** -40 * (n + 3 * 3 + 10) * reach ** 2
+        assert min(metric[:best]) - metric[best] < wide
 
 
 @pytest.mark.parametrize("zeroed", [0, 1], ids=["sliced", "enumerated"])

@@ -120,6 +120,21 @@ def test_study_scripts_reject_a_bad_config(tmp_path, monkeypatch, capsys,
     assert "config error: config.sweep.step_db" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("antennas", ["0", "-3"])
+def test_floor_study_rejects_a_bad_antenna_count(monkeypatch, capsys,
+                                                 antennas):
+    floor_study = load_script("floor_study")
+    config = SCRIPTS.parent / "configs" / "qpsk3_near_far.json"
+    monkeypatch.setattr(sys, "argv", [
+        "floor_study.py", "--config", str(config), "--antennas", "2",
+        antennas])
+    assert floor_study.main() == 2
+    captured = capsys.readouterr()
+    assert "config error: n_antennas must be a positive integer" in captured.err
+    # nothing is printed for the good count before the bad one
+    assert captured.out == ""
+
+
 def test_floor_study_prints_users_in_user_order(tmp_path, monkeypatch, capsys):
     from nomalab.cli import main as cli_main
 
