@@ -22,7 +22,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nomalab.analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers_grid
-from nomalab.config import build_model, load_config, sweep_grid
+from nomalab.config import build_model, check_ranges, load_config, sweep_grid
 from nomalab.detectors import SystemModel
 from nomalab.errors import ConfigError
 
@@ -47,8 +47,8 @@ def main() -> int:
 
     try:
         cfg = load_config(args.config)
-        models = [build_model(dataclasses.replace(
-            cfg, system=dataclasses.replace(cfg.system, n_antennas=n)))
+        models = [build_model(check_ranges(dataclasses.replace(
+            cfg, system=dataclasses.replace(cfg.system, n_antennas=n))))
             for n in args.antennas]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

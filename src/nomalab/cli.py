@@ -114,7 +114,11 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     warm = [u.power_db for u in cfg.system.users]
     limits = (cfg.analytic.prune_threshold, cfg.analytic.max_leaves)
     result = optimize_powers(model, cfg.poweralloc, warm, *limits)
-    baseline_cost = sum_ber_db_cost(model, warm, cfg.poweralloc.mode, *limits)
+    # start 0 is the warm start, costed as given unless p_max_db clipped it
+    if max(warm) <= cfg.poweralloc.p_max_db:
+        baseline_cost = result.initial_costs_db[0]
+    else:
+        baseline_cost = sum_ber_db_cost(model, warm, cfg.poweralloc.mode, *limits)
     payload = {
         "powers_db": list(result.powers_db),
         "cost_db": result.cost_db,

@@ -24,6 +24,10 @@ from .poweralloc import PaConfig
 
 _MOD_RE = re.compile(r"^(\d+)x(\d+)$")
 MAX_SWEEP_POINTS = 10_000  # sweep_grid's length at most
+# erlang_fade_average's largest coefficient, C(2n - 2, n - 1), passes the
+# float range from n = 516 on
+MAX_ANTENNAS = 515
+MAX_WORKERS = 64  # estimate_ber's threads, and batches per wave, at most
 
 
 @dataclass(frozen=True)
@@ -192,6 +196,8 @@ def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
     modes = ("auto", "exact", "approx")
     pa = cfg.poweralloc
     ranges = [
+        (cfg.system.n_antennas <= MAX_ANTENNAS, "system.n_antennas",
+         f"must be at most {MAX_ANTENNAS}"),
         (cfg.analytic.mode in modes, "analytic.mode",
          f"unknown mode {cfg.analytic.mode!r}"),
         (pa.mode in modes, "poweralloc.mode", f"unknown mode {pa.mode!r}"),
@@ -203,7 +209,8 @@ def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
          "sweep.step_db", f"must give at most {MAX_SWEEP_POINTS} sweep points"),
         (0 <= cfg.montecarlo.seed < 2**64, "montecarlo.seed",
          "must fit in an unsigned 64-bit integer"),
-        (cfg.montecarlo.workers >= 1, "montecarlo.workers", "must be at least 1"),
+        (1 <= cfg.montecarlo.workers <= MAX_WORKERS, "montecarlo.workers",
+         f"must lie in [1, {MAX_WORKERS}]"),
         (cfg.analytic.prune_threshold >= 0, "analytic.prune_threshold",
          "must be nonnegative"),
         (cfg.analytic.max_leaves >= 1, "analytic.max_leaves", "must be at least 1"),

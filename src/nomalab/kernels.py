@@ -30,8 +30,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from .channel import erlang_pdf
 from .constellation import Constellation
@@ -48,6 +46,8 @@ _TRIPLET_START = np.array([[1.0], [0.0], [0.0]])
 
 def q_exact(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
+    from scipy.special import erfc  # only the oracles pay scipy's import
+
     out = 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
     return out if out.ndim else float(out)
 
@@ -109,6 +109,8 @@ def erlang_fade_average(a, n: int):
 
 def erlang_fade_quadrature(a: float, n: int) -> float:
     """Adaptive-quadrature oracle for erlang_fade_average."""
+    from scipy.integrate import quad
+
     if not isinstance(n, int) or n < 1:
         raise ValueError("shape n must be a positive integer")
     if not a >= 0:
@@ -289,6 +291,8 @@ def cell_probability_closed(tx: complex, cell_i: int, cell_q: int,
 def cell_probability_quadrature(tx: complex, cell_i: int, cell_q: int,
                                 c: Constellation, gain: float, n: int) -> float:
     """Oracle for cell_probability_closed using the exact Q function."""
+    from scipy.integrate import quad
+
     _check_gain_n(gain, n)
     (u_lo, u_hi), (v_lo, v_hi) = _cell_offsets(c, complex(tx), cell_i, cell_q)
 

@@ -51,6 +51,8 @@ class PaResult:
     iterations: int
     trace: tuple[float, ...]
     at_bound: tuple[bool, ...]
+    # each start's cost before its first step, at the start clipped to p_max_db
+    initial_costs_db: tuple[float, ...] = ()
 
     @property
     def sum_ber(self) -> float:
@@ -172,10 +174,12 @@ def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),
     prune_threshold and max_leaves go to every sum_ber call."""
     best = None
     start_costs = []
+    initial_costs = []
     runs = _descend(model, np.array(_starts(model, cfg, warm_db)), cfg,
                     (prune_threshold, max_leaves))
     for s_idx, (p, cost, trace) in enumerate(runs):
         start_costs.append(cost)
+        initial_costs.append(trace[0])
         if math.isfinite(cost) and (best is None or cost < best[1]):
             best = (p, cost, s_idx, trace)
     if best is None:
@@ -190,4 +194,5 @@ def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),
         iterations=len(trace) - 1,
         trace=trace,
         at_bound=at_bound,
+        initial_costs_db=tuple(initial_costs),
     )

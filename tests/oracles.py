@@ -131,36 +131,57 @@ def pair_error_probability(tx_re, tx_im, ci, cq, bounds_i, bounds_q,
     return erlang_term_average(prod, n)
 
 
-def table_16qam(gain: float, n: int):
-    """All 64 (error distance, probability) pairs for a 16-QAM stage,
-    quarter prior over the first-quadrant transmit symbols."""
-    out = []
+def pair_error_probabilities(tx_re, tx_im, ci, cq, bounds_i, bounds_q,
+                             gains, n: int) -> np.ndarray:
+    """pair_error_probability at every entry of the array gains: the
+    same term products, whose rates scale with the gain. The rate-0
+    products are added exactly, as fsum adds them there, so the unit
+    constants from opposite tails still cancel exactly."""
+    lo_i = q_model_terms(bounds_i[ci] - tx_re, 1.0)
+    hi_i = [(-c, r) for c, r in q_model_terms(bounds_i[ci + 1] - tx_re, 1.0)]
+    lo_q = q_model_terms(bounds_q[cq] - tx_im, 1.0)
+    hi_q = [(-c, r) for c, r in q_model_terms(bounds_q[cq + 1] - tx_im, 1.0)]
+    prod = [(c1 * c2, r1 + r2)
+            for c1, r1 in lo_i + hi_i for c2, r2 in lo_q + hi_q]
+    const = math.fsum(c for c, r in prod if r == 0.0)
+    coefs = np.array([c for c, r in prod if r != 0.0])
+    rates = np.array([r for c, r in prod if r != 0.0])
+    g = np.asarray(gains, dtype=float)
+    return const + (1.0 + g[..., None] * rates) ** (-n) @ coefs
+
+
+def table_16qam(gains, n: int):
+    """The 64 error distances of a 16-QAM stage and, at each gain, their
+    probabilities, in gains.shape + (64,); quarter prior over the
+    first-quadrant transmit symbols."""
+    dists, probs = [], []
     for txr, txi in FIRST_QUAD_16:
         for ci in range(4):
             for cq in range(4):
-                pr = 0.25 * pair_error_probability(
-                    txr, txi, ci, cq, BOUNDS4, BOUNDS4, gain, n)
-                out.append((math.hypot(LEVELS4[ci] - txr, LEVELS4[cq] - txi), pr))
-    return out
+                probs.append(0.25 * pair_error_probabilities(
+                    txr, txi, ci, cq, BOUNDS4, BOUNDS4, gains, n))
+                dists.append(math.hypot(LEVELS4[ci] - txr, LEVELS4[cq] - txi))
+    return np.array(dists), np.stack(probs, axis=-1)
 
 
-def table_8qam(tx, gain: float, n: int):
-    """The 8 (error distance, probability) pairs for an 8-QAM stage whose
-    transmit symbol is pinned by its magnitude class."""
+def table_8qam(tx, gains, n: int):
+    """The 8 error distances of an 8-QAM stage whose transmit symbol is
+    pinned by its magnitude class and, at each gain, their probabilities,
+    in gains.shape + (8,)."""
     txr, txi = tx
-    out = []
+    dists, probs = [], []
     for ci in range(4):
         for cq in range(2):
-            pr = pair_error_probability(txr, txi, ci, cq, BOUNDS4, BOUNDS2,
-                                        gain, n)
-            out.append((math.hypot(LEVELS4[ci] - txr, LEVELS2[cq] - txi), pr))
-    return out
+            probs.append(pair_error_probabilities(
+                txr, txi, ci, cq, BOUNDS4, BOUNDS2, gains, n))
+            dists.append(math.hypot(LEVELS4[ci] - txr, LEVELS2[cq] - txi))
+    return np.array(dists), np.stack(probs, axis=-1)
 
 
-def eight_qam_conditional(mag_sq: float, g: float, n: int,
-                          fade=None) -> float:
-    """Class-conditional fading-averaged BER of a rectangular 8-QAM user."""
-    fade = fade or fade_average_series
+def eight_qam_conditional(mag_sq: float, g, n: int, fade=None):
+    """Class-conditional fading-averaged BER of a rectangular 8-QAM user,
+    elementwise over an array of gains g; fade must take arrays."""
+    fade = fade or np.vectorize(fade_average_series, otypes=[float])
     if mag_sq == 2.0:
         return (3.0 * fade(g, n) + fade(9.0 * g, n)) / 3.0
     return (2.0 * fade(g, n) + fade(9.0 * g, n) - fade(25.0 * g, n)) / 3.0
@@ -209,6 +230,10 @@ def ref_16_8_8_stage1(p, s, noise_var, n, fade=None) -> float:
     return out
 
 
+# The 16/8/8 stage-2 and stage-3 chains branch over every 16-QAM and
+# 8-QAM error distance; each level is one array over its branches, so
+# fade must take arrays.
+
 def ref_16_8_8_stage2(p, s, noise_var, n, fade=None) -> float:
     p1, p2, p3 = p
     s1, s2, s3 = s
@@ -216,10 +241,10 @@ def ref_16_8_8_stage2(p, s, noise_var, n, fade=None) -> float:
     for m2 in (2.0, 10.0):
         for m3 in (2.0, 10.0):
             sig1 = noise_var + m2 * p2 * s2 ** 2 + m3 * p3 * s3 ** 2
-            for d1, pr1 in table_16qam(2.0 * p1 * s1 ** 2 / sig1, n):
-                sig2 = noise_var + m3 * p3 * s3 ** 2 + d1 * d1 * p1 * s1 ** 2
-                out += 0.25 * pr1 * eight_qam_conditional(
-                    m2, 2.0 * p2 * s2 ** 2 / sig2, n, fade)
+            d1, pr1 = table_16qam(2.0 * p1 * s1 ** 2 / sig1, n)
+            sig2 = noise_var + m3 * p3 * s3 ** 2 + d1 * d1 * p1 * s1 ** 2
+            cond = eight_qam_conditional(m2, 2.0 * p2 * s2 ** 2 / sig2, n, fade)
+            out += 0.25 * float(np.sum(pr1 * cond))
     return out
 
 
@@ -231,13 +256,13 @@ def ref_16_8_8_stage3(p, s, noise_var, n, fade=None) -> float:
         tx2 = (1.0, 1.0) if m2 == 2.0 else (3.0, 1.0)
         for m3 in (2.0, 10.0):
             sig1 = noise_var + m2 * p2 * s2 ** 2 + m3 * p3 * s3 ** 2
-            for d1, pr1 in table_16qam(2.0 * p1 * s1 ** 2 / sig1, n):
-                sig2 = noise_var + m3 * p3 * s3 ** 2 + d1 * d1 * p1 * s1 ** 2
-                for d2, pr2 in table_8qam(tx2, 2.0 * p2 * s2 ** 2 / sig2, n):
-                    sig3 = (noise_var + d1 * d1 * p1 * s1 ** 2
-                            + d2 * d2 * p2 * s2 ** 2)
-                    out += 0.25 * pr1 * pr2 * eight_qam_conditional(
-                        m3, 2.0 * p3 * s3 ** 2 / sig3, n, fade)
+            d1, pr1 = table_16qam(2.0 * p1 * s1 ** 2 / sig1, n)
+            sig2 = noise_var + m3 * p3 * s3 ** 2 + d1 * d1 * p1 * s1 ** 2
+            d2, pr2 = table_8qam(tx2, 2.0 * p2 * s2 ** 2 / sig2, n)
+            sig3 = (noise_var + (d1 * d1 * p1 * s1 ** 2)[:, None]
+                    + d2 * d2 * p2 * s2 ** 2)
+            cond = eight_qam_conditional(m3, 2.0 * p3 * s3 ** 2 / sig3, n, fade)
+            out += 0.25 * float(np.sum(pr1[:, None] * pr2 * cond))
     return out
 
 

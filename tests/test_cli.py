@@ -2,12 +2,19 @@
 byte-level reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nomalab
 from nomalab.analytic import sum_ber
 from nomalab.cli import CSV_HEADER, CSV_SCHEMA, main
-from nomalab.config import build_model, load_config
+from nomalab.config import MAX_ANTENNAS, MAX_WORKERS, build_model, load_config
+from nomalab.kernels import erlang_fade_quadrature
+from nomalab.poweralloc import sum_ber_db_cost
 
 BASE = {
     "system": {
@@ -118,6 +125,36 @@ def test_optimize_writes_result_json(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()[2:]
     assert {r.split(",")[2] for r in rows} == {"analytic_before",
                                                "analytic_after"}
+
+
+@pytest.mark.parametrize("power_db,baseline_walks", [(0.0, 0), (24.0, 1)],
+                         ids=["within_cap", "clipped"])
+def test_optimize_baseline_costs_the_configured_powers(
+        tmp_path, monkeypatch, power_db, baseline_walks):
+    # the baseline is the warm start's first cost unless p_max_db clips
+    # that start; then it takes a walk of its own at the configured powers
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return sum_ber_db_cost(*args)
+
+    monkeypatch.setattr("nomalab.cli.sum_ber_db_cost", counted)
+    data = json.loads(json.dumps(BASE))
+    for user in data["system"]["users"]:
+        user["power_db"] = power_db
+    data["poweralloc"] = {"p_max_db": 16.0, "max_iters": 5}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    assert len(walks) == baseline_walks
+    pa = json.loads((out / "pa_result.json").read_text())
+    model = build_model(load_config(cfg))
+    assert pa["baseline"]["powers_db"] == [power_db, power_db]
+    assert pa["baseline"]["cost_db"] == sum_ber_db_cost(
+        model, [power_db, power_db])
+    clipped = sum_ber_db_cost(model, [min(power_db, 16.0)] * 2)
+    assert (pa["baseline"]["cost_db"] == clipped) == (power_db <= 16.0)
 
 
 def test_optimize_honours_analytic_prune_and_leaf_limits(tmp_path):
@@ -270,6 +307,68 @@ def test_oversized_sweep_is_a_config_error(tmp_path, capsys, monkeypatch, sweep)
     cfg = write_config(tmp_path, data)
     assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: config.sweep.step_db" in capsys.readouterr().err
+
+
+def test_antenna_count_past_the_cap_is_a_config_error(tmp_path, capsys):
+    # 1,000,000 antennas once overflowed erlang_fade_average with a traceback
+    for n in (MAX_ANTENNAS + 1, 1_000_000):
+        data = json.loads(json.dumps(BASE))
+        data["system"]["n_antennas"] = n
+        cfg = write_config(tmp_path, data)
+        assert main(["analytic", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 2
+        assert ("config error: config.system.n_antennas"
+                in capsys.readouterr().err)
+
+
+def test_worker_count_past_the_cap_is_a_config_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # a billion workers once grew memory without limit; no pool starts here
+    def unreachable(*args):
+        raise AssertionError("sweep called with an over-cap worker count")
+
+    monkeypatch.setattr("nomalab.cli.sweep", unreachable)
+    data = json.loads(json.dumps(BASE))
+    data["montecarlo"]["workers"] = 10**9
+    cfg = write_config(tmp_path, data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error: config.montecarlo.workers" in capsys.readouterr().err
+    assert MAX_WORKERS < 10**9
+
+
+NO_SCIPY_CHILD = """
+import json, sys
+from nomalab.cli import main
+from nomalab.kernels import erlang_fade_quadrature
+
+cfg, out = sys.argv[1:]
+codes = [main([command, "--config", cfg, "--out", f"{out}/{command}"])
+         for command in ("analytic", "optimize", "simulate")]
+before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+value = erlang_fade_quadrature(3.0, 2)
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.integrate" in sys.modules,
+                  "value": value.hex()}))
+"""
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    # scipy loads only where a quadrature oracle runs
+    data = json.loads(json.dumps(BASE))
+    data["montecarlo"].update(max_symbols=4_000, batch_size=2_000)
+    data["poweralloc"] = {"p_max_db": 16.0, "max_iters": 5}
+    cfg = write_config(tmp_path, data)
+    src = str(Path(nomalab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, cfg,
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          check=True)
+    child = json.loads(proc.stdout.splitlines()[-1])
+    assert child["codes"] == [0, 0, 0]
+    assert child["before"] == []
+    assert child["after"]
+    assert child["value"] == erlang_fade_quadrature(3.0, 2).hex()
 
 
 def test_capacity_error_exit_code(tmp_path, capsys):

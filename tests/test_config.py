@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+from nomalab.kernels import erlang_fade_average
 from nomalab.config import (
+    MAX_ANTENNAS,
     MAX_SWEEP_POINTS,
+    MAX_WORKERS,
     RunConfig,
     SweepConfig,
     build_model,
@@ -131,6 +134,34 @@ def test_sweep_point_count_is_capped():
             check_ranges(dataclasses.replace(at_cap, sweep=sweep))
         with pytest.raises(ConfigError, match=r"sweep\.step_db"):
             parse_config(dict(MINIMAL, sweep=dataclasses.asdict(sweep)))
+
+
+def test_antenna_count_is_capped_where_the_fade_average_ends():
+    # the cap is the largest shape erlang_fade_average can evaluate
+    assert 0.0 < erlang_fade_average(1e-3, MAX_ANTENNAS) < 0.5
+    with pytest.raises(OverflowError):
+        erlang_fade_average(1e-3, MAX_ANTENNAS + 1)
+    system = dict(MINIMAL["system"], n_antennas=MAX_ANTENNAS)
+    at_cap = parse_config(dict(MINIMAL, system=system))
+    assert build_model(at_cap).n_antennas == MAX_ANTENNAS
+    for n in (MAX_ANTENNAS + 1, 1_000_000):
+        system = dict(MINIMAL["system"], n_antennas=n)
+        with pytest.raises(ConfigError,
+                           match=rf"config\.system\.n_antennas: .*{MAX_ANTENNAS}"):
+            parse_config(dict(MINIMAL, system=system))
+
+
+def test_worker_count_is_capped():
+    # checked without starting a pool: estimate_ber would start this many
+    # threads per wave
+    at_cap = parse_config(dict(MINIMAL, montecarlo={"workers": MAX_WORKERS}))
+    assert at_cap.montecarlo.workers == MAX_WORKERS
+    for workers in (0, MAX_WORKERS + 1, 10**9):
+        with pytest.raises(ConfigError, match=r"config\.montecarlo\.workers"):
+            parse_config(dict(MINIMAL, montecarlo={"workers": workers}))
+        with pytest.raises(ConfigError, match=r"config\.montecarlo\.workers"):
+            check_ranges(dataclasses.replace(at_cap, montecarlo=dataclasses.replace(
+                at_cap.montecarlo, workers=workers)))
 
 
 def test_build_model_converts_db_and_ranks():

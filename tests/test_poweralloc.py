@@ -167,7 +167,8 @@ def best_of(runs, cfg) -> PaResult:
     return PaResult(powers_db=tuple(float(v) for v in p), cost_db=cost,
                     start_index=s_idx, start_costs_db=tuple(costs),
                     iterations=len(trace) - 1, trace=trace,
-                    at_bound=tuple(bool(v >= cfg.p_max_db - 1e-9) for v in p))
+                    at_bound=tuple(bool(v >= cfg.p_max_db - 1e-9) for v in p),
+                    initial_costs_db=tuple(run[2][0] for run in runs))
 
 
 def stops(runs):

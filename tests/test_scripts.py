@@ -106,6 +106,20 @@ def test_detector_gap_rejects_a_bad_symbol_count(monkeypatch, capsys, symbols):
     assert "config error: config.montecarlo" in capsys.readouterr().err
 
 
+def test_detector_gap_rejects_a_worker_count_past_the_cap(monkeypatch, capsys):
+    detector_gap = load_script("detector_gap")
+
+    def unreachable(*args):
+        raise AssertionError("sweep called with an over-cap worker count")
+
+    monkeypatch.setattr(detector_gap, "sweep", unreachable)
+    config = SCRIPTS.parent / "configs" / "qpsk3_near_far.json"
+    monkeypatch.setattr(sys, "argv", [
+        "detector_gap.py", "--config", str(config), "--workers", "1000000000"])
+    assert detector_gap.main() == 2
+    assert "config error: config.montecarlo.workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("script", ["floor_study", "pa_study"])
 def test_study_scripts_reject_a_bad_config(tmp_path, monkeypatch, capsys,
                                            script):
@@ -132,6 +146,19 @@ def test_floor_study_rejects_a_bad_antenna_count(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert "config error: n_antennas must be a positive integer" in captured.err
     # nothing is printed for the good count before the bad one
+    assert captured.out == ""
+
+
+def test_floor_study_rejects_an_antenna_count_past_the_cap(monkeypatch,
+                                                          capsys):
+    floor_study = load_script("floor_study")
+    config = SCRIPTS.parent / "configs" / "qpsk3_near_far.json"
+    monkeypatch.setattr(sys, "argv", [
+        "floor_study.py", "--config", str(config), "--antennas", "2",
+        "1000000"])
+    assert floor_study.main() == 2
+    captured = capsys.readouterr()
+    assert "config error: config.system.n_antennas" in captured.err
     assert captured.out == ""
 
 
