@@ -52,7 +52,7 @@ class PaResult:
     trace: tuple[float, ...]
     at_bound: tuple[bool, ...]
     # each start's cost before its first step, at the start clipped to p_max_db
-    initial_costs_db: tuple[float, ...] = ()
+    initial_costs_db: tuple[float, ...]
 
     @property
     def sum_ber(self) -> float:

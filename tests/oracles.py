@@ -134,20 +134,23 @@ def pair_error_probability(tx_re, tx_im, ci, cq, bounds_i, bounds_q,
 def pair_error_probabilities(tx_re, tx_im, ci, cq, bounds_i, bounds_q,
                              gains, n: int) -> np.ndarray:
     """pair_error_probability at every entry of the array gains: the
-    same term products, whose rates scale with the gain. The rate-0
-    products are added exactly, as fsum adds them there, so the unit
-    constants from opposite tails still cancel exactly."""
+    same term products, whose rates scale with the gain. Products that
+    share a rate are merged first, their coefficients added exactly, so
+    equal and opposite terms (the unit constants of opposite tails
+    among them) still cancel exactly, as under fsum."""
     lo_i = q_model_terms(bounds_i[ci] - tx_re, 1.0)
     hi_i = [(-c, r) for c, r in q_model_terms(bounds_i[ci + 1] - tx_re, 1.0)]
     lo_q = q_model_terms(bounds_q[cq] - tx_im, 1.0)
     hi_q = [(-c, r) for c, r in q_model_terms(bounds_q[cq + 1] - tx_im, 1.0)]
-    prod = [(c1 * c2, r1 + r2)
-            for c1, r1 in lo_i + hi_i for c2, r2 in lo_q + hi_q]
-    const = math.fsum(c for c, r in prod if r == 0.0)
-    coefs = np.array([c for c, r in prod if r != 0.0])
-    rates = np.array([r for c, r in prod if r != 0.0])
+    by_rate = {}
+    for c1, r1 in lo_i + hi_i:
+        for c2, r2 in lo_q + hi_q:
+            by_rate.setdefault(r1 + r2, []).append(c1 * c2)
+    merged = [(math.fsum(cs), r) for r, cs in by_rate.items()]
+    coefs = np.array([c for c, r in merged if c != 0.0])
+    rates = np.array([r for c, r in merged if c != 0.0])
     g = np.asarray(gains, dtype=float)
-    return const + (1.0 + g[..., None] * rates) ** (-n) @ coefs
+    return (1.0 + g[..., None] * rates) ** (-n) @ coefs
 
 
 def table_16qam(gains, n: int):

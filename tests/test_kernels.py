@@ -215,6 +215,11 @@ def test_cell_probability_matches_bracket_oracle():
                         got = cell_probability_closed(tx, ci, cq, c, gain, n)
                         assert got == table[ci, cq]
                         assert got == pytest.approx(ref, rel=1e-11, abs=1e-250)
+                        # the array form the 16/8/8 chain oracles use
+                        (vec,) = oracles.pair_error_probabilities(
+                            tx.real, tx.imag, ci, cq, bounds_i, bounds_q,
+                            [gain], n)
+                        assert vec == pytest.approx(ref, rel=1e-11, abs=1e-250)
 
 
 def test_cell_probability_vs_exact_q_stays_in_model_error_band():
