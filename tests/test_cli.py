@@ -12,7 +12,7 @@ import pytest
 import nomalab
 from nomalab.analytic import sum_ber
 from nomalab.cli import CSV_HEADER, CSV_SCHEMA, main
-from nomalab.config import MAX_ANTENNAS, MAX_WORKERS, build_model, load_config
+from nomalab.config import MAX_ANTENNAS, build_model, load_config
 from nomalab.kernels import erlang_fade_quadrature
 from nomalab.poweralloc import sum_ber_db_cost
 
@@ -333,7 +333,6 @@ def test_worker_count_past_the_cap_is_a_config_error(tmp_path, capsys,
     cfg = write_config(tmp_path, data)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error: config.montecarlo.workers" in capsys.readouterr().err
-    assert MAX_WORKERS < 10**9
 
 
 NO_SCIPY_CHILD = """
@@ -359,7 +358,8 @@ def test_commands_run_without_importing_scipy(tmp_path):
     data["poweralloc"] = {"p_max_db": 16.0, "max_iters": 5}
     cfg = write_config(tmp_path, data)
     src = str(Path(nomalab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY_CHILD, cfg,
                            str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120,

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from nomalab.kernels import erlang_fade_average
 from nomalab.config import (
     MAX_ANTENNAS,
     MAX_SWEEP_POINTS,
@@ -21,6 +20,7 @@ from nomalab.config import (
     to_dict,
 )
 from nomalab.errors import ConfigError
+from nomalab.kernels import erlang_fade_average
 
 MINIMAL = {
     "system": {
