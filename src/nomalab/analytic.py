@@ -387,18 +387,11 @@ def stage_bers(model: SystemModel, mode: str = "auto",
 
 def ber_user_qam(model: SystemModel, k: int, mode: str = "exact",
                  prune_threshold: float = DEFAULT_PRUNE,
-                 max_leaves: int = DEFAULT_MAX_LEAVES,
-                 return_dropped: bool = False):
-    """Average BER of stage k, any rectangular alphabets.
-
-    With return_dropped, also returns the probability mass pruned before
-    stage k; it bounds the truncation error from above (each dropped
-    leaf's conditional BER is at most 1).
-    """
+                 max_leaves: int = DEFAULT_MAX_LEAVES) -> float:
+    """Average BER of stage k, any rectangular alphabets."""
     powers = np.array([[u.power for u in model.stage_profiles()]])
-    bers, dropped = _walk(model, powers, mode, prune_threshold, max_leaves, k)
-    ber = float(bers[0, -1])
-    return (ber, float(dropped[0])) if return_dropped else ber
+    bers, _ = _walk(model, powers, mode, prune_threshold, max_leaves, k)
+    return float(bers[0, -1])
 
 
 def ber_user_qpsk(model: SystemModel, k: int) -> float:

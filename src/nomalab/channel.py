@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CHILD_SPAN = 1 << 20
+CHILD_SPAN = 1 << 20  # sub-streams (batches) per stream
 _MASK64 = (1 << 64) - 1
 
 
@@ -32,9 +32,9 @@ class StreamKey:
 
     def child(self, index: int) -> "StreamKey":
         """Derived key for a numbered sub-stream (batch), index < 2^20."""
-        if not 0 <= index < _CHILD_SPAN:
-            raise ValueError(f"child index {index} outside [0, {_CHILD_SPAN})")
-        return StreamKey(self.seed, self.stream * _CHILD_SPAN + index)
+        if not 0 <= index < CHILD_SPAN:
+            raise ValueError(f"child index {index} outside [0, {CHILD_SPAN})")
+        return StreamKey(self.seed, self.stream * CHILD_SPAN + index)
 
 
 def generator(key: StreamKey) -> np.random.Generator:

@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass
 
 from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE
+from .channel import CHILD_SPAN
 from .constellation import build_rect_qam
 from .detectors import SystemModel, UserProfile
 from .errors import ConfigError
@@ -230,9 +231,12 @@ def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
         if not ok:
             raise ConfigError(f"{path}.{key}: {rule}")
     try:
-        cfg.montecarlo.stop_rule()
+        stop = cfg.montecarlo.stop_rule()
     except ValueError as exc:
         raise ConfigError(f"{path}.montecarlo: {exc}") from exc
+    if -(-stop.max_symbols // stop.batch_size) > CHILD_SPAN:
+        raise ConfigError(f"{path}.montecarlo.max_symbols: must fill at most "
+                          f"{CHILD_SPAN} batches of batch_size")
     return cfg
 
 

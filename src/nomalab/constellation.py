@@ -157,19 +157,6 @@ def _check_index(c: Constellation, index: int) -> int:
     return idx
 
 
-def map_bits(c: Constellation, bits) -> complex:
-    """Map a bit word (sequence of 0/1) to its constellation point."""
-    word = list(bits)
-    if len(word) != c.bits_per_symbol:
-        raise ValueError(f"expected {c.bits_per_symbol} bits, got {len(word)}")
-    index = 0
-    for b in word:
-        if b not in (0, 1):
-            raise ValueError(f"bit word must be 0/1 valued, got {b!r}")
-        index = (index << 1) | int(b)
-    return complex(c.points[index])
-
-
 def symbol_class(c: Constellation, index: int) -> str:
     """Geometric class of a symbol: 'interior', 'edge', or 'corner'.
 

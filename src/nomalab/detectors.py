@@ -156,13 +156,6 @@ class SystemModel:
         return [[u.power * f for u in self.users] for f in factors]
 
 
-@dataclass(frozen=True)
-class DetectionResult:
-    """Hard decisions in user-index order."""
-
-    symbols: np.ndarray
-
-
 def _check_vectors(model: SystemModel, y: np.ndarray, channels) -> list[np.ndarray]:
     """Channels as arrays; each must have y's shape, (n,) or (n, B)."""
     chans = [np.asarray(h) for h in channels]
@@ -205,37 +198,37 @@ def superimpose(model: SystemModel, symbols, channels, noise) -> np.ndarray:
     return y
 
 
-def mrc_sic_detect(model: SystemModel, y, channels) -> DetectionResult:
-    """Successive detection in sic_rank order with MRC at each stage."""
-    return DetectionResult(
-        sic_detect_batch(model, *_batch_of_one(model, y, channels))[:, 0])
+def mrc_sic_detect(model: SystemModel, y, channels) -> np.ndarray:
+    """Successive detection in sic_rank order with MRC at each stage:
+    (K,) symbol indices in user order."""
+    return sic_detect_batch(model, *_batch_of_one(model, y, channels))[:, 0]
 
 
-def joint_symbol_tuples(model: SystemModel, cap: int = JMLD_DEFAULT_CAP) -> np.ndarray:
-    """(T, K) array of all joint symbol-index tuples, lexicographic order."""
+def joint_symbol_tuples(model: SystemModel) -> np.ndarray:
+    """(T, K) array of all joint symbol-index tuples, lexicographic order;
+    CapacityError past JMLD_DEFAULT_CAP tuples."""
     sizes = [u.constellation.size for u in model.users]
     total = 1
     for m in sizes:
         total *= m
-        if total > cap:
+        if total > JMLD_DEFAULT_CAP:
             raise CapacityError(
-                f"joint search space {'x'.join(map(str, sizes))} exceeds cap {cap}")
+                f"joint search space {'x'.join(map(str, sizes))} exceeds cap "
+                f"{JMLD_DEFAULT_CAP}")
     return np.array(list(itertools.product(*(range(m) for m in sizes))), dtype=np.int64)
 
 
-def jmld_detect(model: SystemModel, y, channels,
-                cap: int = JMLD_DEFAULT_CAP) -> DetectionResult:
-    """Joint maximum-likelihood detection.
+def jmld_detect(model: SystemModel, y, channels) -> np.ndarray:
+    """Joint maximum-likelihood detection: (K,) symbol indices in user order.
 
     Minimizes ||y - sum_k sqrt(P_k) h_k x_k||^2 over the product alphabet
     by enumerating every user but the largest-alphabet one (the last such
     user on a tie) and slicing that user given the others. Candidates
     whose metrics agree within the proven rounding bound are ties, and
     ties resolve to the lexicographically smallest index tuple. Raises
-    CapacityError when the full product exceeds cap.
+    CapacityError when the full product exceeds JMLD_DEFAULT_CAP.
     """
-    return DetectionResult(
-        jmld_detect_batch(model, *_batch_of_one(model, y, channels), cap=cap)[:, 0])
+    return jmld_detect_batch(model, *_batch_of_one(model, y, channels))[:, 0]
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +296,7 @@ def _near_ties(metric: np.ndarray, best: np.ndarray,
     return np.flatnonzero(np.count_nonzero(near, axis=0) > 1)
 
 
-def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
-                      cap: int = JMLD_DEFAULT_CAP) -> np.ndarray:
+def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     """Vectorized joint ML over a batch: y is (n, B). Returns (K, B).
 
     Given the other users, the best symbol of user s is the grid point
@@ -316,7 +308,7 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels,
     smallest full tuple.
     """
     _keep_freed_memory()
-    tuples = joint_symbol_tuples(model, cap)
+    tuples = joint_symbol_tuples(model)
     sizes = [u.constellation.size for u in model.users]
     s = max(range(model.k), key=lambda k: (sizes[k], k))
     others = tuples[tuples[:, s] == 0]  # lexicographic over the others

@@ -35,6 +35,7 @@ from .channel import erlang_pdf
 from .constellation import Constellation
 
 BRACKET_FLOATS = 1 << 20  # bracket tensor size per sep_probabilities chunk
+_TINY = np.finfo(float).tiny  # the smallest normal float
 _TRIPLET_NUM = np.array([[1.0], [2.0], [3.0], [6.0], [3.0]])
 _TRIPLET_SLOPE = np.array([[1.0], [1.0], [2.0], [7.0], [4.0]])
 # divisor of base j in (p_same, p_adj, p_diag); inf leaves the base out
@@ -100,7 +101,15 @@ def erlang_fade_average(a, n: int):
     for k in range(1, n):
         acc = acc + float(math.comb(n - 1 + k, k)) * qk
         qk = qk * q
-    out = p**n * acc
+    pn = p**n
+    out = pn * acc
+    low = pn < _TINY
+    if low.any():
+        # p**n has left the normal range, losing digits or all of them
+        # before acc multiplies it back: take that product in logs
+        acc = np.broadcast_to(acc, p.shape)[low]
+        with np.errstate(divide="ignore"):  # p == 0 past a ~ 1e308
+            out[low] = np.exp(n * np.log(p[low]) + np.log(acc))
     if at_inf is not None:
         out[at_inf] = 0.0
     out = out.reshape(shape)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DEFAULT_MAX_LEAVES, DEFAULT_PRUNE, stage_bers_grid
 from .channel import StreamKey, generator, sample_channel, sample_noise
 from .constellation import hamming_table
 from .detectors import (SystemModel, jmld_detect_batch, sic_detect_batch,
@@ -88,13 +87,15 @@ def estimate_ber(model: SystemModel, detector: str = "sic",
                  workers: int = 1) -> BerEstimate:
     """Estimate per-user BER by batched simulation.
 
-    Batches are dispatched in waves of `workers` and folded in batch
-    order; batches past the stopping point are discarded, so the result
-    does not depend on the worker count.
+    Batches are dispatched in waves of `workers`, none past the one that
+    reaches max_symbols, and folded in batch order; batches past the
+    stopping point are discarded, so the result does not depend on the
+    worker count.
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
     workers = max(1, int(workers))
+    last_batch = -(-stop.max_symbols // stop.batch_size)
     errors = np.zeros(model.k, dtype=np.int64)
     symbols = 0
     next_batch = 0
@@ -104,8 +105,8 @@ def estimate_ber(model: SystemModel, detector: str = "sic",
             wave = [
                 pool.submit(_run_batch, model, detector, stop.batch_size,
                             key.child(next_batch + i))
-                for i in range(workers)]
-            next_batch += workers
+                for i in range(min(workers, last_batch - next_batch))]
+            next_batch += len(wave)
             for fut in wave:
                 batch_err = fut.result()
                 if done:
@@ -174,18 +175,17 @@ class ValidationReport:
         return sum(1 for c in self.checks if not c.skipped and not c.passed)
 
 
-def compare_analytic(model: SystemModel, curve: BerCurve,
-                     policy: TolerancePolicy = TolerancePolicy(),
-                     mode: str = "auto", prune_threshold: float = DEFAULT_PRUNE,
-                     max_leaves: int = DEFAULT_MAX_LEAVES) -> ValidationReport:
-    """Check a simulated curve against the closed-form predictions."""
+def compare_analytic(curve: BerCurve, analytic,
+                     policy: TolerancePolicy = TolerancePolicy()) -> ValidationReport:
+    """Check a simulated curve against closed-form predictions.
+
+    analytic holds one row per curve point, one BER per user in user
+    order, as results.csv's analytic rows do.
+    """
     checks = []
-    order = model.decode_order()
-    grid_bers = stage_bers_grid(model, model.scaled_powers(curve.offsets_db),
-                                mode, prune_threshold, max_leaves)
-    for off, est, bers in zip(curve.offsets_db, curve.points, grid_bers.tolist()):
-        for u_idx in range(model.k):
-            ana = float(bers[order.index(u_idx)])
+    for off, est, bers in zip(curve.offsets_db, curve.points, analytic):
+        for u_idx, ana in enumerate(bers):
+            ana = float(ana)
             sim = float(est.ber[u_idx])
             ci = float(est.ci_halfwidth[u_idx])
             tol = max(policy.k_ci * ci, policy.rel_tol * ana)

@@ -22,6 +22,7 @@ from nomalab.analytic import (
     ber_user_qpsk,
     class_assignments,
     sep_table_user,
+    stage_bers_grid,
     sum_ber,
 )
 from nomalab.channel import StreamKey
@@ -231,7 +232,9 @@ def test_criterion_05_monte_carlo_matches_analytic_qpsk():
         model = qpsk_near_far(k, n)
         curve = sweep(model, grid, "sic", stop,
                       StreamKey(55, 100 * cfg_idx), workers=MC_WORKERS)
-        report = compare_analytic(model, curve, policy)
+        # default SIC ranks: stage order is user order
+        analytic = stage_bers_grid(model, model.scaled_powers(grid))
+        report = compare_analytic(curve, analytic, policy)
         checked += report.n_checked
         for c in report.checks:
             if not c.skipped and not c.passed:

@@ -9,7 +9,9 @@ import pytest
 import oracles
 from nomalab.analytic import (
     AUTO_APPROX_ORDER,
+    DEFAULT_MAX_LEAVES,
     TreeBranch,
+    _walk,
     _admissible_tx,
     _resolve_mode,
     _sep_table,
@@ -42,6 +44,14 @@ def make_model(powers, sigmas, consts, n=2, noise_sigma=1.0, ranks=None):
     users = tuple(UserProfile(p, s, c, r)
                   for p, s, c, r in zip(powers, sigmas, consts, ranks))
     return SystemModel(n, noise_sigma, users)
+
+
+def pruned_and_dropped(m, k, mode, prune_threshold):
+    """Stage k's BER and the probability mass pruned before it, from one
+    walk at the model's powers."""
+    powers = np.array([[u.power for u in m.stage_profiles()]])
+    bers, dropped = _walk(m, powers, mode, prune_threshold, DEFAULT_MAX_LEAVES, k)
+    return float(bers[0, -1]), float(dropped[0])
 
 
 def random_draw(rng, k, n_max=4):
@@ -214,8 +224,7 @@ def test_compiled_qpsk_table_is_the_triplet():
 def test_all_qpsk_honours_prune_and_leaf_limits():
     m = make_model([100.0, 10.0, 1.0], [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
     exact = ber_user(m, 3, prune_threshold=0.0)
-    pruned, dropped = ber_user_qam(m, 3, prune_threshold=1e-3,
-                                   return_dropped=True)
+    pruned, dropped = pruned_and_dropped(m, 3, "exact", 1e-3)
     assert ber_user(m, 3, prune_threshold=1e-3) == pruned
     assert sum_ber(m, prune_threshold=1e-3) < sum_ber(m, prune_threshold=0.0)
     assert dropped > 0.0
@@ -315,14 +324,14 @@ def test_prune_mass_bounds_truncation_error():
     m = make_model([400.0, 20.0, 1.0], [3.0, 1.0, 0.5],
                    [QAM16, QAM8, QAM8], n=2)
     exact = ber_user_qam(m, 3, "exact", prune_threshold=0.0)
-    pruned, dropped = ber_user_qam(m, 3, "exact", prune_threshold=1e-6,
-                                   return_dropped=True)
+    pruned, dropped = pruned_and_dropped(m, 3, "exact", 1e-6)
+    assert ber_user_qam(m, 3, "exact", prune_threshold=1e-6) == pruned
     assert dropped > 0.0
     assert pruned <= exact * (1.0 + 1e-12)
     assert exact <= pruned + dropped + 1e-15
     # every class assignment (prior 1/4) pruned: nothing walked, all dropped
-    assert ber_user_qam(m, 3, "exact", prune_threshold=0.3,
-                        return_dropped=True) == (0.0, 1.0)
+    assert pruned_and_dropped(m, 3, "exact", 0.3) == (0.0, 1.0)
+    assert ber_user_qam(m, 3, "exact", prune_threshold=0.3) == 0.0
 
 
 def test_max_leaves_guard():

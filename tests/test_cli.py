@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import nomalab
-from nomalab.analytic import sum_ber
-from nomalab.cli import CSV_HEADER, CSV_SCHEMA, main
+from nomalab.analytic import DEFAULT_MAX_LEAVES, stage_bers_grid, sum_ber
+from nomalab.channel import CHILD_SPAN
+from nomalab.cli import CSV_HEADER, CSV_SCHEMA, _build_parser, main
 from nomalab.config import MAX_ANTENNAS, build_model, load_config
 from nomalab.kernels import erlang_fade_quadrature
 from nomalab.poweralloc import sum_ber_db_cost
@@ -195,7 +196,8 @@ def test_validate_passes_on_calibrated_config(tmp_path):
     assert report["detector"] == "sic"
 
 
-def test_validate_mixed_order_report_honours_analytic_settings(tmp_path):
+def test_validate_mixed_order_report_honours_analytic_settings(tmp_path,
+                                                              monkeypatch):
     data = json.loads(json.dumps(BASE))
     data["system"]["users"] = [
         {"power_db": 0.0, "sigma": 10.0, "modulation": "4x4"},
@@ -206,13 +208,81 @@ def test_validate_mixed_order_report_honours_analytic_settings(tmp_path):
     data["analytic"] = {"mode": "exact", "prune_threshold": 1e-3}
     cfg = write_config(tmp_path, data)
     out = tmp_path / "out"
+    # one walk over the grid serves both the report and results.csv
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return stage_bers_grid(*args)
+
+    monkeypatch.setattr("nomalab.cli.stage_bers_grid", counted)
     assert main(["validate", "--config", cfg, "--out", str(out)]) in (0, 1)
+    assert len(walks) == 1
+    assert walks[0][2:] == ("exact", 1e-3, DEFAULT_MAX_LEAVES)
     report = json.loads((out / "validate_report.json").read_text())
     rows = [r.split(",") for r in read_csv(out).decode().splitlines()[2:]]
-    csv = {int(r[1]): float(r[3]) for r in rows if r[2] == "analytic"}
+    csv = {int(r[1]): r[3] for r in rows if r[2] == "analytic"}
     assert [c["user"] for c in report["mc_checks"]] == [1, 2, 3]
     for c in report["mc_checks"]:
-        assert c["analytic"] == pytest.approx(csv[c["user"]], rel=1e-8)
+        assert f"{c['analytic']:.8e}" == csv[c["user"]]
+
+
+def test_validate_rejects_the_joint_detector(tmp_path, monkeypatch, capsys):
+    # the closed form models MRC-SIC only: joint ML would fail every check
+    def unreachable(*args):
+        raise AssertionError("validate simulated with --detector jmld")
+
+    monkeypatch.setattr("nomalab.cli.sweep", unreachable)
+    cfg = write_config(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", cfg, "--out", str(tmp_path / "o"),
+              "--detector", "jmld"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'jmld'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["analytic", "optimize"])
+def test_detector_flag_is_not_taken_where_nothing_simulates(tmp_path, command):
+    cfg = write_config(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+              "--detector", "sic"])
+    assert exc.value.code == 2
+
+
+def test_each_subcommand_takes_only_the_flags_it_uses():
+    subparsers = next(a for a in _build_parser()._actions
+                      if a.dest == "command")
+    common = {"--config": None, "--out": None, "--seed": None,
+              "--mode": ["exact", "approx", "auto"]}
+    expect = {
+        "analytic": common,
+        "optimize": common,
+        "simulate": dict(common, **{"--detector": ["sic", "jmld"]}),
+        "validate": dict(common, **{"--detector": ["sic"]}),
+    }
+    got = {name: {a.option_strings[-1]: a.choices for a in sub._actions
+                  if a.dest != "help"}
+           for name, sub in subparsers.choices.items()}
+    assert got == expect
+
+
+def test_symbol_budget_past_the_stream_keys_is_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # a batch past CHILD_SPAN once ended in a ValueError traceback, after
+    # simulating 2^20 batches; no batch runs here
+    def unreachable(*args):
+        raise AssertionError("sweep called with an over-cap symbol budget")
+
+    monkeypatch.setattr("nomalab.cli.sweep", unreachable)
+    data = json.loads(json.dumps(BASE))
+    data["montecarlo"].update(min_errors=10**9, max_symbols=CHILD_SPAN + 5,
+                              batch_size=1)
+    cfg = write_config(tmp_path, data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert ("config error: config.montecarlo.max_symbols"
+            in capsys.readouterr().err)
 
 
 def test_validate_fails_under_zero_tolerance(tmp_path):

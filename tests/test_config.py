@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from nomalab.channel import CHILD_SPAN
 from nomalab.config import (
     MAX_ANTENNAS,
     MAX_SWEEP_POINTS,
@@ -162,6 +163,22 @@ def test_worker_count_is_capped():
         with pytest.raises(ConfigError, match=r"config\.montecarlo\.workers"):
             check_ranges(dataclasses.replace(at_cap, montecarlo=dataclasses.replace(
                 at_cap.montecarlo, workers=workers)))
+
+
+def test_batch_count_is_capped_where_stream_keys_end():
+    # a batch past CHILD_SPAN once ended a run in StreamKey.child's
+    # ValueError; checked here without simulating
+    def mc(max_symbols, batch_size):
+        return {"min_errors": 10**9, "max_symbols": max_symbols,
+                "batch_size": batch_size}
+
+    for ok in (mc(CHILD_SPAN, 1), mc(CHILD_SPAN * 10 - 9, 10)):
+        assert parse_config(dict(MINIMAL, montecarlo=ok))
+    for bad in (mc(CHILD_SPAN + 1, 1), mc(2**20 + 5, 1),
+                mc(CHILD_SPAN * 10 + 1, 10)):
+        with pytest.raises(ConfigError,
+                           match=r"config\.montecarlo\.max_symbols"):
+            parse_config(dict(MINIMAL, montecarlo=bad))
 
 
 def test_build_model_converts_db_and_ranks():

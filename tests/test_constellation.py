@@ -11,7 +11,6 @@ from nomalab.constellation import (
     build_rect_qam,
     hamming_table,
     magnitude_classes,
-    map_bits,
     neighbor_count,
     symbol_class,
 )
@@ -51,13 +50,6 @@ def test_symbol_index_is_integer_value_of_bit_word(mi, mq):
     for idx in range(c.size):
         word = "".join(str(int(b)) for b in c.bit_labels[idx])
         assert int(word, 2) == idx
-
-
-@pytest.mark.parametrize("mi,mq", ORDERS)
-def test_map_bits_roundtrips_labels(mi, mq):
-    c = build_rect_qam(mi, mq)
-    for idx in range(c.size):
-        assert map_bits(c, c.bit_labels[idx]) == complex(c.points[idx])
 
 
 def test_word_starts_with_quadrature_then_inphase_sign_bits():
@@ -143,7 +135,7 @@ def sic_decide(c, z, scale, h=1 + 0j):
     """Hard decision on z against scale * points: one user, n=1, MRC
     gain sqrt(P) |h|^2 = scale for the unit channel."""
     model = SystemModel(1, 1.0, (UserProfile(scale**2, 1.0, c),))
-    return int(mrc_sic_detect(model, np.array([z]), [np.array([h])]).symbols[0])
+    return int(mrc_sic_detect(model, np.array([z]), [np.array([h])])[0])
 
 
 def test_sic_decision_inverts_scaled_points():
@@ -167,14 +159,6 @@ def test_sic_decision_zero_gain_decides_index_0():
         z = complex(c.points[-1])
         assert sic_decide(c, z, 1.0, h=0j) == 0
         assert sic_decide(c, z, 0.0) == 0
-
-
-def test_map_bits_validation():
-    c = build_rect_qam(4, 2)
-    with pytest.raises(ValueError):
-        map_bits(c, [0, 1])  # wrong length
-    with pytest.raises(ValueError):
-        map_bits(c, [0, 1, 2])
 
 
 def test_build_validation():

@@ -128,8 +128,7 @@ def test_sic_recovers_noiseless_with_power_separation():
         chans = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                  for _ in range(3)]
         y = superimpose(model, sym, chans, np.zeros(4, complex))
-        res = mrc_sic_detect(model, y, chans)
-        assert res.symbols.tolist() == sym
+        assert mrc_sic_detect(model, y, chans).tolist() == sym
 
 
 def test_sic_matches_plain_python_reference():
@@ -140,7 +139,7 @@ def test_sic_matches_plain_python_reference():
     powers = [u.power for u in model.users]
     for _ in range(25):
         sym, chans, noise, y = draw_instance(rng, model)
-        got = mrc_sic_detect(model, y, chans).symbols
+        got = mrc_sic_detect(model, y, chans)
         ref = oracles.reference_sic(y, chans, powers, points,
                                     model.decode_order())
         assert tuple(got) == ref
@@ -154,7 +153,7 @@ def test_jmld_matches_brute_force():
     powers = [u.power for u in model.users]
     for _ in range(25):
         sym, chans, noise, y = draw_instance(rng, model)
-        got = jmld_detect(model, y, chans).symbols
+        got = jmld_detect(model, y, chans)
         ref = oracles.brute_force_joint_ml(y, chans, powers, points)
         assert tuple(got) == ref
 
@@ -163,7 +162,7 @@ def test_jmld_tie_breaks_lexicographically():
     model = make_model([1.0], [1.0], [QPSK], n=1)
     # zero channel makes every hypothesis score identically
     res = jmld_detect(model, np.array([0.5 + 0.5j]), [np.array([0j])])
-    assert res.symbols.tolist() == [0]
+    assert res.shape == (1,) and res.tolist() == [0]
 
 
 def test_batch_detectors_match_single_shot():
@@ -463,17 +462,23 @@ def test_superimpose_batch_shape_validation():
         mrc_sic_detect(model, noise, chans)
 
 
-def test_joint_symbol_tuples_order_and_cap():
+def test_joint_symbol_tuples_order_and_cap(monkeypatch):
     model = make_model([1.0, 1.0], [1.0, 1.0], [QPSK, QAM8])
     tuples = joint_symbol_tuples(model)
     expect = list(itertools.product(range(4), range(8)))
     assert tuples.tolist() == [list(t) for t in expect]
-    assert joint_symbol_tuples(model, cap=32).shape == (32, 2)
+    y, chans = np.zeros((2, 3), complex), [np.zeros((2, 3), complex)] * 2
+    # the cap bounds the full product, 4 x 8 = 32 tuples
+    monkeypatch.setattr(detectors, "JMLD_DEFAULT_CAP", 32)
+    assert joint_symbol_tuples(model).shape == (32, 2)
+    assert jmld_detect_batch(model, y, chans).shape == (2, 3)
+    monkeypatch.setattr(detectors, "JMLD_DEFAULT_CAP", 31)
+    with pytest.raises(CapacityError, match="4x8 exceeds cap 31"):
+        joint_symbol_tuples(model)
     with pytest.raises(CapacityError):
-        joint_symbol_tuples(model, cap=31)
+        jmld_detect_batch(model, y, chans)
     with pytest.raises(CapacityError):
-        jmld_detect(model, np.zeros(2, complex),
-                    [np.zeros(2, complex)] * 2, cap=31)
+        jmld_detect(model, y[:, 0], [h[:, 0] for h in chans])
 
 
 def test_jmld_beats_sic_when_powers_are_comparable():
@@ -489,8 +494,8 @@ def test_jmld_beats_sic_when_powers_are_comparable():
         chans = [sample_channel(2, 1.0, generator(k)) for k in keys]
         noise = 0.05 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         y = superimpose(model, sym, chans, noise)
-        if mrc_sic_detect(model, y, chans).symbols.tolist() != sym:
+        if mrc_sic_detect(model, y, chans).tolist() != sym:
             sic_err += 1
-        if jmld_detect(model, y, chans).symbols.tolist() != sym:
+        if jmld_detect(model, y, chans).tolist() != sym:
             jmld_err += 1
     assert jmld_err < sic_err

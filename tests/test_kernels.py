@@ -123,6 +123,39 @@ def test_fade_average_survives_deep_tails():
     assert erlang_fade_average(1e6, 64) == 0.0
 
 
+@pytest.mark.parametrize("n", [470, 515])
+def test_fade_average_keeps_its_digits_at_many_antennas(n):
+    # p**n leaves the normal range here: it once lost digits at n = 470
+    # and gave 0.0 at n = 515
+    for a in (0.3, 1.0, 3.0):
+        assert erlang_fade_average(a, n) == pytest.approx(
+            erlang_fade_quadrature(a, n), rel=1e-10, abs=0)
+
+
+def _plain_product(a, n):
+    """p**n and p**n * acc, the all-positive form taken as written."""
+    t = a + 2.0
+    u = 1.0 + np.sqrt(a / t)
+    p = 1.0 / (t * u)
+    q = 0.5 * u
+    acc, qk = 1.0, q
+    for k in range(1, n):
+        acc = acc + float(math.comb(n - 1 + k, k)) * qk
+        qk = qk * q
+    return p**n, p**n * acc
+
+
+def test_fade_average_is_the_plain_product_where_p_to_the_n_is_normal():
+    a = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 241)])
+    normal = 0
+    for n in (1, 2, 3, 8, 20, 64, 200, 470, 515):
+        pn, plain = _plain_product(a, n)
+        keep = pn >= np.finfo(float).tiny
+        normal += int(keep.sum())
+        assert erlang_fade_average(a, n)[keep].tobytes() == plain[keep].tobytes()
+    assert normal > 1000
+
+
 def test_triplet_sums_to_one_exactly():
     worst = 0.0
     for a in A_GRID:

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from nomalab.analytic import ber_user, stage_bers
+from nomalab.analytic import ber_user, stage_bers, stage_bers_grid
 from nomalab.channel import StreamKey
 from nomalab.constellation import build_rect_qam
 from nomalab.detectors import SystemModel, UserProfile
-from nomalab.errors import CapacityError
 from nomalab.montecarlo import (
     Z95,
     BerCurve,
@@ -69,6 +68,27 @@ def test_max_symbols_caps_the_run():
     assert est.bits.tolist() == [60_000]
 
 
+def test_no_wave_runs_past_the_symbol_budget(monkeypatch):
+    # with CHILD_SPAN batches in the budget, a full last wave once asked
+    # StreamKey.child for keys past the span
+    from nomalab import channel, montecarlo
+
+    monkeypatch.setattr(channel, "CHILD_SPAN", 8)
+    run = []
+
+    def counted(model, detector, batch_size, key):
+        run.append(key.stream)
+        return np.zeros(model.k, dtype=np.int64)
+
+    monkeypatch.setattr(montecarlo, "_run_batch", counted)
+    rule = StopRule(min_errors=10**9, max_symbols=75, batch_size=10)
+    for workers in (1, 3, 8, 64):
+        run.clear()
+        est = estimate_ber(MODEL, "sic", rule, StreamKey(0, 1), workers)
+        assert est.symbols == 80
+        assert sorted(run) == [8 + i for i in range(8)]
+
+
 def test_min_errors_is_per_user():
     est = estimate_ber(MODEL, "sic", StopRule(150, 10**7, 10_000), StreamKey(1))
     assert int(est.errors.min()) >= 150
@@ -112,7 +132,7 @@ def test_compare_analytic_passes_on_calibrated_run():
     model = qpsk_model([100.0, 10.0], [10.0, 2.5])
     curve = sweep(model, [0.0], "sic",
                   StopRule(400, 10**6, 10_000), StreamKey(11))
-    report = compare_analytic(model, curve)
+    report = compare_analytic(curve, [stage_bers(model)])
     assert report.passed
     assert report.n_checked >= 1
     assert report.n_failed == 0
@@ -127,7 +147,7 @@ def test_compare_analytic_skips_below_floor():
                       symbols=500)
     curve = BerCurve((40.0,), (est,))
     policy = TolerancePolicy(min_ber=1e-5)
-    report = compare_analytic(model, curve, policy)
+    report = compare_analytic(curve, [stage_bers(model.scaled(40.0))], policy)
     assert ber_user(model.scaled(40.0), 1) < 1e-5  # sanity: below the floor
     assert all(c.skipped for c in report.checks)
     assert report.n_checked == 0
@@ -140,7 +160,7 @@ def test_compare_analytic_flags_systematic_offset():
     est = BerEstimate(errors=np.array([40_000]), bits=np.array([200_000]),
                       symbols=100_000)
     curve = BerCurve((0.0,), (est,))
-    report = compare_analytic(model, curve)
+    report = compare_analytic(curve, [stage_bers(model)])
     assert not report.passed
     assert report.n_failed == 1
     check = report.checks[0]
@@ -156,12 +176,13 @@ def test_compare_analytic_uses_prune_and_leaf_limits():
     est = BerEstimate(errors=np.array([30, 30, 40]),
                       bits=np.array([1000, 1000, 1000]), symbols=250)
     curve = BerCurve((0.0,), (est,))
-    report = compare_analytic(model, curve, mode="exact", prune_threshold=1e-3)
+    # the report checks the table it is given, numpy rows included
+    table = stage_bers_grid(model, [[u.power for u in model.users]], "exact",
+                            prune_threshold=1e-3)
+    report = compare_analytic(curve, table)
     pruned = stage_bers(model, "exact", prune_threshold=1e-3)
     assert pruned != stage_bers(model, "exact")
     assert tuple(c.analytic for c in report.checks) == pruned
     for c in report.checks:
         assert type(c.analytic) is float
         assert type(c.passed) is bool and type(c.skipped) is bool
-    with pytest.raises(CapacityError):
-        compare_analytic(model, curve, mode="exact", max_leaves=1)
