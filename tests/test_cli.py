@@ -242,6 +242,21 @@ def test_validate_rejects_the_joint_detector(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_validate_leaf_limit_stops_before_simulating(tmp_path, monkeypatch,
+                                                    capsys):
+    # the leaf limit once reached validate inside compare_analytic, after
+    # the whole sweep had been simulated
+    def unreachable(*args):
+        raise AssertionError("validate simulated past its leaf limit")
+
+    monkeypatch.setattr("nomalab.cli.sweep", unreachable)
+    data = json.loads(json.dumps(BASE))
+    data["analytic"] = {"mode": "exact", "max_leaves": 1}
+    cfg = write_config(tmp_path, data)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analytic", "optimize"])
 def test_detector_flag_is_not_taken_where_nothing_simulates(tmp_path, command):
     cfg = write_config(tmp_path, BASE)
