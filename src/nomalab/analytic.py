@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .constellation import (Constellation, MagnitudeClass, _axis_gray_labels,
-                            magnitude_classes, neighbor_count)
+from .constellation import (Constellation, _axis_gray_labels, magnitude_classes,
+                            neighbor_count)
 from .detectors import SystemModel
 from .errors import CapacityError
 from .kernels import (erlang_fade_average, qpsk_sep_triplet, sep_probabilities,
@@ -48,36 +47,6 @@ DEFAULT_PRUNE = 1e-12
 DEFAULT_MAX_LEAVES = 10_000_000
 AUTO_APPROX_ORDER = 64  # mode "auto" gives stages of this many points approx leaves
 WALK_LEAVES = 1 << 18  # unpruned leaves, over all columns, that one walk holds
-
-
-@dataclass(frozen=True)
-class SepTable:
-    """Error-distance distribution of one decoding stage.
-
-    entries are (distance, probability) pairs, ascending in distance,
-    merged when distances coincide; they sum to 1. tx_class is the
-    magnitude class the transmitted symbol was restricted to (None for
-    the first-decoded stage, which averages over its whole alphabet).
-    """
-
-    entries: tuple[tuple[float, float], ...]
-    tx_class: MagnitudeClass | None
-    sigma_tot_sq: float
-    gain: float
-
-
-@dataclass(frozen=True)
-class TreeBranch:
-    """One conditioning path of the expansion tree.
-
-    classes holds the magnitude-class assignment for stages 2..K (empty
-    for K = 1); distances holds accumulated upstream error distances for
-    stages 1..len(distances); weight is the accumulated probability.
-    """
-
-    classes: tuple[MagnitudeClass, ...]
-    distances: tuple[float, ...] = ()
-    weight: float = 1.0
 
 
 def _check_stage(model: SystemModel, k: int) -> None:
@@ -183,37 +152,35 @@ def _leaf_bers(terms, gains, n: int) -> list[np.ndarray]:
     return out
 
 
-def _branch_point(model: SystemModel, k: int, branch: TreeBranch):
-    """Constellation, transmitted class, effective noise and SINR
-    parameter of stage k on a branch."""
+def _stage_point(model: SystemModel, k: int, classes, distances):
+    """Alphabet, transmitted class and SINR parameter of stage k under
+    the class assignment classes of stages 2..K and the upstream error
+    distances of stages 1..k-1."""
     _check_stage(model, k)
-    if len(branch.classes) != model.k - 1:
-        raise ValueError(
-            f"branch carries {len(branch.classes)} class assignments, "
-            f"expected {model.k - 1} (stages 2..K)")
-    if len(branch.distances) < k - 1:
-        raise ValueError(f"branch carries {len(branch.distances)} distances, "
-                         f"stage {k} needs {k - 1}")
-    x_mags = [cls.squared_magnitude for cls in branch.classes[k - 1:]]
-    sigma_tot_sq = effective_noise_variance(model, k, branch.distances[:k - 1], x_mags)
+    if len(classes) != model.k - 1:
+        raise ValueError(f"expected {model.k - 1} class assignments "
+                         f"(stages 2..K), got {len(classes)}")
+    x_mags = [cls.squared_magnitude for cls in classes[k - 1:]]
     u = model.stage_profiles()[k - 1]
-    gain = 2.0 * u.power * u.sigma**2 / sigma_tot_sq
-    tx_class = branch.classes[k - 2] if k >= 2 else None
-    return u.constellation, tx_class, sigma_tot_sq, gain
+    gain = (2.0 * u.power * u.sigma**2
+            / effective_noise_variance(model, k, distances, x_mags))
+    return u.constellation, classes[k - 2] if k >= 2 else None, gain
 
 
-def sep_table_user(model: SystemModel, k: int, branch: TreeBranch) -> SepTable:
-    """Closed-form error-distance table for stage k on the given branch."""
-    c, tx_class, sigma_tot_sq, gain = _branch_point(model, k, branch)
+def sep_table_user(model: SystemModel, k: int, classes, distances=()):
+    """Closed-form error-distance table of stage k under a class
+    assignment and upstream distances, as in _stage_point:
+    (distance, probability) pairs, ascending in distance."""
+    c, tx_class, gain = _stage_point(model, k, classes, distances)
     probs = _sep_table(c, tx_class, gain, model.n_antennas).tolist()
-    return SepTable(tuple(zip(_table_distances(c, tx_class), probs)), tx_class,
-                    sigma_tot_sq, gain)
+    return tuple(zip(_table_distances(c, tx_class), probs))
 
 
-def conditional_ber_user(model: SystemModel, k: int, branch: TreeBranch,
+def conditional_ber_user(model: SystemModel, k: int, classes, distances=(),
                          mode: str = "exact") -> float:
-    """BER of stage k conditioned on a branch's classes and distances."""
-    c, tx_class, _, gain = _branch_point(model, k, branch)
+    """BER of stage k under a class assignment and upstream distances,
+    as in _stage_point."""
+    c, tx_class, gain = _stage_point(model, k, classes, distances)
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
     terms = _leaf_terms(c, tx_class, mode)
@@ -248,20 +215,19 @@ def _resolve_mode(c: Constellation, mode: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def _plan(consts: tuple[Constellation, ...], mode: str, last: int):
-    """The walk's fixed part for stage alphabets consts, walked to stage
-    last: the number of leaves per column without pruning, and per class
-    assignment its weight, the squared magnitudes of stages 2..K, and
-    per stage 1..last its alphabet, transmitted class, leaf terms and
-    SEP-table distances."""
-    modes = [_resolve_mode(c, mode) for c in consts[:last]]
+def _plan(consts: tuple[Constellation, ...], mode: str):
+    """The walk's fixed part for stage alphabets consts: the number of
+    leaves per column without pruning, and per class assignment its
+    weight, the squared magnitudes of stages 2..K, and per stage its
+    alphabet, transmitted class, leaf terms and SEP-table distances."""
+    modes = [_resolve_mode(c, mode) for c in consts]
     out = []
     leaves = 0
     for classes, weight in _assignments(consts[1:]):
         tx_classes = (None,) + classes
         levels = tuple(
             (c, cls, _leaf_terms(c, cls, m),
-             np.array(_table_distances(c, cls)) if i + 1 < last else None)
+             np.array(_table_distances(c, cls)) if i + 1 < len(consts) else None)
             for i, (c, cls, m) in enumerate(zip(consts, tx_classes, modes)))
         mags = np.array([cls.squared_magnitude for cls in classes])
         out.append((weight, mags, levels))
@@ -277,9 +243,9 @@ def _count_leaves(leaves: np.ndarray, new, max_leaves: int) -> None:
 
 
 def _walk(model: SystemModel, powers: np.ndarray, mode: str,
-          prune_threshold: float, max_leaves: int, last: int):
-    """BERs of stages 1..last for each row of powers, a (P, K) array of
-    linear powers in stage order, as a (P, last) array; and the mass each
+          prune_threshold: float, max_leaves: int):
+    """BERs of stages 1..K for each row of powers, a (P, K) array of
+    linear powers in stage order, as a (P, K) array; and the mass each
     column pruned, as a (P,) array.
 
     A level holds (node, column) rows: its column col, the upstream noise
@@ -290,14 +256,13 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     the descent; then stage i of a column is the sum of w times its BER
     over the column's rows at level i. Columns go in slices of at most
     WALK_LEAVES unpruned leaves, which bounds the memory a level takes."""
-    _check_stage(model, last)
     stages = model.stage_profiles()
-    leaf_bound, plan = _plan(tuple(u.constellation for u in stages), mode, last)
+    leaf_bound, plan = _plan(tuple(u.constellation for u in stages), mode)
     count = powers.shape[0]
     chunk = max(1, WALK_LEAVES // min(leaf_bound, max_leaves))
     if count > chunk:  # columns are independent: walk them in slices
         parts = [_walk(model, powers[lo:lo + chunk], mode, prune_threshold,
-                       max_leaves, last) for lo in range(0, count, chunk)]
+                       max_leaves) for lo in range(0, count, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
     k = model.k
     sigma_sq = np.array([u.sigma**2 for u in stages])
@@ -318,7 +283,7 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
         col = np.arange(count)
         up = np.full(count, noise_sq)
         w = np.full(count, weight)
-        if last == 1:
+        if k == 1:
             _count_leaves(leaves, 1, max_leaves)
         for i, (c, tx_class, leaf_terms, dists) in enumerate(levels):
             sigma_tot_sq = up
@@ -328,11 +293,11 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
             rows_at.append((i, col, w))
             gains.append(gain)
             terms.append(leaf_terms)
-            if i + 1 == last:
+            if dists is None:  # stage K
                 break
             child_w = w[:, None] * _sep_table(c, tx_class, gain, n)
             keep = ~(child_w < prune_threshold)
-            if i + 2 == last:  # count the leaves before making their rows
+            if i + 2 == k:  # count the leaves before making their rows
                 _count_leaves(leaves, np.bincount(col, keep.sum(axis=1), count),
                               max_leaves)
             if not keep.all():
@@ -344,7 +309,7 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
             d = dists[slots]
             up = up[rows] + powers[col, i] * d * d * sigma_sq[i]
             w = child_w[keep]
-    totals = np.zeros((count, last))
+    totals = np.zeros((count, k))
     for (i, col, w), ber in zip(rows_at, _leaf_bers(terms, gains, n)):
         totals[:, i] += np.bincount(col, w * ber, minlength=count)
     return totals, dropped
@@ -366,7 +331,7 @@ def stage_bers_grid(model: SystemModel, powers, mode: str = "auto",
     if not np.all(powers >= 0):
         raise ValueError("user power must be nonnegative")
     powers = powers[:, list(model.decode_order())]
-    return _walk(model, powers, mode, prune_threshold, max_leaves, model.k)[0]
+    return _walk(model, powers, mode, prune_threshold, max_leaves)[0]
 
 
 def stage_bers(model: SystemModel, mode: str = "auto",
@@ -388,10 +353,10 @@ def stage_bers(model: SystemModel, mode: str = "auto",
 def ber_user_qam(model: SystemModel, k: int, mode: str = "exact",
                  prune_threshold: float = DEFAULT_PRUNE,
                  max_leaves: int = DEFAULT_MAX_LEAVES) -> float:
-    """Average BER of stage k, any rectangular alphabets."""
-    powers = np.array([[u.power for u in model.stage_profiles()]])
-    bers, _ = _walk(model, powers, mode, prune_threshold, max_leaves, k)
-    return float(bers[0, -1])
+    """Average BER of stage k, any rectangular alphabets: entry k of
+    stage_bers, so the leaf limit counts the leaves at depth K."""
+    _check_stage(model, k)
+    return stage_bers(model, mode, prune_threshold, max_leaves)[k - 1]
 
 
 def ber_user_qpsk(model: SystemModel, k: int) -> float:

@@ -103,9 +103,10 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     model = build_model(cfg)
     grid = sweep_grid(cfg)
     seed = cfg.montecarlo.seed
+    analytic = _analytic_table(model, cfg, grid)  # a leaf limit exits before the sweep
     curve = sweep(model, grid, args.detector, cfg.montecarlo.stop_rule(),
                   StreamKey(seed), cfg.montecarlo.workers)
-    rows = _analytic_rows(grid, _analytic_table(model, cfg, grid), seed)
+    rows = _analytic_rows(grid, analytic, seed)
     rows += _sim_rows(model, curve, args.detector, seed)
     path = _write_csv(cfg.output.directory, rows)
     _emit_config(cfg, cfg.output.directory)

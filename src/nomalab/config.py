@@ -29,6 +29,8 @@ MAX_SWEEP_POINTS = 10_000  # sweep_grid's length at most
 # float range from n = 516 on
 MAX_ANTENNAS = 515
 MAX_WORKERS = 64  # estimate_ber's threads, and batches per wave, at most
+# n_antennas * batch_size at most: one (n, B) complex array is 128 MB
+MAX_BATCH_ENTRIES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,9 @@ def check_ranges(cfg: RunConfig, path: str = "config") -> RunConfig:
     ranges = [
         (cfg.system.n_antennas <= MAX_ANTENNAS, "system.n_antennas",
          f"must be at most {MAX_ANTENNAS}"),
+        (cfg.system.n_antennas * cfg.montecarlo.batch_size <= MAX_BATCH_ENTRIES,
+         "montecarlo.batch_size",
+         f"times system.n_antennas must be at most {MAX_BATCH_ENTRIES}"),
         (cfg.analytic.mode in modes, "analytic.mode",
          f"unknown mode {cfg.analytic.mode!r}"),
         (pa.mode in modes, "poweralloc.mode", f"unknown mode {pa.mode!r}"),

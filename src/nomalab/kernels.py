@@ -10,9 +10,10 @@ whatever array it sits in:
 * The two-term exponential approximation q_approx(x) (Chiani, Dardari,
   Simon) makes each decision axis contribute a bracket that is an
   exponential mixture in Z. _axis_brackets returns one axis's brackets
-  as a coefficient matrix over that axis's rates, and
-  cell_probability_table averages every bracket product at once as a
-  matrix product, since e^(-r Z) averages to (1 + r)^(-n).
+  as a coefficient matrix over that axis's unit-gain rates, and
+  _cell_tables averages every bracket product at once as a matrix
+  product, since e^(-r Z) averages to (1 + r)^(-n); it is the one
+  evaluation behind cell_probability_table and sep_probabilities.
   sep_program compiles those tables, merged by error distance, into a
   SEP table for every gain; qpsk_sep_triplet is its QPSK closed form.
 * cell_probability_quadrature integrates the same cell integrand with
@@ -169,14 +170,14 @@ def qpsk_sep_triplet(a, n: int):
     return tuple(out) if shape else tuple(out.tolist())
 
 
-def _axis_brackets(bounds, level: float, gain: float):
-    """Decision brackets of one axis as exponential mixtures in z.
+def _axis_brackets(bounds, level: float):
+    """Decision brackets of one axis as exponential mixtures in g z.
 
     Returns (C, r): bracket j, the two-term model of the probability that
-    the axis statistic lands in cell j given Z = z, is
-    sum_a C[j, a] e^(-r[a] z). Rate 0 comes first, then gain u^2/2 and
-    2 gain u^2/3 for each finite boundary at signed offset u from level.
-    That boundary's tail q_approx(u sqrt(gain z)) is [u < 0] at rate 0
+    the axis statistic lands in cell j given gain g and Z = z, is
+    sum_a C[j, a] e^(-g r[a] z). Rate 0 comes first, then u^2/2 and
+    2 u^2/3 for each finite boundary at signed offset u from level.
+    That boundary's tail q_approx(u sqrt(g z)) is [u < 0] at rate 0
     and +-(1/12, 1/4) at its two rates; the +-inf sentinels contribute
     only the constant. Bracket j is tail(lower) - tail(upper).
     """
@@ -189,9 +190,29 @@ def _axis_brackets(bounds, level: float, gain: float):
     tails[b, 2 * b - 1] = sign / 12.0
     tails[b, 2 * b] = sign / 4.0
     rates = np.zeros(2 * len(u) + 1)
-    rates[1::2] = 0.5 * gain * u * u
-    rates[2::2] = (2.0 / 3.0) * gain * u * u
+    rates[1::2] = 0.5 * u * u
+    rates[2::2] = (2.0 / 3.0) * u * u
     return tails[:-1] - tails[1:], rates
+
+
+def _stack_brackets(c: Constellation, tx: np.ndarray):
+    """_axis_brackets of each symbol in tx, stacked along a leading axis:
+    (C_i, r_i, C_q^T, r_q)."""
+    c_i, r_i = map(np.array, zip(*(_axis_brackets(c.boundaries_i, x)
+                                   for x in tx.real)))
+    c_q, r_q = map(np.array, zip(*(_axis_brackets(c.boundaries_q, y)
+                                   for y in tx.imag)))
+    return c_i, r_i, c_q.transpose(0, 2, 1), r_q
+
+
+def _cell_tables(brackets, gains: np.ndarray, n: int) -> np.ndarray:
+    """Cell tables C_i E C_q^T of stacked brackets at each gain g, in
+    (G, T, m_i, m_q): E[a, b] = (1 + g (r_i[a] + r_q[b]))^(-n) is the
+    Erlang-n average of e^(-g (r_i[a] + r_q[b]) z)."""
+    c_i, r_i, c_qt, r_q = brackets
+    g = gains[:, None, None, None]
+    e = (1.0 + (g * r_i[:, :, None] + g * r_q[:, None, :])) ** (-n)
+    return c_i @ e @ c_qt
 
 
 def _cell_offsets(c: Constellation, tx: complex, cell_i: int, cell_q: int):
@@ -226,41 +247,29 @@ def _clamp_probability(values, context: str) -> np.ndarray:
 def cell_probability_table(c: Constellation, tx: complex, gain: float,
                            n: int) -> np.ndarray:
     """Closed-form probabilities that tx is detected in each decision
-    cell, as an (m_i, m_q) array; each tx's table sums to 1 by
-    telescoping.
-
-    A cell probability is the Erlang-n average of the product of its two
-    axis brackets. With (C_i, r_i) and (C_q, r_q) from _axis_brackets
-    and the average of e^(-r z) being (1 + r)^(-n), the table is
-    C_i E C_q^T with E[a, b] = (1 + r_i[a] + r_q[b])^(-n).
-    """
+    cell, as an (m_i, m_q) array: the Erlang-n average of each product
+    of two axis brackets, from _cell_tables. Each tx's table sums to 1
+    by telescoping."""
     _check_gain_n(gain, n)
-    tx = complex(tx)
-    c_i, r_i = _axis_brackets(c.boundaries_i, tx.real, gain)
-    c_q, r_q = _axis_brackets(c.boundaries_q, tx.imag, gain)
-    e = (1.0 + (r_i[:, None] + r_q[None, :])) ** (-n)
-    return _clamp_probability(c_i @ e @ c_q.T, "cell_probability_table")
+    brackets = _stack_brackets(c, np.array([complex(tx)]))
+    cells = _cell_tables(brackets, np.array([float(gain)]), n)
+    return _clamp_probability(cells[0, 0], "cell_probability_table")
 
 
 @lru_cache(maxsize=None)
 def sep_program(c: Constellation, tx_set: tuple[int, ...]):
     """Compiled SEP table of a uniform choice among the symbols tx_set:
     (dists, brackets, merge). dists are the error distances, ascending.
-    brackets stacks each tx's C_i, r_i, C_q^T and r_q from _axis_brackets
-    at unit gain, since every rate is the gain times a fixed factor.
+    brackets stacks each tx's C_i, r_i, C_q^T and r_q from _axis_brackets.
     merge adds, with prior 1/len(tx_set), the cells at each squared
     distance, an exact integer on the odd grid."""
     tx = c.points[list(tx_set)]
-    c_i, r_i = map(np.array, zip(*(_axis_brackets(c.boundaries_i, x, 1.0)
-                                   for x in tx.real)))
-    c_q, r_q = map(np.array, zip(*(_axis_brackets(c.boundaries_q, y, 1.0)
-                                   for y in tx.imag)))
     d2 = ((np.subtract.outer(tx.real, c.levels_i) ** 2)[:, :, None]
           + (np.subtract.outer(tx.imag, c.levels_q) ** 2)[:, None, :])
     d2, rows = np.unique(d2.ravel(), return_inverse=True)
     merge = np.zeros((len(d2), len(rows)))
     merge[rows, np.arange(len(rows))] = 1.0 / len(tx_set)
-    brackets = (c_i, r_i, c_q.transpose(0, 2, 1), r_q)
+    brackets = _stack_brackets(c, tx)
     for arr in brackets + (merge,):  # shared by every caller of the cache
         arr.setflags(write=False)
     return tuple(np.sqrt(d2).tolist()), brackets, merge
@@ -275,16 +284,14 @@ def sep_probabilities(program, gain, n: int) -> np.ndarray:
     tensor at about 2^20 floats; each row comes out the same whatever
     shares its chunk."""
     _check_gain_n(gain, n)
-    _, (c_i, r_i, c_qt, r_q), merge = program
+    _, brackets, merge = program
     gains = np.asarray(gain, dtype=float)
     flat = gains.reshape(-1)
     out = np.empty((flat.size, merge.shape[0]))
-    chunk = max(1, BRACKET_FLOATS // (r_i.size * r_q.shape[1]))
+    chunk = max(1, BRACKET_FLOATS // (brackets[1].size * brackets[3].shape[1]))
     for lo in range(0, flat.size, chunk):
-        g = flat[lo:lo + chunk, None, None, None]
-        e = (1.0 + (g * r_i[:, :, None] + g * r_q[:, None, :])) ** (-n)
-        cells = c_i @ e @ c_qt
-        out[lo:lo + chunk] = (merge @ cells.reshape(len(g), -1, 1))[..., 0]
+        cells = _cell_tables(brackets, flat[lo:lo + chunk], n)
+        out[lo:lo + chunk] = (merge @ cells.reshape(len(cells), -1, 1))[..., 0]
     out = _clamp_probability(out, "sep_probabilities")
     return out.reshape(gains.shape + (merge.shape[0],))
 

@@ -393,22 +393,22 @@ def reference_walk_ber(model, k, mode="exact"):
     It reuses the package's per-node kernels (sep_table_user and
     conditional_ber_user), so it checks the shared walk: class
     assignments, weights and upstream distances."""
-    from nomalab.analytic import (TreeBranch, class_assignments,
-                                  conditional_ber_user, sep_table_user)
+    from nomalab.analytic import (class_assignments, conditional_ber_user,
+                                  sep_table_user)
 
     total = 0.0
 
-    def walk(stage, branch):
+    def walk(stage, classes, distances, weight):
         nonlocal total
         if stage == k:
-            total += branch.weight * conditional_ber_user(model, k, branch, mode)
+            total += weight * conditional_ber_user(model, k, classes,
+                                                   distances, mode)
             return
-        for d, p in sep_table_user(model, stage, branch).entries:
-            walk(stage + 1, TreeBranch(branch.classes, branch.distances + (d,),
-                                       branch.weight * p))
+        for d, p in sep_table_user(model, stage, classes, distances):
+            walk(stage + 1, classes, distances + (d,), weight * p)
 
     for classes, weight in class_assignments(model):
-        walk(1, TreeBranch(classes, (), weight))
+        walk(1, classes, (), weight)
     return total
 
 

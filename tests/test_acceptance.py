@@ -16,7 +16,6 @@ from scipy.optimize import brentq
 
 import oracles
 from nomalab.analytic import (
-    TreeBranch,
     ber_user,
     ber_user_qam,
     ber_user_qpsk,
@@ -116,9 +115,8 @@ def test_criterion_02_probability_conservation():
         for classes, _ in class_assignments(m):
             for k in (1, 2, 3):
                 for dist in (0.0, 2.0):
-                    table = sep_table_user(
-                        m, k, TreeBranch(classes, (dist,) * (k - 1)))
-                    total = math.fsum(p for _, p in table.entries)
+                    table = sep_table_user(m, k, classes, (dist,) * (k - 1))
+                    total = math.fsum(p for _, p in table)
                     worst_sep = max(worst_sep, abs(total - 1.0))
 
     worst_cell = 0.0

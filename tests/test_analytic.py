@@ -10,7 +10,6 @@ import oracles
 from nomalab.analytic import (
     AUTO_APPROX_ORDER,
     DEFAULT_MAX_LEAVES,
-    TreeBranch,
     _walk,
     _admissible_tx,
     _resolve_mode,
@@ -47,11 +46,11 @@ def make_model(powers, sigmas, consts, n=2, noise_sigma=1.0, ranks=None):
 
 
 def pruned_and_dropped(m, k, mode, prune_threshold):
-    """Stage k's BER and the probability mass pruned before it, from one
+    """Stage k's BER and the probability mass the walk pruned, from one
     walk at the model's powers."""
     powers = np.array([[u.power for u in m.stage_profiles()]])
-    bers, dropped = _walk(m, powers, mode, prune_threshold, DEFAULT_MAX_LEAVES, k)
-    return float(bers[0, -1]), float(dropped[0])
+    bers, dropped = _walk(m, powers, mode, prune_threshold, DEFAULT_MAX_LEAVES)
+    return float(bers[0, k - 1]), float(dropped[0])
 
 
 def random_draw(rng, k, n_max=4):
@@ -163,9 +162,17 @@ def test_stage_bers_all_qpsk_matches_nested_triplet_reference():
             ref = oracles.ref_qpsk_stage_k(k, p, s, ns * ns, n,
                                            fade=erlang_fade_average)
             assert bers[k - 1] == pytest.approx(ref, rel=1e-10)
-            # walking only to stage k leaves stage k's sum unchanged
+            # the per-stage wrappers read the same walk
             assert ber_user_qpsk(m, k) == bers[k - 1]
             assert ber_user(m, k, prune_threshold=0.0) == bers[k - 1]
+
+
+def test_ber_user_qam_reads_the_pruned_walk():
+    m = make_model([100.0, 10.0, 1.0], [10.0, 2.5, 0.625],
+                   [QAM16, QAM8, QAM8], n=2)
+    bers = stage_bers(m, "exact", prune_threshold=1e-6)
+    for k in (1, 2, 3):
+        assert ber_user_qam(m, k, "exact", prune_threshold=1e-6) == bers[k - 1]
 
 
 def test_stage_bers_match_uncached_reference_walk(monkeypatch):
@@ -244,12 +251,11 @@ def test_ber_user_qpsk_rejects_mixed_alphabets():
 def test_sep_table_single_user_qpsk_is_the_triplet():
     p, s, ns, n = 7.0, 1.4, 0.9, 2
     m = make_model([p], [s], [QPSK], n=n, noise_sigma=ns)
-    table = sep_table_user(m, 1, TreeBranch(()))
-    gain = 2.0 * p * s * s / ns**2
-    assert table.gain == pytest.approx(gain, rel=1e-15)
-    assert table.sigma_tot_sq == pytest.approx(ns**2, rel=1e-15)
-    assert table.tx_class is None
-    assert [pr for _, pr in table.entries] == list(qpsk_sep_triplet(gain, n))
+    table = sep_table_user(m, 1, ())
+    sigma_tot_sq = effective_noise_variance(m, 1, (), ())
+    assert sigma_tot_sq == pytest.approx(ns**2, rel=1e-15)
+    gain = 2.0 * p * s**2 / sigma_tot_sq
+    assert [pr for _, pr in table] == list(qpsk_sep_triplet(gain, n))
     # the same distribution from the four QPSK decision cells around 1+1j
     cells: dict[float, float] = {}
     for ci in range(2):
@@ -258,9 +264,9 @@ def test_sep_table_single_user_qpsk_is_the_triplet():
             d = round(abs(1 + 1j - center), 12)
             cells[d] = cells.get(d, 0.0) + cell_probability_closed(
                 1 + 1j, ci, cq, QPSK, gain, n)
-    assert [d for d, _ in table.entries] == [0.0, 2.0, 2.0 * math.sqrt(2.0)]
-    assert sorted(cells) == pytest.approx([d for d, _ in table.entries])
-    for (_, got), d in zip(table.entries, sorted(cells)):
+    assert [d for d, _ in table] == [0.0, 2.0, 2.0 * math.sqrt(2.0)]
+    assert sorted(cells) == pytest.approx([d for d, _ in table])
+    for (_, got), d in zip(table, sorted(cells)):
         assert got == pytest.approx(cells[d], rel=1e-12)
 
 
@@ -268,23 +274,26 @@ def test_sep_tables_normalize_and_sort():
     m = make_model([100.0, 10.0, 1.0], [3.0, 1.0, 0.5],
                    [QAM16, QAM8, QPSK], n=2)
     for classes, weight in class_assignments(m):
-        t1 = sep_table_user(m, 1, TreeBranch(classes))
-        assert abs(sum(p for _, p in t1.entries) - 1.0) <= 1e-9
-        dlist = [d for d, _ in t1.entries]
+        t1 = sep_table_user(m, 1, classes)
+        assert abs(sum(p for _, p in t1) - 1.0) <= 1e-9
+        dlist = [d for d, _ in t1]
         assert dlist == sorted(dlist) and dlist[0] == 0.0
-        t2 = sep_table_user(m, 2, TreeBranch(classes, (2.0,)))
-        assert abs(sum(p for _, p in t2.entries) - 1.0) <= 1e-9
-        assert t2.tx_class is classes[0]
+        t2 = sep_table_user(m, 2, classes, (2.0,))
+        assert abs(sum(p for _, p in t2) - 1.0) <= 1e-9
+        assert [d for d, _ in t2] == list(_table_distances(QAM8, classes[0]))
 
 
 def test_sep_table_sigma_matches_effective_noise():
     m = make_model([100.0, 10.0, 1.0], [3.0, 1.0, 0.5],
                    [QAM16, QAM8, QPSK], n=2, noise_sigma=1.1)
     classes, _ = class_assignments(m)[1]
-    t2 = sep_table_user(m, 2, TreeBranch(classes, (2.0,)))
+    t2 = sep_table_user(m, 2, classes, (2.0,))
     expect = effective_noise_variance(
         m, 2, (2.0,), (classes[1].squared_magnitude,))
-    assert t2.sigma_tot_sq == pytest.approx(expect, rel=1e-15)
+    u = m.stage_profiles()[1]
+    gain = 2.0 * u.power * u.sigma**2 / expect
+    # the transmitted class of stage 2 is the assignment's first class
+    assert [p for _, p in t2] == _sep_table(QAM8, classes[0], gain, 2).tolist()
 
 
 def test_class_assignments_structure():
@@ -307,10 +316,26 @@ def test_conditional_ber_approx_counts_neighbors():
     # first-quadrant representatives carry 4+3+3+2 = 12 neighbors over
     # 4 tx symbols x 4 bits
     expect = 12.0 * erlang_fade_average(a, n) / 16.0
-    got = conditional_ber_user(m, 1, TreeBranch(()), mode="approx")
+    got = conditional_ber_user(m, 1, (), mode="approx")
     assert got == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError):
-        conditional_ber_user(m, 1, TreeBranch(()), mode="fancy")
+        conditional_ber_user(m, 1, (), mode="fancy")
+
+
+def test_per_node_wrappers_check_classes_and_distances():
+    m = make_model([100.0, 10.0, 1.0], [3.0, 1.0, 0.5],
+                   [QAM16, QAM8, QPSK], n=2)
+    classes, _ = class_assignments(m)[0]
+    for fn in (sep_table_user, conditional_ber_user):
+        assert fn(m, 2, classes, (2.0,))  # the right counts pass
+        for bad_classes in ((), classes[:1], classes + classes[:1]):
+            with pytest.raises(ValueError):
+                fn(m, 2, bad_classes, (2.0,))
+        for bad_distances in ((), (2.0, 2.0)):
+            with pytest.raises(ValueError):
+                fn(m, 2, classes, bad_distances)
+        with pytest.raises(ValueError):
+            fn(m, 4, classes, (2.0, 2.0, 2.0))
 
 
 def test_approx_mode_converges_to_exact_at_high_gain():
@@ -339,10 +364,17 @@ def test_max_leaves_guard():
                    [QAM16, QAM8, QAM8], n=2)
     with pytest.raises(CapacityError):
         ber_user_qam(m, 3, "exact", prune_threshold=0.0, max_leaves=10)
-    # walked to stage 1, each of the four class assignments is a leaf
-    assert ber_user_qam(m, 1, "exact", prune_threshold=0.0, max_leaves=4) > 0.0
-    with pytest.raises(CapacityError):
-        ber_user_qam(m, 1, "exact", prune_threshold=0.0, max_leaves=3)
+    # every stage reads the walk to depth K: a stage-3 leaf per pair of
+    # stage-1 and stage-2 table entries, in each class assignment
+    leaves = sum(len(_table_distances(QAM16, None))
+                 * len(_table_distances(QAM8, classes[0]))
+                 for classes, _ in class_assignments(m))
+    for k in (1, 2, 3):
+        got = ber_user_qam(m, k, "exact", prune_threshold=0.0, max_leaves=leaves)
+        assert got > 0.0
+        with pytest.raises(CapacityError):
+            ber_user_qam(m, k, "exact", prune_threshold=0.0,
+                         max_leaves=leaves - 1)
 
 
 def test_mode_resolution():
@@ -444,7 +476,7 @@ def test_stage_bers_grid_columns_equal_their_batch_of_one(name, monkeypatch):
             one = stage_bers_grid(m, row[None], "exact", thr)
             assert one[0].tolist() == list(alone)
     # the columns prune different branches
-    _, dropped = ana._walk(m, powers, "exact", 1e-3, 10**7, m.k)
+    _, dropped = ana._walk(m, powers, "exact", 1e-3, 10**7)
     assert 0.0 < dropped.min() < dropped.max()
     # a walk that holds fewer leaves takes the columns in slices
     whole = stage_bers_grid(m, powers, "exact", 1e-6)
@@ -460,9 +492,9 @@ def test_stage_bers_grid_prune_bounds_hold_per_column(name):
     m = make_model([1.0] * len(consts), sigmas, consts, n=n)
     powers = batch_columns(base_db, [-10.0, 5.0, 20.0, 35.0, 50.0])
     exact = stage_bers_grid(m, powers, "exact", 0.0)
+    pruned, dropped = ana._walk(m, powers, "exact", 1e-6, 10**7)
     for k in range(1, m.k + 1):
-        pruned, dropped = ana._walk(m, powers, "exact", 1e-6, 10**7, k)
-        for p_col, e_col, d in zip(pruned[:, -1], exact[:, k - 1], dropped):
+        for p_col, e_col, d in zip(pruned[:, k - 1], exact[:, k - 1], dropped):
             assert p_col <= e_col * (1.0 + 1e-12)
             assert e_col <= p_col + d + 1e-15
 

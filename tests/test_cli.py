@@ -257,6 +257,20 @@ def test_validate_leaf_limit_stops_before_simulating(tmp_path, monkeypatch,
     assert "capacity error" in capsys.readouterr().err
 
 
+def test_simulate_leaf_limit_stops_before_simulating(tmp_path, monkeypatch,
+                                                    capsys):
+    # simulate once walked the analytic grid only after the whole sweep
+    def unreachable(*args):
+        raise AssertionError("simulate simulated past its leaf limit")
+
+    monkeypatch.setattr("nomalab.cli.sweep", unreachable)
+    data = json.loads(json.dumps(BASE))
+    data["analytic"] = {"mode": "exact", "max_leaves": 1}
+    cfg = write_config(tmp_path, data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analytic", "optimize"])
 def test_detector_flag_is_not_taken_where_nothing_simulates(tmp_path, command):
     cfg = write_config(tmp_path, BASE)
@@ -404,6 +418,21 @@ def test_antenna_count_past_the_cap_is_a_config_error(tmp_path, capsys):
                      str(tmp_path / "o")]) == 2
         assert ("config error: config.system.n_antennas"
                 in capsys.readouterr().err)
+
+
+def test_oversized_batch_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # batch_size 10**13 once ended in a traceback from a 72.8 TiB
+    # allocation; no batch runs here
+    def unreachable(*args):
+        raise AssertionError("sweep called with an over-cap batch")
+
+    monkeypatch.setattr("nomalab.cli.sweep", unreachable)
+    data = json.loads(json.dumps(BASE))
+    data["montecarlo"]["batch_size"] = 10**13
+    cfg = write_config(tmp_path, data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert ("config error: config.montecarlo.batch_size"
+            in capsys.readouterr().err)
 
 
 def test_worker_count_past_the_cap_is_a_config_error(tmp_path, capsys,

@@ -8,6 +8,7 @@ import pytest
 from nomalab.channel import CHILD_SPAN
 from nomalab.config import (
     MAX_ANTENNAS,
+    MAX_BATCH_ENTRIES,
     MAX_SWEEP_POINTS,
     MAX_WORKERS,
     RunConfig,
@@ -179,6 +180,27 @@ def test_batch_count_is_capped_where_stream_keys_end():
         with pytest.raises(ConfigError,
                            match=r"config\.montecarlo\.max_symbols"):
             parse_config(dict(MINIMAL, montecarlo=bad))
+
+
+def test_batch_entries_are_capped():
+    # batch_size 10**13 once ended a run in a 72.8 TiB allocation inside
+    # Generator.integers; checked here without simulating
+    def cfg(n, batch_size):
+        return dict(MINIMAL, system=dict(MINIMAL["system"], n_antennas=n),
+                    montecarlo={"batch_size": batch_size})
+
+    assert MAX_BATCH_ENTRIES == 2**23
+    for n in (1, 2, MAX_ANTENNAS):
+        at_cap = parse_config(cfg(n, MAX_BATCH_ENTRIES // n))
+        assert at_cap.montecarlo.batch_size == MAX_BATCH_ENTRIES // n
+        for batch_size in (MAX_BATCH_ENTRIES // n + 1, 10**13):
+            with pytest.raises(ConfigError,
+                               match=r"config\.montecarlo\.batch_size: .*"
+                                     rf"{MAX_BATCH_ENTRIES}"):
+                parse_config(cfg(n, batch_size))
+    # past the antenna cap the antenna count is the value named
+    with pytest.raises(ConfigError, match=r"config\.system\.n_antennas"):
+        parse_config(cfg(MAX_ANTENNAS + 1, 10**13))
 
 
 def test_build_model_converts_db_and_ranks():

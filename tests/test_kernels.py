@@ -26,6 +26,8 @@ from nomalab.kernels import (
     q_approx,
     q_exact,
     qpsk_sep_triplet,
+    sep_probabilities,
+    sep_program,
 )
 
 INF = math.inf
@@ -84,7 +86,8 @@ def test_fade_average_matches_own_quadrature():
     for a in [0.1, 1.0, 10.0, 100.0, 1000.0]:
         for n in (1, 2, 8):
             ref = erlang_fade_quadrature(a, n)
-            assert erlang_fade_average(a, n) == pytest.approx(ref, rel=1e-9)
+            assert erlang_fade_average(a, n) == pytest.approx(ref, rel=1e-9,
+                                                              abs=0)
 
 
 def test_fade_average_special_values():
@@ -115,10 +118,10 @@ def test_fade_average_survives_deep_tails():
     bad = oracles.fade_average_series(1e3, 20)
     good = erlang_fade_average(1e3, 20)
     ref = oracles.fade_average_chebyshev(1e3, 20)
-    assert good == pytest.approx(ref, rel=1e-11)
+    assert good == pytest.approx(ref, rel=1e-11, abs=0)
     assert bad <= 0.0 or abs(bad - ref) / ref > 1e-3
     assert erlang_fade_average(1e4, 64) == pytest.approx(
-        oracles.fade_average_chebyshev(1e4, 64), rel=1e-11)
+        oracles.fade_average_chebyshev(1e4, 64), rel=1e-11, abs=0)
     # past ~1e-308 the value is genuinely unrepresentable: graceful zero
     assert erlang_fade_average(1e6, 64) == 0.0
 
@@ -207,14 +210,14 @@ def test_triplet_is_a_distribution(a, n):
 ])
 def test_axis_brackets_are_q_approx_differences(bounds, level):
     gain = 1.7
-    coef, rates = _axis_brackets(np.array(bounds), level, gain)
+    coef, rates = _axis_brackets(np.array(bounds), level)
     assert coef.shape == (len(bounds) - 1, len(rates))
     assert len(rates) == 1 + 2 * (len(bounds) - 2) and rates[0] == 0.0
     if len(bounds) == 2:
         assert coef.tolist() == [[1.0]]
     for z in (0.05, 0.3, 1.0, 4.0):
         root = math.sqrt(gain * z)
-        got = coef @ np.exp(-rates * z)
+        got = coef @ np.exp(-gain * rates * z)
         for j in range(len(bounds) - 1):
             ref = (q_approx((bounds[j] - level) * root)
                    - q_approx((bounds[j + 1] - level) * root))
@@ -231,6 +234,27 @@ def test_cell_probabilities_sum_to_one(mi, mq):
                 table = cell_probability_table(c, tx, gain, n)
                 assert table.shape == (mi, mq)
                 assert abs(math.fsum(table.ravel()) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("mi,mq", [(2, 2), (4, 2), (4, 4)])
+def test_sep_table_merges_the_cell_table(mi, mq):
+    # one formula behind both: a one-symbol SEP table is its cell table
+    # summed by error distance
+    c = build_rect_qam(mi, mq)
+    for i, tx in enumerate(c.points):
+        program = sep_program(c, (i,))
+        d2 = [[(tx.real - x) ** 2 + (tx.imag - y) ** 2 for y in c.levels_q]
+              for x in c.levels_i]
+        for n in (1, 2, 8):
+            for gain in np.logspace(-3, 4, 15):
+                table = cell_probability_table(c, tx, gain, n)
+                by_d2 = {}
+                for ci, cq in itertools.product(range(mi), range(mq)):
+                    by_d2.setdefault(d2[ci][cq], []).append(table[ci, cq])
+                assert [math.sqrt(k) for k in sorted(by_d2)] == list(program[0])
+                merged = [math.fsum(by_d2[k]) for k in sorted(by_d2)]
+                got = sep_probabilities(program, gain, n).tolist()
+                assert got == pytest.approx(merged, rel=1e-15, abs=0)
 
 
 def test_cell_probability_matches_bracket_oracle():
