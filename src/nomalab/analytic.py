@@ -226,9 +226,8 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     for classes, weight in _assignments(consts[1:]):
         tx_classes = (None,) + classes
         levels = tuple(
-            (c, cls, _leaf_terms(c, cls, m),
-             np.array(_table_distances(c, cls)) if i + 1 < len(consts) else None)
-            for i, (c, cls, m) in enumerate(zip(consts, tx_classes, modes)))
+            (c, cls, _leaf_terms(c, cls, m), np.array(_table_distances(c, cls)))
+            for c, cls, m in zip(consts, tx_classes, modes))
         mags = np.array([cls.squared_magnitude for cls in classes])
         out.append((weight, mags, levels))
         leaves += math.prod(len(level[3]) for level in levels[:-1])
@@ -245,8 +244,8 @@ def _count_leaves(leaves: np.ndarray, new, max_leaves: int) -> None:
 def _walk(model: SystemModel, powers: np.ndarray, mode: str,
           prune_threshold: float, max_leaves: int):
     """BERs of stages 1..K for each row of powers, a (P, K) array of
-    linear powers in stage order, as a (P, K) array; and the mass each
-    column pruned, as a (P,) array.
+    linear powers in stage order, as a (P, K) array; and per column the
+    mass pruned before each stage, as a (P, K) array.
 
     A level holds (node, column) rows: its column col, the upstream noise
     up and the weight w. A child row stays while its weight is at least
@@ -271,7 +270,7 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     if not (0.0 < noise_sq < math.inf and np.isfinite(numerators).all()):
         raise ValueError("noise_sigma^2 or 2 P sigma^2 is out of float range")
     n = model.n_antennas
-    dropped = np.zeros(count)
+    dropped = np.zeros((count, k))
     leaves = np.zeros(count)
     rows_at = []  # per level of every assignment: (stage index, col, w)
     gains, terms = [], []
@@ -293,7 +292,7 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
             rows_at.append((i, col, w))
             gains.append(gain)
             terms.append(leaf_terms)
-            if dists is None:  # stage K
+            if i + 1 == k:
                 break
             child_w = w[:, None] * _sep_table(c, tx_class, gain, n)
             keep = ~(child_w < prune_threshold)
@@ -302,8 +301,9 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
                               max_leaves)
             if not keep.all():
                 cut = ~keep
-                dropped += np.bincount(np.broadcast_to(col[:, None], cut.shape)[cut],
-                                       child_w[cut], count)
+                dropped[:, i + 1:] += np.bincount(
+                    np.broadcast_to(col[:, None], cut.shape)[cut],
+                    child_w[cut], count)[:, None]
             rows, slots = np.nonzero(keep)
             col = col[rows]
             d = dists[slots]

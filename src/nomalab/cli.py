@@ -284,6 +284,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # the batch cap bounds one array, not a run
+        print(f"capacity error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except OptimizationError as exc:
         print(f"optimization error: {exc}", file=sys.stderr)
         return 4

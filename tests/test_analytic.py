@@ -46,11 +46,11 @@ def make_model(powers, sigmas, consts, n=2, noise_sigma=1.0, ranks=None):
 
 
 def pruned_and_dropped(m, k, mode, prune_threshold):
-    """Stage k's BER and the probability mass the walk pruned, from one
+    """Stage k's BER and the probability mass pruned before it, from one
     walk at the model's powers."""
     powers = np.array([[u.power for u in m.stage_profiles()]])
     bers, dropped = _walk(m, powers, mode, prune_threshold, DEFAULT_MAX_LEAVES)
-    return float(bers[0, k - 1]), float(dropped[0])
+    return float(bers[0, k - 1]), float(dropped[0, k - 1])
 
 
 def random_draw(rng, k, n_max=4):
@@ -477,7 +477,7 @@ def test_stage_bers_grid_columns_equal_their_batch_of_one(name, monkeypatch):
             assert one[0].tolist() == list(alone)
     # the columns prune different branches
     _, dropped = ana._walk(m, powers, "exact", 1e-3, 10**7)
-    assert 0.0 < dropped.min() < dropped.max()
+    assert 0.0 < dropped[:, -1].min() < dropped[:, -1].max()
     # a walk that holds fewer leaves takes the columns in slices
     whole = stage_bers_grid(m, powers, "exact", 1e-6)
     monkeypatch.setattr(ana, "WALK_LEAVES", 1)
@@ -494,9 +494,13 @@ def test_stage_bers_grid_prune_bounds_hold_per_column(name):
     exact = stage_bers_grid(m, powers, "exact", 0.0)
     pruned, dropped = ana._walk(m, powers, "exact", 1e-6, 10**7)
     for k in range(1, m.k + 1):
-        for p_col, e_col, d in zip(pruned[:, k - 1], exact[:, k - 1], dropped):
+        for p_col, e_col, d in zip(pruned[:, k - 1], exact[:, k - 1],
+                                   dropped[:, k - 1]):
             assert p_col <= e_col * (1.0 + 1e-12)
             assert e_col <= p_col + d + 1e-15
+    # no class assignment is pruned, so stage 1 loses nothing
+    assert not dropped[:, 0].any()
+    assert pruned[:, 0].tolist() == exact[:, 0].tolist()
 
 
 def test_stage_bers_grid_counts_leaves_per_column():

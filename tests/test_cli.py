@@ -435,6 +435,20 @@ def test_oversized_batch_is_a_config_error(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+def test_running_out_of_memory_is_a_capacity_error(tmp_path, capsys,
+                                                   monkeypatch):
+    # an admitted batch can still pass memory when many workers hold
+    # their arrays at once; nothing is allocated here
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 40.0 GiB")
+
+    monkeypatch.setattr("nomalab.cli.sweep", out_of_memory)
+    cfg = write_config(tmp_path, BASE)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert ("capacity error: out of memory: Unable to allocate 40.0 GiB"
+            in capsys.readouterr().err)
+
+
 def test_worker_count_past_the_cap_is_a_config_error(tmp_path, capsys,
                                                      monkeypatch):
     # a billion workers once grew memory without limit; no pool starts here
