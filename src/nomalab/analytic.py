@@ -20,9 +20,9 @@ leaf BERs once per walk. A stage sums weight x conditional BER over
 its level's rows, per column; a column's rows keep their order whatever
 the others hold, so every column gets the result it gets alone.
 
-Both per-node kernels compile once per alphabet and transmitted class:
-the SEP table is kernels.sep_program (the QPSK one has a closed form,
-the error-distance triplet), and the conditional BER is pairs with
+Both per-node kernels compile once per alphabet and transmitted class,
+QPSK included: the SEP table is kernels.sep_program, one exact matrix
+over the table's unique rates, and the conditional BER is pairs with
 BER = sum coef * erlang_fade_average(gain * d^2, n). Only these leaf
 pairs depend on the mode: "exact" walks the Gray decision boundaries of
 each axis, "approx" charges one fading tail per adjacent boundary.
@@ -40,8 +40,7 @@ from .constellation import (Constellation, _axis_gray_labels, magnitude_classes,
                             neighbor_count)
 from .detectors import SystemModel
 from .errors import CapacityError
-from .kernels import (erlang_fade_average, qpsk_sep_triplet, sep_probabilities,
-                      sep_program)
+from .kernels import erlang_fade_average, sep_probabilities, sep_program
 
 DEFAULT_PRUNE = 1e-12
 DEFAULT_MAX_LEAVES = 10_000_000
@@ -92,8 +91,6 @@ def _admissible_tx(c: Constellation, tx_class) -> tuple[int, ...]:
 def _sep_table(c: Constellation, tx_class, gain, n: int) -> np.ndarray:
     """SEP table probabilities at each gain, in gain.shape + (D,), for
     the distances of _table_distances(c, tx_class)."""
-    if c.is_qpsk:
-        return np.array(qpsk_sep_triplet(gain, n)).T
     return sep_probabilities(sep_program(c, _admissible_tx(c, tx_class)), gain, n)
 
 

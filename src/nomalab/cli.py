@@ -28,7 +28,7 @@ from .constellation import build_rect_qam
 from .detectors import SystemModel
 from .errors import CapacityError, ConfigError, OptimizationError
 from .kernels import (cell_probability_table, erlang_fade_average,
-                      erlang_fade_quadrature, qpsk_sep_triplet)
+                      erlang_fade_quadrature, sep_probabilities, sep_program)
 from .montecarlo import BerCurve, compare_analytic, sweep
 from .poweralloc import optimize_powers, sum_ber_db_cost
 
@@ -170,10 +170,11 @@ def _oracle_checks() -> list[dict]:
     checks.append({"name": "fade_average_vs_quadrature",
                    "max_rel_err": worst, "tol": 1e-8, "passed": worst <= 1e-8})
 
+    qpsk = sep_program(build_rect_qam(2, 2), (0,))
     worst = 0.0
     for n in (1, 2, 4):
         for a in (0.0, 0.3, 3.0, 30.0):
-            worst = max(worst, abs(sum(qpsk_sep_triplet(a, n)) - 1.0))
+            worst = max(worst, abs(sum(sep_probabilities(qpsk, a, n).tolist()) - 1.0))
     checks.append({"name": "qpsk_triplet_normalization",
                    "max_rel_err": worst, "tol": 1e-12, "passed": worst <= 1e-12})
 

@@ -2,20 +2,24 @@
 
 Everything here reduces to averages of Gaussian tail probabilities over
 the Erlang-distributed combining gain Z = ||g||^2 (shape n).
-erlang_fade_average, qpsk_sep_triplet and sep_probabilities take an
-array of gains as well as one gain, and compute each entry the same way
-whatever array it sits in:
+erlang_fade_average and sep_probabilities take an array of gains as
+well as one gain, and compute each entry the same way whatever array it
+sits in:
 
 * erlang_fade_average(a, n) is the exact average of Q(sqrt(a Z)).
 * The two-term exponential approximation q_approx(x) (Chiani, Dardari,
   Simon) makes each decision axis contribute a bracket that is an
   exponential mixture in Z. _axis_brackets returns one axis's brackets
-  as a coefficient matrix over that axis's unit-gain rates, and
-  _cell_tables averages every bracket product at once as a matrix
-  product, since e^(-r Z) averages to (1 + r)^(-n); it is the one
-  evaluation behind cell_probability_table and sep_probabilities.
-  sep_program compiles those tables, merged by error distance, into a
-  SEP table for every gain; qpsk_sep_triplet is its QPSK closed form.
+  as a coefficient matrix over that axis's unit-gain rates; e^(-r g Z)
+  averages to (1 + g r)^(-n). On the odd grid every rate is an integer
+  over 6 and every coefficient an integer over 12, so a table of
+  probabilities compiles exactly, in integers, into a matrix M over a
+  few unique rates R: entry d is sum_R M[d, R] (1 + g R)^(-n).
+  _compile builds M for sep_program (a SEP table: the distribution of
+  the error distance over a set of transmitted symbols) and for one
+  symbol's cell table; _evaluate is the one evaluation behind
+  sep_probabilities and cell_probability_table. qpsk_sep_triplet is the
+  2x2 SEP table.
 * cell_probability_quadrature integrates the same cell integrand with
   the exact Q and serves as the validation oracle for the closed route.
 
@@ -33,17 +37,10 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import erlang_pdf
-from .constellation import Constellation
+from .constellation import Constellation, build_rect_qam
 
-BRACKET_FLOATS = 1 << 20  # bracket tensor size per sep_probabilities chunk
+EVAL_FLOATS = 1 << 20  # gains x rates per evaluation chunk
 _TINY = np.finfo(float).tiny  # the smallest normal float
-_TRIPLET_NUM = np.array([[1.0], [2.0], [3.0], [6.0], [3.0]])
-_TRIPLET_SLOPE = np.array([[1.0], [1.0], [2.0], [7.0], [4.0]])
-# divisor of base j in (p_same, p_adj, p_diag); inf leaves the base out
-_TRIPLET_DIV = np.array([[144.0, -72.0, 144.0], [-6.0, 6.0, math.inf],
-                         [-2.0, 2.0, math.inf], [24.0, -12.0, 24.0],
-                         [16.0, -8.0, 16.0]])
-_TRIPLET_START = np.array([[1.0], [0.0], [0.0]])
 
 
 def q_exact(x):
@@ -139,37 +136,6 @@ def erlang_fade_quadrature(a: float, n: int) -> float:
     return val
 
 
-def qpsk_sep_triplet(a, n: int):
-    """Closed-form distribution of the QPSK error distance under fading.
-
-    Returns (P[d=0], P[d=2], P[d=2 sqrt(2)]) for a QPSK decision at
-    fading-averaged SINR parameter a with n-fold combining, built on the
-    two-term exponential approximation: three floats for a scalar a,
-    three arrays of a's shape for an array. Each base is kept as a ratio
-    so no intermediate overflows for large a or n; the three
-    probabilities sum to 1 by construction.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("shape n must be a positive integer")
-    a = np.asarray(a, dtype=float)
-    shape = a.shape
-    a = a.reshape(-1)  # never 0-d, so ** is numpy's, for scalars too
-    if not a.min(initial=0.0) >= 0:
-        raise ValueError("a must be nonnegative")
-    # the five bases 1/(1+a), 2/(2+a), 3/(3+2a), 6/(6+7a), 3/(3+4a), each
-    # to the n; then each probability adds its terms base by base:
-    #   p_same = 1 + e1/144 - e2/6 - e3/2 + e4/24 + e5/16
-    #   p_adj  =    -e1/72  + e2/6 + e3/2 - e4/12 - e5/8
-    #   p_diag =     e1/144               + e4/24 + e5/16
-    e = (_TRIPLET_NUM / (_TRIPLET_NUM + _TRIPLET_SLOPE * a)) ** n
-    terms = e[:, None, :] / _TRIPLET_DIV[:, :, None]
-    out = _TRIPLET_START + terms[0]
-    for term in terms[1:]:
-        out += term
-    out = out.reshape((3,) + shape)
-    return tuple(out) if shape else tuple(out.tolist())
-
-
 def _axis_brackets(bounds, level: float):
     """Decision brackets of one axis as exponential mixtures in g z.
 
@@ -193,26 +159,6 @@ def _axis_brackets(bounds, level: float):
     rates[1::2] = 0.5 * u * u
     rates[2::2] = (2.0 / 3.0) * u * u
     return tails[:-1] - tails[1:], rates
-
-
-def _stack_brackets(c: Constellation, tx: np.ndarray):
-    """_axis_brackets of each symbol in tx, stacked along a leading axis:
-    (C_i, r_i, C_q^T, r_q)."""
-    c_i, r_i = map(np.array, zip(*(_axis_brackets(c.boundaries_i, x)
-                                   for x in tx.real)))
-    c_q, r_q = map(np.array, zip(*(_axis_brackets(c.boundaries_q, y)
-                                   for y in tx.imag)))
-    return c_i, r_i, c_q.transpose(0, 2, 1), r_q
-
-
-def _cell_tables(brackets, gains: np.ndarray, n: int) -> np.ndarray:
-    """Cell tables C_i E C_q^T of stacked brackets at each gain g, in
-    (G, T, m_i, m_q): E[a, b] = (1 + g (r_i[a] + r_q[b]))^(-n) is the
-    Erlang-n average of e^(-g (r_i[a] + r_q[b]) z)."""
-    c_i, r_i, c_qt, r_q = brackets
-    g = gains[:, None, None, None]
-    e = (1.0 + (g * r_i[:, :, None] + g * r_q[:, None, :])) ** (-n)
-    return c_i @ e @ c_qt
 
 
 def _cell_offsets(c: Constellation, tx: complex, cell_i: int, cell_q: int):
@@ -241,59 +187,135 @@ def _clamp_probability(values, context: str) -> np.ndarray:
         raise RuntimeError(f"{context}: probability {low} is far below zero")
     if low < -1e-12:
         warnings.warn(f"{context}: clamping {low} to 0", RuntimeWarning)
-    return np.where(values < 0.0, 0.0, values)
+    return values if low == 0.0 else np.where(values < 0.0, 0.0, values)
+
+
+def _axis_sum(bounds, levels, xs):
+    """_axis_brackets summed over the transmitted levels xs, in integers:
+    (offset, 6 r, 12 C) per nonzero sum, offset the cell's level minus x.
+    The boundary offsets u are odd integers on the odd grid, so 6 r
+    (3 u^2 or 4 u^2) and 12 C (+-1, +-3 or +-12) are integers."""
+    parts = []
+    for x in xs:
+        coef, rates = _axis_brackets(bounds, x)
+        cell, col = np.nonzero(coef)
+        parts.append((levels[cell] - x, 6.0 * rates[col], 12.0 * coef[cell, col]))
+    return _merge(*(np.rint(np.concatenate(p)).astype(np.int64)
+                    for p in zip(*parts)))
+
+
+def _merge(rows, r6, coef):
+    """Integer terms (row, 6 R, coefficient) summed over equal
+    (row, 6 R) keys, zero sums dropped, in key order."""
+    span = int(r6.max()) + 1
+    keys, inv = np.unique(rows * span + r6, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, inv, coef)
+    keep = sums != 0
+    return keys[keep] // span, keys[keep] % span, sums[keep]
+
+
+def _compile(c: Constellation, tx_set, key):
+    """Cell probabilities of a uniform choice among the symbols tx_set,
+    summed by key(I offset, Q offset): (keys, rates, M) with keys
+    ascending, rates ascending from 0, and row j at gain g equal to
+    sum_R M[j, R] (1 + g rates[R])^(-n).
+
+    Exact in integers: the cell brackets of a symbol (x, y) are the
+    outer product of its axes' brackets, so over tx_set they are
+    sum_Y (sum_{x of Y} A(x)) (x) (sum_{y in Y} B(y)), Y the Q levels of
+    x; terms with equal (key, 6 R) merge, and M is their sum over
+    144 len(tx_set). Read-only, since the compiles are cached."""
+    ys_of: dict[float, list[float]] = {}
+    for tx in c.points[list(tx_set)]:
+        ys_of.setdefault(tx.real, []).append(tx.imag)
+    xs_of: dict[tuple[float, ...], list[float]] = {}
+    for x, ys in ys_of.items():
+        xs_of.setdefault(tuple(ys), []).append(x)
+    parts = []
+    for ys, xs in xs_of.items():
+        off_i, r6_i, coef_i = _axis_sum(c.boundaries_i, c.levels_i, xs)
+        off_q, r6_q, coef_q = _axis_sum(c.boundaries_q, c.levels_q, ys)
+        parts.append((key(off_i[:, None], off_q[None, :]).ravel(),
+                      np.add.outer(r6_i, r6_q).ravel(),
+                      np.multiply.outer(coef_i, coef_q).ravel()))
+    keys, r6, coef = map(np.concatenate, zip(*parts))
+    keys, rows = np.unique(keys, return_inverse=True)
+    rows, r6, coef = _merge(rows, r6, coef)
+    r6, col = np.unique(r6, return_inverse=True)
+    m = np.zeros((len(keys), len(r6)))
+    m[rows, col] = coef / (144 * len(tx_set))
+    rates = r6 / 6.0
+    for arr in (rates, m):
+        arr.setflags(write=False)
+    return keys, rates, m
+
+
+def _evaluate(rates: np.ndarray, m: np.ndarray, gains: np.ndarray,
+              n: int) -> np.ndarray:
+    """Rows of (1 + g rates)^(-n) @ M.T, one per gain. Rate 0 (first)
+    averages to 1 at every gain, infinite ones too. Gains go in chunks
+    of about EVAL_FLOATS averages, and each row is its own vector-matrix
+    product, so it comes out the same whatever shares its call."""
+    chunk = max(1, EVAL_FLOATS // len(rates))
+    if gains.size > chunk:
+        return np.concatenate([_evaluate(rates, m, gains[lo:lo + chunk], n)
+                               for lo in range(0, gains.size, chunk)])
+    e = np.empty((gains.size, 1, len(rates)))
+    e[:, 0, 0] = 1.0
+    e[:, 0, 1:] = (1.0 + gains[:, None] * rates[1:]) ** (-n)
+    return (e @ m.T)[:, 0, :]
+
+
+@lru_cache(maxsize=None)
+def _cell_program(c: Constellation, index: int):
+    """(rates, M) of a symbol's cell table, one row per cell in
+    (cell_i, cell_q) order: offsets sort as the cells do."""
+    return _compile(c, (index,), lambda u, v: u * (4 * c.m_q) + v)[1:]
 
 
 def cell_probability_table(c: Constellation, tx: complex, gain: float,
                            n: int) -> np.ndarray:
-    """Closed-form probabilities that tx is detected in each decision
-    cell, as an (m_i, m_q) array: the Erlang-n average of each product
-    of two axis brackets, from _cell_tables. Each tx's table sums to 1
-    by telescoping."""
+    """Closed-form probabilities that tx, a point of c, is detected in
+    each decision cell, as an (m_i, m_q) array: the Erlang-n average of
+    each product of two axis brackets. Each table sums to 1 by
+    telescoping."""
     _check_gain_n(gain, n)
-    brackets = _stack_brackets(c, np.array([complex(tx)]))
-    cells = _cell_tables(brackets, np.array([float(gain)]), n)
-    return _clamp_probability(cells[0, 0], "cell_probability_table")
+    index = np.flatnonzero(c.points == complex(tx))
+    if not index.size:
+        raise ValueError(f"{tx!r} is not a point of {c!r}")
+    cells = _evaluate(*_cell_program(c, int(index[0])), np.array([float(gain)]), n)
+    return _clamp_probability(cells.reshape(c.m_i, c.m_q), "cell_probability_table")
 
 
 @lru_cache(maxsize=None)
 def sep_program(c: Constellation, tx_set: tuple[int, ...]):
     """Compiled SEP table of a uniform choice among the symbols tx_set:
-    (dists, brackets, merge). dists are the error distances, ascending.
-    brackets stacks each tx's C_i, r_i, C_q^T and r_q from _axis_brackets.
-    merge adds, with prior 1/len(tx_set), the cells at each squared
-    distance, an exact integer on the odd grid."""
-    tx = c.points[list(tx_set)]
-    d2 = ((np.subtract.outer(tx.real, c.levels_i) ** 2)[:, :, None]
-          + (np.subtract.outer(tx.imag, c.levels_q) ** 2)[:, None, :])
-    d2, rows = np.unique(d2.ravel(), return_inverse=True)
-    merge = np.zeros((len(d2), len(rows)))
-    merge[rows, np.arange(len(rows))] = 1.0 / len(tx_set)
-    brackets = _stack_brackets(c, tx)
-    for arr in brackets + (merge,):  # shared by every caller of the cache
-        arr.setflags(write=False)
-    return tuple(np.sqrt(d2).tolist()), brackets, merge
+    (dists, rates, M), the cell probabilities summed by error distance.
+    dists ascend, and P[dists[d]] = sum_R M[d, R] (1 + g rates[R])^(-n);
+    every rate is an integer over 6 and every coefficient an integer
+    over 144 len(tx_set)."""
+    d2, rates, m = _compile(c, tx_set, lambda u, v: u * u + v * v)
+    return tuple(np.sqrt(d2.astype(float)).tolist()), rates, m
 
 
 def sep_probabilities(program, gain, n: int) -> np.ndarray:
-    """A compiled SEP table's probabilities: each tx's cell table as in
-    cell_probability_table, merged by distance. A scalar gain gives one
-    row, an array of gains one row per gain, in gain.shape + (D,).
-    (One flat sum over all bracket products loses 2e-12 relative at
-    small gains.) Gains go through in chunks that keep the bracket
-    tensor at about 2^20 floats; each row comes out the same whatever
-    shares its chunk."""
+    """A compiled SEP table's probabilities. A scalar gain gives one
+    row, an array of gains one row per gain, in gain.shape + (D,); each
+    row comes out the same whatever shares its call."""
     _check_gain_n(gain, n)
-    _, brackets, merge = program
+    _, rates, m = program
     gains = np.asarray(gain, dtype=float)
-    flat = gains.reshape(-1)
-    out = np.empty((flat.size, merge.shape[0]))
-    chunk = max(1, BRACKET_FLOATS // (brackets[1].size * brackets[3].shape[1]))
-    for lo in range(0, flat.size, chunk):
-        cells = _cell_tables(brackets, flat[lo:lo + chunk], n)
-        out[lo:lo + chunk] = (merge @ cells.reshape(len(cells), -1, 1))[..., 0]
-    out = _clamp_probability(out, "sep_probabilities")
-    return out.reshape(gains.shape + (merge.shape[0],))
+    out = _clamp_probability(_evaluate(rates, m, gains.reshape(-1), n),
+                             "sep_probabilities")
+    return out.reshape(gains.shape + (m.shape[0],))
+
+
+def qpsk_sep_triplet(a, n: int):
+    """(P[d=0], P[d=2], P[d=2 sqrt(2)]) of a QPSK decision: the 2x2 SEP
+    program, as three floats for a scalar a, three arrays for an array."""
+    table = sep_probabilities(sep_program(build_rect_qam(2, 2), (0,)), a, n)
+    return tuple(np.moveaxis(table, -1, 0)) if table.ndim > 1 else tuple(table.tolist())
 
 
 def cell_probability_closed(tx: complex, cell_i: int, cell_q: int,

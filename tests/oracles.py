@@ -1,10 +1,10 @@
 """Reference implementations used only by the tests.
 
 Everything here is written independently of the package internals:
-literal series forms, direct quadrature, hard-coded constellation
-geometry, and brute-force searches. The three exceptions reuse package
-kernels to check one layer alone: reference_sep_entries merges the
-package's cell tables, reference_walk_ber walks the package's per-node
+literal series forms, closed forms, direct quadrature, exact rational
+bookkeeping at 50 digits, hard-coded constellation geometry, and
+brute-force searches. The two exceptions reuse package kernels to check
+one layer alone: reference_walk_ber walks the package's per-node
 kernels, and reference_descend runs one power-allocation start alone on
 the package's cost function. Tests compare package outputs against
 these, or freeze values computed from them.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -66,6 +67,20 @@ def qpsk_triplet_series(a: float, n: int):
     e3 = 3.0 ** n * (2.0 * a + 3.0) ** (-n)
     e4 = 6.0 ** n * (7.0 * a + 6.0) ** (-n)
     e5 = 3.0 ** n * (4.0 * a + 3.0) ** (-n)
+    p_same = 1.0 + e1 / 144.0 - e2 / 6.0 - e3 / 2.0 + e4 / 24.0 + e5 / 16.0
+    p_adj = -e1 / 72.0 + e2 / 6.0 + e3 / 2.0 - e4 / 12.0 - e5 / 8.0
+    p_diag = e1 / 144.0 + e4 / 24.0 + e5 / 16.0
+    return p_same, p_adj, p_diag
+
+
+def qpsk_triplet_closed(a: float, n: int):
+    """The same three probabilities with each base kept as a ratio,
+    b/(b + s a) to the n, so nothing overflows at large a or n."""
+    e1 = (1.0 / (1.0 + a)) ** n
+    e2 = (2.0 / (2.0 + a)) ** n
+    e3 = (3.0 / (3.0 + 2.0 * a)) ** n
+    e4 = (6.0 / (6.0 + 7.0 * a)) ** n
+    e5 = (3.0 / (3.0 + 4.0 * a)) ** n
     p_same = 1.0 + e1 / 144.0 - e2 / 6.0 - e3 / 2.0 + e4 / 24.0 + e5 / 16.0
     p_adj = -e1 / 72.0 + e2 / 6.0 + e3 / 2.0 - e4 / 12.0 - e5 / 8.0
     p_diag = e1 / 144.0 + e4 / 24.0 + e5 / 16.0
@@ -361,27 +376,65 @@ def reference_sic(y, channels, powers, point_sets, order):
     return tuple(out)
 
 
-# ---- SEP table by cell merge ----
+# ---- SEP table at 50 digits ----
 
-def reference_sep_entries(c, tx_class, gain, n):
-    """SEP table entries (distance, probability), ascending: every cell
-    of every admissible tx's cell_probability_table, weighted by the
-    uniform prior and merged by distance rounded to 12 digits."""
-    from nomalab.analytic import _admissible_tx
-    from nomalab.kernels import cell_probability_table
+def _tail_terms(u):
+    """The two-term model's tail at signed boundary offset u (an integer
+    or +-inf) as exact (coefficient, rate) pairs of e^(-rate g z)."""
+    if u == INF:
+        return []
+    if u == -INF:
+        return [(Fraction(1), Fraction(0))]
+    terms = [(Fraction(1, 12), Fraction(u * u, 2)),
+             (Fraction(1, 4), Fraction(2 * u * u, 3))]
+    if u > 0:
+        return terms
+    return [(Fraction(1), Fraction(0))] + [(-w, r) for w, r in terms]
 
-    tx_set = _admissible_tx(c, tx_class)
-    prior = 1.0 / len(tx_set)
-    acc = {}
-    for tx_idx in tx_set:
-        tx = complex(c.points[tx_idx])
-        table = cell_probability_table(c, tx, gain, n).tolist()
-        for ci in range(c.m_i):
-            for cq in range(c.m_q):
-                center = complex(c.levels_i[ci], c.levels_q[cq])
-                d = round(abs(tx - center), 12)
-                acc[d] = acc.get(d, 0.0) + prior * table[ci][cq]
-    return tuple(sorted(acc.items()))
+
+def _axis_cells(m: int, x: int):
+    """(squared distance, bracket terms) of each cell of an m-level axis
+    for the transmitted level x: tail(lower) - tail(upper)."""
+    bounds = [-INF] + list(range(2 - m, m - 1, 2)) + [INF]
+    return [((level - x) ** 2,
+             _tail_terms(bounds[j] - x)
+             + [(-w, r) for w, r in _tail_terms(bounds[j + 1] - x)])
+            for j, level in enumerate(range(1 - m, m, 2))]
+
+
+@lru_cache(maxsize=None)
+def _sep_terms(m_i: int, m_q: int, tx: tuple[tuple[int, int], ...]):
+    """{d^2: {rate: coefficient}}, exact, of a uniform choice among the
+    points tx: every product of an I and a Q bracket term, cell by cell."""
+    prior = Fraction(1, len(tx))
+    table: dict[int, dict[Fraction, Fraction]] = {}
+    for x, y in tx:
+        for d2_i, terms_i in _axis_cells(m_i, x):
+            for d2_q, terms_q in _axis_cells(m_q, y):
+                row = table.setdefault(d2_i + d2_q, {})
+                for w_i, r_i in terms_i:
+                    for w_q, r_q in terms_q:
+                        row[r_i + r_q] = row.get(r_i + r_q, 0) + prior * w_i * w_q
+    return table
+
+
+def sep_table_mp(c, tx_set, gain: float, n: int):
+    """SEP table of a uniform choice among the symbols tx_set under the
+    two-term model, as (distance, probability) pairs, ascending: each
+    probability sum_R coef_R (1 + g R)^(-n) with exact rational
+    coefficients and rates, evaluated at 50 digits."""
+    import mpmath as mp
+
+    tx = tuple((int(p.real), int(p.imag)) for p in c.points[list(tx_set)])
+    out = []
+    with mp.workdps(50):
+        g = mp.mpf(float(gain))
+        for d2, row in sorted(_sep_terms(c.m_i, c.m_q, tx).items()):
+            p = mp.fsum(mp.mpf(w.numerator) / w.denominator
+                        * (1 + g * mp.mpf(r.numerator) / r.denominator) ** (-n)
+                        for r, w in row.items() if w)
+            out.append((math.sqrt(d2), float(p)))
+    return tuple(out)
 
 
 # ---- uncached per-stage tree walk ----

@@ -29,6 +29,7 @@ from nomalab.analytic import (
 from nomalab.constellation import build_rect_qam, magnitude_classes
 from nomalab.detectors import SystemModel, UserProfile
 from nomalab.errors import CapacityError
+from nomalab import kernels
 from nomalab.kernels import (cell_probability_closed, erlang_fade_average,
                              qpsk_sep_triplet, sep_probabilities, sep_program)
 
@@ -202,17 +203,26 @@ def test_stage_bers_match_uncached_reference_walk(monkeypatch):
 @pytest.mark.parametrize("m_i,m_q", [(4, 2), (4, 4), (8, 4), (8, 8), (2, 4),
                                      (4, 1), (1, 4)])
 def test_compiled_sep_table_matches_cell_merge(m_i, m_q):
+    # against the 50-digit evaluation of the same two-term model. At
+    # gain 1e-3 rounding 1 + g R before the terms cancel costs up to
+    # 3e-12 relative (2e-12 with per-symbol cell tables), so there each
+    # entry keeps to the rounding bound 5 n u sum_R |M_R| (1 + g R)^(-n)
     c = build_rect_qam(m_i, m_q)
     for tx_class in (None,) + magnitude_classes(c):
+        tx_set = _admissible_tx(c, tx_class)
+        _, rates, coef = sep_program(c, tx_set)
         for gain in (0.0, 1e-3, 0.3, 30.0, 3e3, 3e6):
             for n in (1, 2, 4, 16):
                 got = tuple(zip(_table_distances(c, tx_class),
                                 _sep_table(c, tx_class, gain, n)))
-                ref = oracles.reference_sep_entries(c, tx_class, gain, n)
+                ref = oracles.sep_table_mp(c, tx_set, gain, n)
+                bound = 5 * n * 2.0**-53 * (np.abs(coef) @ (1.0 + gain * rates) ** -n)
                 assert len(got) == len(ref)
-                for (d, p), (d_ref, p_ref) in zip(got, ref):
+                for (d, p), (d_ref, p_ref), b in zip(got, ref, bound):
                     assert d == pytest.approx(d_ref, rel=1e-12, abs=0)
-                    if p_ref >= 1e-12:
+                    if gain == 1e-3:
+                        assert abs(p - p_ref) <= b
+                    elif p_ref >= 1e-12:
                         assert p == pytest.approx(p_ref, rel=1e-12, abs=0)
                     else:
                         assert p == pytest.approx(p_ref, rel=0, abs=1e-15)
@@ -224,7 +234,7 @@ def test_compiled_qpsk_table_is_the_triplet():
     for gain in (0.0, 1e-3, 0.3, 30.0, 3e3, 3e6):
         for n in (1, 2, 4, 16):
             got = sep_probabilities(program, gain, n)
-            for p, p_ref in zip(got, qpsk_sep_triplet(gain, n)):
+            for p, p_ref in zip(got, oracles.qpsk_triplet_closed(gain, n)):
                 assert p == pytest.approx(p_ref, rel=1e-14, abs=0)
 
 
@@ -255,7 +265,8 @@ def test_sep_table_single_user_qpsk_is_the_triplet():
     sigma_tot_sq = effective_noise_variance(m, 1, (), ())
     assert sigma_tot_sq == pytest.approx(ns**2, rel=1e-15)
     gain = 2.0 * p * s**2 / sigma_tot_sq
-    assert [pr for _, pr in table] == list(qpsk_sep_triplet(gain, n))
+    for (_, pr), pr_ref in zip(table, oracles.qpsk_triplet_closed(gain, n)):
+        assert pr == pytest.approx(pr_ref, rel=1e-14, abs=0)
     # the same distribution from the four QPSK decision cells around 1+1j
     cells: dict[float, float] = {}
     for ci in range(2):
@@ -532,7 +543,7 @@ def test_stage_bers_grid_takes_user_order_and_checks_its_input():
         stage_bers_grid(tiny_noise, powers)
 
 
-def test_array_kernels_equal_their_scalar_calls():
+def test_array_kernels_equal_their_scalar_calls(monkeypatch):
     rng = np.random.default_rng(8)
     gains = np.concatenate([[0.0, 1e-9, math.inf], 10.0 ** rng.uniform(-4, 8, 300)])
     for n in (1, 2, 3, 8, 64):
@@ -541,12 +552,19 @@ def test_array_kernels_equal_their_scalar_calls():
         triplet = np.array(qpsk_sep_triplet(gains, n)).T
         assert triplet.tolist() == [list(qpsk_sep_triplet(float(g), n))
                                     for g in gains]
-    finite = gains[np.isfinite(gains)]
-    # 64-QAM, every class: 700 gains take three chunks of the bracket tensor
-    program = sep_program(QAM64, _admissible_tx(QAM64, None))
-    wide = np.resize(finite, 700)
+    wide = np.resize(gains[np.isfinite(gains)], 700)
+    programs = [sep_program(c, _admissible_tx(c, None))
+                for c in (QPSK, QAM8, QAM64, build_rect_qam(16, 16))]
     for n in (1, 4):
-        table = sep_probabilities(program, wide, n)
-        assert table.shape == (700, len(program[0]))
-        for g, row in zip(wide[::37], table[::37]):
-            assert row.tolist() == sep_probabilities(program, float(g), n).tolist()
+        tables = [sep_probabilities(program, wide, n) for program in programs]
+        for program, table in zip(programs, tables):
+            assert table.shape == (700, len(program[0]))
+            for g, row in zip(wide, table):
+                assert row.tolist() == sep_probabilities(program, float(g), n).tolist()
+        # a small chunk bound: one call crosses at least three chunks
+        for program, table in zip(programs, tables):
+            floats = 250 * len(program[1])
+            monkeypatch.setattr(kernels, "EVAL_FLOATS", floats)
+            assert math.ceil(700 / (floats // len(program[1]))) >= 3
+            assert sep_probabilities(program, wide, n).tolist() == table.tolist()
+            monkeypatch.undo()

@@ -13,8 +13,9 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import oracles
+from nomalab.analytic import _admissible_tx
 from nomalab.channel import erlang_pdf
-from nomalab.constellation import build_rect_qam
+from nomalab.constellation import build_rect_qam, magnitude_classes
 from nomalab.kernels import (
     _axis_brackets,
     _clamp_probability,
@@ -238,23 +239,63 @@ def test_cell_probabilities_sum_to_one(mi, mq):
 
 @pytest.mark.parametrize("mi,mq", [(2, 2), (4, 2), (4, 4)])
 def test_sep_table_merges_the_cell_table(mi, mq):
-    # one formula behind both: a one-symbol SEP table is its cell table
-    # summed by error distance
+    # a one-symbol SEP table is its cell table summed by error distance,
+    # checked against the 50-digit evaluation of the same two-term model:
+    # each entry keeps to the rounding bound 5 n u sum_R |M_R| (1 + g R)^(-n)
     c = build_rect_qam(mi, mq)
     for i, tx in enumerate(c.points):
         program = sep_program(c, (i,))
-        d2 = [[(tx.real - x) ** 2 + (tx.imag - y) ** 2 for y in c.levels_q]
-              for x in c.levels_i]
+        _, rates, coef = program
+        d2 = {(tx.real - x) ** 2 + (tx.imag - y) ** 2
+              for x in c.levels_i for y in c.levels_q}
+        assert program[0] == tuple(math.sqrt(v) for v in sorted(d2))
         for n in (1, 2, 8):
             for gain in np.logspace(-3, 4, 15):
-                table = cell_probability_table(c, tx, gain, n)
-                by_d2 = {}
-                for ci, cq in itertools.product(range(mi), range(mq)):
-                    by_d2.setdefault(d2[ci][cq], []).append(table[ci, cq])
-                assert [math.sqrt(k) for k in sorted(by_d2)] == list(program[0])
-                merged = [math.fsum(by_d2[k]) for k in sorted(by_d2)]
-                got = sep_probabilities(program, gain, n).tolist()
-                assert got == pytest.approx(merged, rel=1e-15, abs=0)
+                ref = [p for _, p in oracles.sep_table_mp(c, (i,), gain, n)]
+                bound = 5 * n * 2.0**-53 * (np.abs(coef) @ (1.0 + gain * rates) ** -n)
+                got = sep_probabilities(program, gain, n)
+                assert np.all(np.abs(got - ref) <= bound)
+
+
+SHAPES = [(2, 2), (4, 2), (2, 4), (4, 4), (8, 4), (8, 8), (16, 8), (16, 16),
+          (2, 1), (4, 1), (1, 4)]
+
+
+@pytest.mark.parametrize("mi,mq", SHAPES)
+def test_sep_program_is_exact_in_integers(mi, mq):
+    c = build_rect_qam(mi, mq)
+    for tx_class in (None,) + magnitude_classes(c):
+        tx_set = _admissible_tx(c, tx_class)
+        dists, rates, coef = sep_program(c, tx_set)
+        # every rate an integer over 6, every coefficient over 144 |tx|
+        den = 144 * len(tx_set)
+        r6 = np.rint(6.0 * rates)
+        k = np.rint(den * coef)
+        assert (r6 / 6.0).tolist() == rates.tolist()
+        assert (k / den).tolist() == coef.tolist()
+        assert np.all(np.diff(r6) > 0) and r6[0] == 0
+        # per rate the coefficients telescope: 0, but 144 |tx| at rate 0
+        sums = k.astype(np.int64).sum(axis=0)
+        assert sums[0] == den and not sums[1:].any()
+        # the distances of every symbol to every cell centre, ascending
+        tx = c.points[list(tx_set)]
+        d2 = ((np.subtract.outer(tx.real, c.levels_i) ** 2)[:, :, None]
+              + (np.subtract.outer(tx.imag, c.levels_q) ** 2)[:, None, :])
+        assert dists == tuple(np.sqrt(np.unique(d2)).tolist())
+
+
+def test_sep_program_holds_no_symbol_or_cell_axis():
+    c = build_rect_qam(16, 16)
+    tx_set = _admissible_tx(c, None)
+    dists, rates, coef = sep_program(c, tx_set)
+    assert (len(dists), len(rates)) == (120, 411)
+    assert coef.shape == (len(dists), len(rates))
+    # nothing larger than rates x distances, and no axis of 64 symbols,
+    # 256 cells or 16 levels
+    for arr in (rates, coef):
+        assert arr.size <= len(rates) * len(dists)
+        assert not {len(tx_set), c.size, c.m_i} & set(arr.shape)
+        assert not arr.flags.writeable  # shared by every caller of the cache
 
 
 def test_cell_probability_matches_bracket_oracle():
@@ -306,6 +347,8 @@ def test_cell_probability_validation():
         cell_probability_closed(1 + 1j, 0, 0, c, -1.0, 2)
     with pytest.raises(ValueError):
         cell_probability_closed(1 + 1j, 0, 0, c, 1.0, 0)
+    with pytest.raises(ValueError):  # not a point of c
+        cell_probability_table(c, 2 + 1j, 1.0, 2)
 
 
 def test_clamp_policy_thresholds():
