@@ -18,8 +18,10 @@ sits in:
   _compile builds M for sep_program (a SEP table: the distribution of
   the error distance over a set of transmitted symbols) and for one
   symbol's cell table; _evaluate is the one evaluation behind
-  sep_probabilities and cell_probability_table. qpsk_sep_triplet is the
-  2x2 SEP table.
+  sep_probabilities and cell_probability_table, and _averages takes
+  each power with the rounding of its base 1 + g R corrected, which
+  the n-th power would otherwise magnify n times. qpsk_sep_triplet is
+  the 2x2 SEP table.
 * cell_probability_quadrature integrates the same cell integrand with
   the exact Q and serves as the validation oracle for the closed route.
 
@@ -41,6 +43,8 @@ from .constellation import Constellation, build_rect_qam
 
 EVAL_FLOATS = 1 << 20  # gains x rates per evaluation chunk
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_HEAD = ~np.int64((1 << 27) - 1)  # a float's sign, exponent and leading 26 bits
+_HUGE = 1e300  # the largest gain taken as given: past it, g R may overflow
 
 
 def q_exact(x):
@@ -139,26 +143,28 @@ def erlang_fade_quadrature(a: float, n: int) -> float:
 def _axis_brackets(bounds, level: float):
     """Decision brackets of one axis as exponential mixtures in g z.
 
-    Returns (C, r): bracket j, the two-term model of the probability that
-    the axis statistic lands in cell j given gain g and Z = z, is
-    sum_a C[j, a] e^(-g r[a] z). Rate 0 comes first, then u^2/2 and
-    2 u^2/3 for each finite boundary at signed offset u from level.
-    That boundary's tail q_approx(u sqrt(g z)) is [u < 0] at rate 0
-    and +-(1/12, 1/4) at its two rates; the +-inf sentinels contribute
-    only the constant. Bracket j is tail(lower) - tail(upper).
+    Returns (12 C, 6 r) in integers: bracket j, the two-term model of
+    the probability that the axis statistic lands in cell j given gain
+    g and Z = z, is sum_a C[j, a] e^(-g r[a] z). Rate 0 comes first,
+    then u^2/2 and 2 u^2/3 for each finite boundary at signed offset u
+    from level. That boundary's tail q_approx(u sqrt(g z)) is [u < 0]
+    at rate 0 and +-(1/12, 1/4) at its two rates; the +-inf sentinels
+    contribute only the constant. Bracket j is tail(lower) - tail(upper).
+    On the odd grid u is an odd integer, so 6 r (3 u^2 or 4 u^2) and
+    12 C (+-1, +-3 or +-12) are integers.
     """
-    u = np.asarray(bounds[1:-1], dtype=float) - level
+    u = (np.asarray(bounds[1:-1]) - level).astype(np.int64)
     b = np.arange(1, len(u) + 1)  # row of each finite boundary
-    sign = np.where(u < 0, -1.0, 1.0)
-    tails = np.zeros((len(u) + 2, 2 * len(u) + 1))
-    tails[0, 0] = 1.0
-    tails[b, 0] = u < 0
-    tails[b, 2 * b - 1] = sign / 12.0
-    tails[b, 2 * b] = sign / 4.0
-    rates = np.zeros(2 * len(u) + 1)
-    rates[1::2] = 0.5 * u * u
-    rates[2::2] = (2.0 / 3.0) * u * u
-    return tails[:-1] - tails[1:], rates
+    sign = np.where(u < 0, -1, 1)
+    tails = np.zeros((len(u) + 2, 2 * len(u) + 1), dtype=np.int64)
+    tails[0, 0] = 12
+    tails[b, 0] = 12 * (u < 0)
+    tails[b, 2 * b - 1] = sign
+    tails[b, 2 * b] = 3 * sign
+    r6 = np.zeros(2 * len(u) + 1, dtype=np.int64)
+    r6[1::2] = 3 * u * u
+    r6[2::2] = 4 * u * u
+    return tails[:-1] - tails[1:], r6
 
 
 def _cell_offsets(c: Constellation, tx: complex, cell_i: int, cell_q: int):
@@ -174,7 +180,7 @@ def _cell_offsets(c: Constellation, tx: complex, cell_i: int, cell_q: int):
 def _check_gain_n(gain, n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError("shape n must be a positive integer")
-    if not np.all(np.asarray(gain) >= 0):
+    if not (np.asarray(gain) >= 0).all():
         raise ValueError("gain must be nonnegative")
 
 
@@ -187,32 +193,30 @@ def _clamp_probability(values, context: str) -> np.ndarray:
         raise RuntimeError(f"{context}: probability {low} is far below zero")
     if low < -1e-12:
         warnings.warn(f"{context}: clamping {low} to 0", RuntimeWarning)
-    return values if low == 0.0 else np.where(values < 0.0, 0.0, values)
+    return np.where(values < 0.0, 0.0, values)
 
 
 def _axis_sum(bounds, levels, xs):
-    """_axis_brackets summed over the transmitted levels xs, in integers:
-    (offset, 6 r, 12 C) per nonzero sum, offset the cell's level minus x.
-    The boundary offsets u are odd integers on the odd grid, so 6 r
-    (3 u^2 or 4 u^2) and 12 C (+-1, +-3 or +-12) are integers."""
+    """_axis_brackets summed over the transmitted levels xs: (offset,
+    6 r, 12 C) per nonzero sum, offset the cell's level minus x."""
     parts = []
     for x in xs:
-        coef, rates = _axis_brackets(bounds, x)
+        coef, r6 = _axis_brackets(bounds, x)
         cell, col = np.nonzero(coef)
-        parts.append((levels[cell] - x, 6.0 * rates[col], 12.0 * coef[cell, col]))
-    return _merge(*(np.rint(np.concatenate(p)).astype(np.int64)
-                    for p in zip(*parts)))
+        parts.append(((levels[cell] - x).astype(np.int64), r6[col],
+                      coef[cell, col]))
+    return _merge(*map(np.concatenate, zip(*parts)))
 
 
-def _merge(rows, r6, coef):
-    """Integer terms (row, 6 R, coefficient) summed over equal
-    (row, 6 R) keys, zero sums dropped, in key order."""
-    span = int(r6.max()) + 1
-    keys, inv = np.unique(rows * span + r6, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.int64)
+def _merge(keys, r6, coef):
+    """Integer terms (key, 6 R, coefficient) summed over equal
+    (key, 6 R) pairs, zero sums dropped, in pair order."""
+    low, span = keys.min(), r6.max() + 1
+    pairs, inv = np.unique((keys - low) * span + r6, return_inverse=True)
+    sums = np.zeros(len(pairs), dtype=np.int64)
     np.add.at(sums, inv, coef)
     keep = sums != 0
-    return keys[keep] // span, keys[keep] % span, sums[keep]
+    return pairs[keep] // span + low, pairs[keep] % span, sums[keep]
 
 
 def _compile(c: Constellation, tx_set, key):
@@ -225,7 +229,7 @@ def _compile(c: Constellation, tx_set, key):
     outer product of its axes' brackets, so over tx_set they are
     sum_Y (sum_{x of Y} A(x)) (x) (sum_{y in Y} B(y)), Y the Q levels of
     x; terms with equal (key, 6 R) merge, and M is their sum over
-    144 len(tx_set). Read-only, since the compiles are cached."""
+    144 len(tx_set). Read-only, since sep_program caches them."""
     ys_of: dict[float, list[float]] = {}
     for tx in c.points[list(tx_set)]:
         ys_of.setdefault(tx.real, []).append(tx.imag)
@@ -239,9 +243,8 @@ def _compile(c: Constellation, tx_set, key):
         parts.append((key(off_i[:, None], off_q[None, :]).ravel(),
                       np.add.outer(r6_i, r6_q).ravel(),
                       np.multiply.outer(coef_i, coef_q).ravel()))
-    keys, r6, coef = map(np.concatenate, zip(*parts))
+    keys, r6, coef = _merge(*map(np.concatenate, zip(*parts)))
     keys, rows = np.unique(keys, return_inverse=True)
-    rows, r6, coef = _merge(rows, r6, coef)
     r6, col = np.unique(r6, return_inverse=True)
     m = np.zeros((len(keys), len(r6)))
     m[rows, col] = coef / (144 * len(tx_set))
@@ -251,26 +254,52 @@ def _compile(c: Constellation, tx_set, key):
     return keys, rates, m
 
 
+def _averages(rates: np.ndarray, gains: np.ndarray, n: int) -> np.ndarray:
+    """(1 + g R)^(-n) of each gain g (rows) and rate R (columns).
+
+    Raised to the n-th power, the rounding of the base 1 + g R would
+    cost up to 1.5 n units in the last place, so each average is taken
+    at the rounded base x and corrected to first order by the base's
+    rounding error d: x^(-n) (1 - n d / x). d keeps about 8 digits,
+    since 1 - x is exact for x >= 1 and g R is split exactly in two:
+    the head of g / 6, cut to 26 bits, times the integer 6 R (below
+    2^27), and the small rest. A gain past _HUGE, infinite ones too,
+    counts as _HUGE: its averages at rates above 0 are below 1e-299."""
+    gains = np.minimum(gains, _HUGE)
+    head = (gains / 6.0).view(np.int64) & _HEAD
+    head = head.view(float)
+    t_tail = (gains - 6.0 * head)[:, None] * rates  # 6 head is exact
+    t_head = head[:, None] * np.rint(6.0 * rates)
+    x = t_head + 1.0
+    x += t_tail
+    d = 1.0 - x
+    d += t_head
+    d += t_tail
+    d /= x
+    d *= -n
+    d += 1.0
+    x **= -n
+    x *= d
+    return x
+
+
 def _evaluate(rates: np.ndarray, m: np.ndarray, gains: np.ndarray,
               n: int) -> np.ndarray:
-    """Rows of (1 + g rates)^(-n) @ M.T, one per gain. Rate 0 (first)
-    averages to 1 at every gain, infinite ones too. Gains go in chunks
-    of about EVAL_FLOATS averages, and each row is its own vector-matrix
+    """Rows of _averages @ M.T, one per gain. Gains go in chunks of
+    about EVAL_FLOATS averages, and each row is its own vector-matrix
     product, so it comes out the same whatever shares its call."""
     chunk = max(1, EVAL_FLOATS // len(rates))
     if gains.size > chunk:
         return np.concatenate([_evaluate(rates, m, gains[lo:lo + chunk], n)
                                for lo in range(0, gains.size, chunk)])
-    e = np.empty((gains.size, 1, len(rates)))
-    e[:, 0, 0] = 1.0
-    e[:, 0, 1:] = (1.0 + gains[:, None] * rates[1:]) ** (-n)
-    return (e @ m.T)[:, 0, :]
+    return (_averages(rates, gains, n)[:, None, :] @ m.T)[:, 0, :]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _cell_program(c: Constellation, index: int):
     """(rates, M) of a symbol's cell table, one row per cell in
-    (cell_i, cell_q) order: offsets sort as the cells do."""
+    (cell_i, cell_q) order: offsets sort as the cells do. The last one
+    is kept, so a loop over one symbol's cells compiles it once."""
     return _compile(c, (index,), lambda u, v: u * (4 * c.m_q) + v)[1:]
 
 

@@ -17,6 +17,7 @@ from nomalab.analytic import _admissible_tx
 from nomalab.channel import erlang_pdf
 from nomalab.constellation import build_rect_qam, magnitude_classes
 from nomalab.kernels import (
+    _averages,
     _axis_brackets,
     _clamp_probability,
     cell_probability_closed,
@@ -211,14 +212,15 @@ def test_triplet_is_a_distribution(a, n):
 ])
 def test_axis_brackets_are_q_approx_differences(bounds, level):
     gain = 1.7
-    coef, rates = _axis_brackets(np.array(bounds), level)
-    assert coef.shape == (len(bounds) - 1, len(rates))
-    assert len(rates) == 1 + 2 * (len(bounds) - 2) and rates[0] == 0.0
+    coef12, r6 = _axis_brackets(np.array(bounds), level)
+    assert coef12.dtype == r6.dtype == np.int64  # 12 C and 6 r
+    assert coef12.shape == (len(bounds) - 1, len(r6))
+    assert len(r6) == 1 + 2 * (len(bounds) - 2) and r6[0] == 0
     if len(bounds) == 2:
-        assert coef.tolist() == [[1.0]]
+        assert coef12.tolist() == [[12]]
     for z in (0.05, 0.3, 1.0, 4.0):
         root = math.sqrt(gain * z)
-        got = coef @ np.exp(-gain * rates * z)
+        got = coef12 @ np.exp(-gain * (r6 / 6.0) * z) / 12.0
         for j in range(len(bounds) - 1):
             ref = (q_approx((bounds[j] - level) * root)
                    - q_approx((bounds[j + 1] - level) * root))
@@ -240,21 +242,57 @@ def test_cell_probabilities_sum_to_one(mi, mq):
 @pytest.mark.parametrize("mi,mq", [(2, 2), (4, 2), (4, 4)])
 def test_sep_table_merges_the_cell_table(mi, mq):
     # a one-symbol SEP table is its cell table summed by error distance,
-    # checked against the 50-digit evaluation of the same two-term model:
-    # each entry keeps to the rounding bound 5 n u sum_R |M_R| (1 + g R)^(-n)
+    # and both are within rel 1e-15 of the 50-digit evaluation of the
+    # same two-term model from gain 0.3 up; below that, where the terms
+    # cancel, each keeps to the rounding bound 5 n u sum_R |M_R| (1 + g R)^(-n)
     c = build_rect_qam(mi, mq)
     for i, tx in enumerate(c.points):
         program = sep_program(c, (i,))
         _, rates, coef = program
-        d2 = {(tx.real - x) ** 2 + (tx.imag - y) ** 2
-              for x in c.levels_i for y in c.levels_q}
-        assert program[0] == tuple(math.sqrt(v) for v in sorted(d2))
+        d2 = [[(tx.real - x) ** 2 + (tx.imag - y) ** 2 for y in c.levels_q]
+              for x in c.levels_i]
         for n in (1, 2, 8):
             for gain in np.logspace(-3, 4, 15):
+                table = cell_probability_table(c, tx, gain, n)
+                by_d2 = {}
+                for ci, cq in itertools.product(range(mi), range(mq)):
+                    by_d2.setdefault(d2[ci][cq], []).append(table[ci, cq])
+                assert [math.sqrt(k) for k in sorted(by_d2)] == list(program[0])
+                merged = [math.fsum(by_d2[k]) for k in sorted(by_d2)]
                 ref = [p for _, p in oracles.sep_table_mp(c, (i,), gain, n)]
-                bound = 5 * n * 2.0**-53 * (np.abs(coef) @ (1.0 + gain * rates) ** -n)
                 got = sep_probabilities(program, gain, n)
-                assert np.all(np.abs(got - ref) <= bound)
+                if gain > 0.3:
+                    assert got.tolist() == pytest.approx(merged, rel=1e-15, abs=0)
+                    assert got.tolist() == pytest.approx(ref, rel=1e-15, abs=0)
+                else:
+                    bound = 5 * n * 2.0**-53 * (np.abs(coef) @ (1.0 + gain * rates) ** -n)
+                    assert np.all(np.abs(got - merged) <= bound)
+                    assert np.all(np.abs(got - ref) <= bound)
+
+
+def test_averages_keep_the_base_rounding_out_of_the_power():
+    # the n-th power would magnify the rounding of 1 + g R n times
+    # (past 15 units of 2^-53 at n = 8, 800 at n = 515); corrected,
+    # every average stays within 4 of them of the 50-digit value
+    import mpmath as mp
+
+    rates = sep_program(build_rect_qam(16, 16), (0, 5, 17))[1]
+    rng = np.random.default_rng(3)
+    gains = np.concatenate([[0.0, 1e-300, 1e-9, 1e299],
+                            10.0 ** rng.uniform(-6, 12, 40)])
+    for n in (1, 2, 8, 515):
+        got = _averages(rates, gains, n)
+        with mp.workdps(40):
+            for g, row in zip(gains, got):
+                for r, e in zip(rates[::5], row[::5]):
+                    ref = float((1 + mp.mpf(float(g)) * mp.mpf(round(6 * r)) / 6) ** -n)
+                    if ref > 1e-290:
+                        assert abs(e - ref) <= 4 * 2.0**-53 * ref
+    # rate 0 averages to 1, and gains past 1e300 to nearly 0, infinite too
+    for n in (1, 4):
+        far = _averages(rates, np.array([1e301, math.inf]), n)
+        assert far[:, 0].tolist() == [1.0, 1.0]
+        assert np.all((0.0 <= far[:, 1:]) & (far[:, 1:] < 1e-299))
 
 
 SHAPES = [(2, 2), (4, 2), (2, 4), (4, 4), (8, 4), (8, 8), (16, 8), (16, 16),
