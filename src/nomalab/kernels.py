@@ -180,7 +180,7 @@ def _cell_offsets(c: Constellation, tx: complex, cell_i: int, cell_q: int):
 def _check_gain_n(gain, n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError("shape n must be a positive integer")
-    if not (np.asarray(gain) >= 0).all():
+    if not np.asarray(gain).min(initial=0.0) >= 0:  # NaN fails too
         raise ValueError("gain must be nonnegative")
 
 
@@ -265,11 +265,10 @@ def _averages(rates: np.ndarray, gains: np.ndarray, n: int) -> np.ndarray:
     the head of g / 6, cut to 26 bits, times the integer 6 R (below
     2^27), and the small rest. A gain past _HUGE, infinite ones too,
     counts as _HUGE: its averages at rates above 0 are below 1e-299."""
-    gains = np.minimum(gains, _HUGE)
-    head = (gains / 6.0).view(np.int64) & _HEAD
-    head = head.view(float)
-    t_tail = (gains - 6.0 * head)[:, None] * rates  # 6 head is exact
-    t_head = head[:, None] * np.rint(6.0 * rates)
+    g = np.minimum(gains, _HUGE)[:, None]
+    head = ((g / 6.0).view(np.int64) & _HEAD).view(float)
+    t_head = head * (6.0 * rates)  # 6 rates is the integer 6 R, exactly
+    t_tail = (g - 6.0 * head) * rates  # 6 head is exact
     x = t_head + 1.0
     x += t_tail
     d = 1.0 - x
