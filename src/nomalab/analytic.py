@@ -216,15 +216,18 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     """The walk's fixed part for stage alphabets consts: the number of
     leaves per column without pruning, and per class assignment its
     weight, the squared magnitudes of stages 2..K, and per stage its
-    alphabet, transmitted class, leaf terms and SEP-table distances."""
+    alphabet, transmitted class, leaf terms and SEP-table distances. The
+    last stage has no SEP table (None): the walk stops at its leaves, so
+    its programs are never compiled."""
     modes = [_resolve_mode(c, mode) for c in consts]
     out = []
     leaves = 0
     for classes, weight in _assignments(consts[1:]):
         tx_classes = (None,) + classes
         levels = tuple(
-            (c, cls, _leaf_terms(c, cls, m), np.array(_table_distances(c, cls)))
-            for c, cls, m in zip(consts, tx_classes, modes))
+            (c, cls, _leaf_terms(c, cls, m),
+             np.array(_table_distances(c, cls)) if i + 1 < len(consts) else None)
+            for i, (c, cls, m) in enumerate(zip(consts, tx_classes, modes)))
         mags = np.array([cls.squared_magnitude for cls in classes])
         out.append((weight, mags, levels))
         leaves += math.prod(len(level[3]) for level in levels[:-1])

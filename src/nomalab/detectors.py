@@ -11,10 +11,15 @@ enumerates the symbol tuples of every user but the one with the largest
 alphabet, and for each tuple slices that user to the point nearest its
 combined residual, which is its exact best reply. The cap still bounds
 the full cartesian product of all user alphabets. It scores candidates
-by the Gram form of the metric, from G = g^H g and p = g^H y, in
-cache-sized chunks. Candidates whose Gram metrics agree within the
-proven rounding bound are ties, and ties go to the smallest full tuple.
-Both receivers share one per-axis slicer on the odd-integer grid.
+by the Gram form of the metric, from G = g^H g and p = g^H y, and only
+those that can win: in cache-sized chunks it bounds every enumerated
+tuple's metric from below by the metric with the sliced user free in
+the complex plane, scores the tuple with the lowest bound, and slices
+and scores only the tuples whose bound lies within that score plus the
+tie margin and a rounding slack. Candidates whose Gram metrics agree
+within the proven rounding bound are ties, and ties go to the smallest
+full tuple. Both receivers share one per-axis slicer on the odd-integer
+grid.
 
 Both receivers and superposition work on batches of (n, B) columns; the
 single-shot functions run a batch of one.
@@ -34,9 +39,11 @@ from .errors import CapacityError
 
 JMLD_DEFAULT_CAP = 1 << 20
 
-# Joint ML scores chunks of this many (tuple, column) entries, 256 kB per
-# (T, chunk) float array, so a chunk's working arrays stay in cache. On a
-# 2-core Xeon with 2 MB of L2 per core, 2^15 beat 2^14 and 2^16.
+# Joint ML bounds chunks of this many (tuple, column) entries, 256 kB per
+# (chunk, T) float array, so a chunk's working arrays stay in cache. On a
+# 2-core Xeon with 2 MB of L2 per core, 2^15 beat 2^14 and 2^16 when every
+# entry was scored; with the bound, 2^16 ran 3-18% faster per 10k batch
+# than 2^15, and 2^14 9-28% slower.
 _CHUNK_ENTRIES = 1 << 15
 
 # Tie margin of the Gram scores, per rounding step on a path.
@@ -59,6 +66,30 @@ _CHUNK_ENTRIES = 1 << 15
 # room for numpy's reductions and complex products rounding a little
 # worse than the model.
 _TIE_MARGIN_PER_STEP = 17 * 2.0 ** -53
+
+# Rounding slack of the joint detector's pruning radius, per rounding
+# step on a path. A candidate is scored only if its bound, the metric
+# with user s free in the complex plane, lies within the seed's score
+# plus the tie margin plus this slack. A candidate that can win scores
+# within the margin of the best, so of the seed, and exactly its bound is
+# at most its metric; the slack covers what rounding adds to the two. A
+# score is within 4 gamma_d S^2 of its exact value (see the margin). The
+# bound is the enumerated users' part of the metric, whose terms add up
+# to at most 4 S^2, less |g_s^H r|^2 / G_ss with r = y - sum_k x_k g_k over
+# them, whose terms add up to at most 8 S^2: |g_s^H r| <= ||g_s|| S, and
+# the real and imaginary parts of the complex products double it. No
+# term passes through more than 3n + 5K + 4 <= 3 d roundings: n + 1 in
+# each of the antenna sums G_ks, G_sj and G_ss, 4 for the quotient,
+# product and difference that form the Schur complement, then K - 2
+# residual updates, 4 per level of the matrix product and 3 for |x|^2.
+# So the bound is within 12 gamma_3d S^2 of its exact value, and a
+# candidate that can win has a bound within 4 gamma_d S^2 + 12 gamma_3d
+# S^2 <= 40 gamma_3d S^2 / 3 of the seed's score plus the margin. 80 u per
+# step covers that about twice over, as the margin covers its spread.
+# Like the margin's, the analysis assumes that nothing underflows; a
+# subnormal G_ss would void it, so such columns keep every tuple. A wider
+# slack only scores more candidates.
+_BOUND_SLACK_PER_STEP = 80 * 2.0 ** -53
 
 
 @lru_cache(maxsize=None)
@@ -288,12 +319,60 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     return out
 
 
-def _near_ties(metric: np.ndarray, best: np.ndarray,
-               margin: np.ndarray) -> np.ndarray:
-    """Columns of the (T, B) metric where a second candidate lies within
-    margin of the best one."""
-    near = metric <= metric[best, np.arange(best.size)] + margin
-    return np.flatnonzero(np.count_nonzero(near, axis=0) > 1)
+def _gram_form(model: SystemModel, y: np.ndarray, channels, order):
+    """The Gram form's inputs for the users in order, with g_k = sqrt(P_k)
+    h_k: G_kj = g_k^H g_j (len(order), len(order), B), p_k = g_k^H y
+    (len(order), B), and per column S = ||y|| + sum_k ||g_k|| max|x_k|
+    over all users."""
+    g = np.stack([np.sqrt(u.power) * np.asarray(channels[i])
+                  for i, u in enumerate(model.users)])  # (K, n, B)
+    g_conj = np.conj(g[order])
+    proj = np.sum(g_conj * y, axis=1)
+    gram = np.array([[np.sum(a * g[k], axis=0) for k in order]
+                     for a in g_conj])
+    peak = np.array([np.abs(u.constellation.points).max() for u in model.users])
+    return gram, proj, np.linalg.norm(y, axis=0) + peak @ np.linalg.norm(g, axis=1)
+
+
+def _relaxed_bounds(points, schur, shift, floor) -> np.ndarray:
+    """(w, T) lower bounds on the metrics of every enumerated tuple, in
+    lexicographic order along each column's row: the metric's Gram
+    recursion run on the Schur complement of G_ss, which leaves user s
+    free in the complex plane.
+
+    points are the enumerated users' alphabets in tuple order; schur is
+    their (E, E, w) A = G_oo - G_os G_so / G_ss, shift their (E, w)
+    b = p_o - G_os p_s / G_ss, and floor the (w,) -|p_s|^2 / G_ss.
+    """
+    w = floor.size
+    bound = floor[:, None]
+    res = list(shift[:, :, None])
+    for i, pts in enumerate(points):  # one more user, in tuple order
+        # each tuple's bound + |x|^2 A_ii - 2 Re(conj(x) r) for every point
+        # x, one matrix product over (bound, A_ii, Re r, Im r)
+        coef = np.stack([np.ones(pts.size), np.abs(pts) ** 2,
+                         -2 * pts.real, -2 * pts.imag])
+        terms = np.stack([bound, np.broadcast_to(schur[i, i, :, None].real,
+                                                 bound.shape),
+                          res[i].real, res[i].imag], axis=-1)
+        bound = (terms.reshape(-1, 4) @ coef).reshape(w, -1)
+        for j in range(i + 1, len(points)):
+            res[j] = (res[j][:, :, None] - schur[j, i, :, None, None] * pts
+                      ).reshape(w, -1)
+    return bound
+
+
+def _smallest_tie(metric: np.ndarray, key: np.ndarray, col: np.ndarray,
+                  margin: np.ndarray) -> np.ndarray:
+    """Per column, the smallest key among the rows whose metric lies within
+    the column's margin of its best; col holds each row's column, and
+    every column has a row."""
+    best = np.full(margin.size, np.inf)
+    np.minimum.at(best, col, metric)
+    near = metric <= (best + margin)[col]
+    pick = np.full(margin.size, np.iinfo(np.int64).max)
+    np.minimum.at(pick, col[near], key[near])
+    return pick
 
 
 def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
@@ -303,9 +382,19 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
     nearest g_s^H r / ||g_s||^2, with r the residual after the others;
     so only the others' tuples are enumerated and user s is sliced.
     Candidates are scored by the Gram form of ||y - sum_k x_k g_k||^2 -
-    ||y||^2, from G = g^H g and p = g^H y. Candidates whose scores lie
-    within the rounding margin of the best are ties, and ties go to the
-    smallest full tuple.
+    ||y||^2, from G = g^H g and p = g^H y.
+
+    Only candidates that can win are sliced and scored. Every enumerated
+    tuple's metric is bounded from below by its metric with x_s free in
+    the complex plane, part - |z|^2 / G_ss, computed as the same Gram
+    recursion on the Schur complement of G_ss. Per column the tuple with
+    the lowest bound is sliced and scored, and the radius is its score
+    plus the tie margin plus the rounding slack (_BOUND_SLACK_PER_STEP):
+    a candidate whose bound lies beyond it cannot come within the margin
+    of the best. The kept candidates are sliced and scored, each bit for
+    bit as among all candidates. Over the scored candidates, those within
+    the margin of the best are ties, and ties go to the smallest full
+    tuple. Columns where G_ss is zero or subnormal keep every tuple.
     """
     _keep_freed_memory()
     tuples = joint_symbol_tuples(model)
@@ -318,59 +407,78 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
     # index times its stride
     strides = np.cumprod([1] + sizes[:0:-1])[::-1]
     rank = others @ strides
-    g = np.stack([np.sqrt(u.power) * np.asarray(channels[i])
-                  for i, u in enumerate(model.users)])  # (K, n, B)
-    # g_s^H r = g_s^H y - sum_k x_k g_s^H g_k over the others; k = s gives
-    # the gain ||g_s||^2
-    gs_conj = np.conj(g[s])
-    proj_y = np.sum(gs_conj * y, axis=0)
-    proj_g = np.sum(gs_conj * g, axis=1)
-    # the enumerated users' p_k = g_k^H y and G_kj = g_k^H g_j
+    # the enumerated users in tuple order, then user s: g_s^H r = p_s -
+    # sum_k G_sk x_k over the others, and G_ss = ||g_s||^2 is the gain
     enum = [k for k in range(model.k) if k != s]
-    g_conj = np.conj(g[enum])
-    proj = np.sum(g_conj * y, axis=1)
-    gram = np.sum(g_conj[:, None] * g[enum], axis=2)
+    e = len(enum)
+    gram, proj, reach = _gram_form(model, y, channels, enum + [s])
+    gain = gram[e, e].real
+    # the Schur complement of G_ss, with G_ks / G_ss as lean
+    live = gain >= np.finfo(float).tiny
+    safe = np.where(live, gain, 1.0)
+    lean = gram[:e, e] / safe
+    schur = gram[:e, :e] - lean[:, None] * gram[e, :e]
+    shift = proj[:e] - lean * proj[e]
+    floor = -(proj[e].real ** 2 + proj[e].imag ** 2) / safe
+    points = [model.users[k].constellation.points for k in enum]
+    # each enumerated user's point in every enumerated tuple
+    picked = [pts[others[:, k]] for pts, k in zip(points, enum)]
     c_s = model.users[s].constellation
     energy_s = np.abs(c_s.points) ** 2
-    # per column, S = ||y|| + sum_k ||g_k|| max|x_k| sets the tie margin
-    peak = np.array([np.abs(u.constellation.points).max() for u in model.users])
-    reach = np.linalg.norm(y, axis=0) + peak @ np.linalg.norm(g, axis=1)
+    # S sets the tie margin and the slack; where G_ss is zero or subnormal
+    # the bound means nothing, and the radius is infinite
     margin = _TIE_MARGIN_PER_STEP * (n + 3 * model.k + 10) * reach ** 2
+    spread = np.where(live, margin + _BOUND_SLACK_PER_STEP
+                      * (n + 3 * model.k + 10) * reach ** 2, np.inf)
+
+    def score(t, col):
+        """Metrics and full-tuple keys of enumerated tuples t in columns
+        col: the enumerated users' part of metric - ||y||^2 and each
+        later user's residual projection p_k - sum_j G_kj x_j, one user
+        at a time in tuple order, then user s sliced. Complex products
+        take views, not fresh temporaries: numpy computes into a large
+        temporary operand in place, and its in-place complex product
+        rounds differently."""
+        grams, gains = gram[..., col], gain[col]
+        part = np.zeros(t.size)
+        res = list(proj[:, col])
+        for i, xs in enumerate(picked):
+            x = xs[t]
+            part = (part + np.abs(x) ** 2 * grams[i, i].real
+                    - 2 * (x.real * res[i].real + x.imag * res[i].imag))
+            for j in range(i + 1, e + 1):
+                res[j] = res[j] - x * grams[j, i]
+        z = res[e]
+        sym = _slice(c_s, z, gains)
+        xs = c_s.points[sym]
+        return part + energy_s[sym] * gains - 2 * (
+            xs.real * z.real + xs.imag * z.imag), rank[t] + sym * strides[s]
+
     out = np.zeros((model.k, b), dtype=np.int64)
     chunk = max(1, _CHUNK_ENTRIES // t_count)
+    # the (column, metric, key) of scored rows and the (column, tuple) of
+    # kept rows still to score, over the chunks since column done
+    scored, kept, held, done = [], [], 0, 0
     for lo in range(0, b, chunk):
         hi = min(lo + chunk, b)
-        w = hi - lo
-        z = proj_y[None, lo:hi]
-        # the enumerated users' part of metric - ||y||^2, and each one's
-        # residual projection p_k - sum_j G_kj x_j over the users before it
-        part = np.zeros((1, w))
-        res = [proj[i, None, lo:hi] for i in range(len(enum))]
-        for i, k in enumerate(enum):  # one more user, in tuple order
-            pts = model.users[k].constellation.points[:, None]
-            r = res[i][:, None]
-            part = (part[:, None] + np.abs(pts) ** 2 * gram[i, i, lo:hi].real
-                    - 2 * (pts.real * r.real + pts.imag * r.imag)
-                    ).reshape(-1, w)
-            for j in range(i + 1, len(enum)):
-                res[j] = (res[j][:, None] - pts * gram[j, i, lo:hi]
-                          ).reshape(-1, w)
-            z = (z[:, None] - pts * proj_g[k, lo:hi]).reshape(-1, w)
-        sym = _slice(c_s, z, proj_g[s, lo:hi].real)
-        xs = c_s.points[sym]
-        metric = part + energy_s[sym] * proj_g[s, lo:hi].real - 2 * (
-            xs.real * z.real + xs.imag * z.imag)
-        cols = np.arange(w)
-        best = np.argmin(metric, axis=0)
-        near = _near_ties(metric, best, margin[lo:hi])
-        if near.size:
-            # every candidate within the margin of the best ties with it:
-            # keep the smallest full tuple
-            tied = metric[:, near] <= (metric[best[near], near]
-                                       + margin[lo + near])
-            key = np.where(tied, rank[:, None] + sym[:, near] * strides[s],
-                           np.iinfo(np.int64).max)
-            best[near] = np.argmin(key, axis=0)
-        out[:, lo:hi] = others[best].T
-        out[s, lo:hi] = sym[best, cols]
+        bound = _relaxed_bounds(points, schur[..., lo:hi], shift[:, lo:hi],
+                                floor[lo:hi])
+        seed, col = np.argmin(bound, axis=1), np.arange(lo, hi)
+        scored.append((col, *score(seed, col)))
+        keep = bound <= (scored[-1][1] + spread[lo:hi])[:, None]
+        keep[col - lo, seed] = False
+        col, t = np.divmod(np.flatnonzero(keep), t_count)
+        kept.append((col + lo, t))
+        held += t.size
+        if held >= _CHUNK_ENTRIES or hi == b:
+            col, t = (np.concatenate(a) for a in zip(*kept))
+            # in pieces of 2^13 rows, whose complex arrays take 128 kB each
+            # (the gathered Gram entries (E + 1)^2 times that)
+            for k in range(0, t.size, _CHUNK_ENTRIES // 4):
+                piece = slice(k, k + _CHUNK_ENTRIES // 4)
+                scored.append((col[piece], *score(t[piece], col[piece])))
+            col, metric, key = (np.concatenate(a) for a in zip(*scored))
+            out[:, done:hi] = np.unravel_index(
+                _smallest_tie(metric, key, col - done, margin[done:hi]), sizes)
+            scored, kept, held, done = [], [], 0, hi
     return out

@@ -62,24 +62,35 @@ class BerCurve:
     points: tuple[BerEstimate, ...]
 
 
-def _run_batch(model: SystemModel, detector: str, batch_size: int,
-               key: StreamKey) -> np.ndarray:
+def _draw_batch(model: SystemModel, batch_size: int, key: StreamKey):
+    """One batch's draws from its own generator: the per-user symbol
+    indices and channels, and the received signal."""
     rng = generator(key)
     n = model.n_antennas
     sym = [rng.integers(0, u.constellation.size, size=batch_size)
            for u in model.users]
     chans = [sample_channel(n, u.sigma, rng, batch_size) for u in model.users]
     noise = sample_noise(n, model.noise_sigma, rng, batch_size)
-    y = superimpose(model, sym, chans, noise)
-    if detector == "sic":
-        det = sic_detect_batch(model, y, chans)
-    else:
-        det = jmld_detect_batch(model, y, chans)
+    return sym, chans, superimpose(model, sym, chans, noise)
+
+
+def _bit_errors(model: SystemModel, sym, det: np.ndarray) -> np.ndarray:
+    """(K,) bit errors of the (K, B) decisions det against the sent sym."""
     errors = np.zeros(model.k, dtype=np.int64)
     for i, u in enumerate(model.users):
         table = hamming_table(u.constellation)
         errors[i] = int(table[sym[i], det[i]].sum())
     return errors
+
+
+def _run_batch(model: SystemModel, detector: str, batch_size: int,
+               key: StreamKey) -> np.ndarray:
+    sym, chans, y = _draw_batch(model, batch_size, key)
+    if detector == "sic":
+        det = sic_detect_batch(model, y, chans)
+    else:
+        det = jmld_detect_batch(model, y, chans)
+    return _bit_errors(model, sym, det)
 
 
 def estimate_ber(model: SystemModel, detector: str = "sic",

@@ -3,11 +3,13 @@
 Everything here is written independently of the package internals:
 literal series forms, closed forms, direct quadrature, exact rational
 bookkeeping at 50 digits, hard-coded constellation geometry, and
-brute-force searches. The two exceptions reuse package kernels to check
-one layer alone: reference_walk_ber walks the package's per-node
-kernels, and reference_descend runs one power-allocation start alone on
-the package's cost function. Tests compare package outputs against
-these, or freeze values computed from them.
+brute-force searches. Three exceptions reuse package code to check one
+layer alone: reference_walk_ber walks the package's per-node kernels,
+reference_descend runs one power-allocation start alone on the package's
+cost function, and dense_gram_metrics scores every joint-ML candidate
+with the package's slicer, so the pruned detector's scores can be
+checked bit for bit. Tests compare package outputs against these, or
+freeze values computed from them.
 """
 
 from __future__ import annotations
@@ -333,6 +335,56 @@ def direct_metric(y, channels, powers, point_sets, tuples):
                for h, p, ps, idx in zip(channels, powers, point_sets,
                                          np.moveaxis(tuples, 1, 0)))
     return np.sum(np.abs(np.asarray(y)[None] - pred) ** 2, axis=1)
+
+
+def relaxed_metric(y, channels, powers, point_sets, tuples, s):
+    """The metric with user s's symbol free in the complex plane,
+    ||r||^2 - |g_s^H r|^2 / ||g_s||^2 with r = y - sum over k != s of
+    sqrt(P_k) h_k x_k; shapes as direct_metric, tuples[:, s] unused."""
+    rest = [k for k in range(len(channels)) if k != s]
+    pred = sum(math.sqrt(powers[k]) * np.asarray(channels[k])[None]
+               * point_sets[k][tuples[:, k]][:, None] for k in rest)
+    r = np.asarray(y)[None] - pred
+    g_s = math.sqrt(powers[s]) * np.asarray(channels[s])
+    along = np.sum(np.conj(g_s)[None] * r, axis=1)
+    return (np.sum(np.abs(r) ** 2, axis=1)
+            - np.abs(along) ** 2 / np.sum(np.abs(g_s) ** 2, axis=0))
+
+
+def dense_gram_metrics(model, y, channels):
+    """Every enumerated tuple's Gram score and sliced symbol of user s, in
+    one (T, B) array each, by the joint detector's arithmetic: the form
+    that scored every candidate before the detector pruned. s is the last
+    user with the largest alphabet; rows are the others' tuples in
+    lexicographic order."""
+    from nomalab.detectors import _slice
+    sizes = [u.constellation.size for u in model.users]
+    s = max(range(model.k), key=lambda k: (sizes[k], k))
+    g = np.stack([np.sqrt(u.power) * np.asarray(h)
+                  for u, h in zip(model.users, channels)])
+    gs_conj = np.conj(g[s])
+    z = np.sum(gs_conj * y, axis=0)[None]
+    proj_g = np.sum(gs_conj * g, axis=1)
+    enum = [k for k in range(model.k) if k != s]
+    g_conj = np.conj(g[enum])
+    res = list(np.sum(g_conj * y, axis=1)[:, None])
+    gram = np.sum(g_conj[:, None] * g[enum], axis=2)
+    w = y.shape[1]
+    part = np.zeros((1, w))
+    for i, k in enumerate(enum):
+        pts = model.users[k].constellation.points[:, None]
+        r = res[i][:, None]
+        part = (part[:, None] + np.abs(pts) ** 2 * gram[i, i].real
+                - 2 * (pts.real * r.real + pts.imag * r.imag)).reshape(-1, w)
+        for j in range(i + 1, len(enum)):
+            res[j] = (res[j][:, None] - pts * gram[j, i]).reshape(-1, w)
+        z = (z[:, None] - pts * proj_g[k]).reshape(-1, w)
+    c_s = model.users[s].constellation
+    sym = _slice(c_s, z, proj_g[s].real)
+    xs = c_s.points[sym]
+    energy = np.abs(c_s.points) ** 2
+    return part + energy[sym] * proj_g[s].real - 2 * (
+        xs.real * z.real + xs.imag * z.imag), sym
 
 
 def exact_joint_metrics(y, channels, powers, point_sets):

@@ -29,7 +29,7 @@ from nomalab.analytic import (
 from nomalab.constellation import build_rect_qam, magnitude_classes
 from nomalab.detectors import SystemModel, UserProfile
 from nomalab.errors import CapacityError
-from nomalab import kernels
+from nomalab import analytic, kernels
 from nomalab.kernels import (cell_probability_closed, erlang_fade_average,
                              qpsk_sep_triplet, sep_probabilities, sep_program)
 
@@ -452,6 +452,29 @@ def test_canonical_mixed_order_values_frozen():
     for k, ref in zip((1, 2, 3), expect):
         got = ber_user_qam(m, k, "exact", prune_threshold=0.0)
         assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_walk_compiles_no_sep_program_for_the_last_stage(monkeypatch):
+    # the walk stops at the last stage's leaves: a 1024-QAM last stage
+    # costs no SEP program (one per magnitude class, 136 of them), and the
+    # stage BERs are the ones the walk gave when it compiled them
+    qam1024 = build_rect_qam(32, 32)
+    compiled = []
+    program = analytic.sep_program
+
+    def recording(c, tx_set):
+        compiled.append(c)
+        return program(c, tx_set)
+
+    monkeypatch.setattr(analytic, "sep_program", recording)
+    analytic._plan.cache_clear()
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QPSK, QPSK, qam1024])
+    got = stage_bers_grid(m, [[10.0 ** (db / 10.0)] * 3 for db in (10, 20, 30)])
+    assert compiled and qam1024 not in compiled
+    assert got.tolist() == [
+        [0.13344683342244099, 0.3686560106887143, 0.10626701921046872],
+        [0.13340961693409678, 0.3685812961867196, 0.10499874788629422],
+        [0.1334058951635304, 0.368573824176663, 0.10497716237901399]]
 
 
 BATCH_SYSTEMS = {

@@ -242,6 +242,44 @@ def test_jmld_batch_matches_brute_force_oracle(consts, powers, n, cols):
     assert_jmld_matches_oracle(model, y, chans)
 
 
+def recording_detector(monkeypatch):
+    """Patch the joint detector's tie rule and bound to record what they
+    see; returns the record: per scored row its metric, full-tuple key and
+    column, per column its margin, and the (B, T) bounds."""
+    seen = {"metric": [], "key": [], "col": [], "margin": [], "bound": []}
+    smallest_tie = detectors._smallest_tie
+    relaxed_bounds = detectors._relaxed_bounds
+
+    def recording_ties(metric, key, col, margin):
+        done = sum(m.size for m in seen["margin"])
+        for name, value in (("metric", metric), ("key", key),
+                            ("col", col + done), ("margin", margin)):
+            seen[name].append(value)
+        return smallest_tie(metric, key, col, margin)
+
+    def recording_bounds(*args):
+        seen["bound"].append(relaxed_bounds(*args))
+        return seen["bound"][-1]
+
+    monkeypatch.setattr(detectors, "_smallest_tie", recording_ties)
+    monkeypatch.setattr(detectors, "_relaxed_bounds", recording_bounds)
+    return seen
+
+
+def enumerated_rows(model, key):
+    """Full tuples (K, R) of full-tuple keys, and each one's row among the
+    enumerated tuples (the sliced user, the last of the largest alphabet,
+    at index 0)."""
+    sizes = [u.constellation.size for u in model.users]
+    s = max(range(model.k), key=lambda k: (sizes[k], k))
+    full = np.array(np.unravel_index(key, sizes))
+    enumerated = full.copy()
+    enumerated[s] = 0
+    tuples = joint_symbol_tuples(model)
+    ranks = np.ravel_multi_index(tuples[tuples[:, s] == 0].T, sizes)
+    return full, np.searchsorted(ranks, np.ravel_multi_index(enumerated, sizes))
+
+
 @pytest.mark.parametrize("mods", [(QPSK, QPSK, QPSK), (QAM16, QAM8, QAM8)],
                          ids=["4-4-4", "16-8-8"])
 def test_jmld_gram_rounding_stays_far_inside_the_margin(monkeypatch, mods):
@@ -250,41 +288,100 @@ def test_jmld_gram_rounding_stays_far_inside_the_margin(monkeypatch, mods):
     rng = np.random.default_rng(43)
     model = make_model([1e4] * 3, [10.0, 2.5, 0.625], mods, n=2)
     y, chans = random_batch(rng, model, 1000)
-    seen = {"gram": [], "margin": [], "sym": []}
-    near_ties, slice_ = detectors._near_ties, detectors._slice
-
-    def recording_ties(metric, best, margin):
-        seen["gram"].append(metric)
-        seen["margin"].append(margin)
-        near = near_ties(metric, best, margin)
-        assert near.size == 0
-        return near
-
-    def recording_slice(c, z, gain):
-        seen["sym"].append(slice_(c, z, gain))
-        return seen["sym"][-1]
-
-    monkeypatch.setattr(detectors, "_near_ties", recording_ties)
-    monkeypatch.setattr(detectors, "_slice", recording_slice)
+    seen = recording_detector(monkeypatch)
     jmld_detect_batch(model, y, chans)
-    gram, margin, sym = (np.concatenate(seen[k], axis=-1)
-                         for k in ("gram", "margin", "sym"))
-    # each candidate's full tuple: the enumerated users' tuple, in
-    # lexicographic order, with the sliced user (the last of the largest
-    # alphabet) at its per-column decision
-    sliced = 2 if mods[0] is QPSK else 0
-    full = joint_symbol_tuples(model)
-    others = full[full[:, sliced] == 0]
-    assert gram.shape == sym.shape == (len(others), 1000)
-    tuples = np.repeat(others[:, :, None], 1000, axis=2)
-    tuples[:, sliced] = sym
-    direct = oracles.direct_metric(y, chans, [u.power for u in model.users],
-                                   [u.constellation.points
-                                    for u in model.users], tuples)
-    gap = np.abs(gram - (direct - np.sum(np.abs(y) ** 2, axis=0)))
+    metric, key, col, margin, bound = (np.concatenate(seen[k]) for k in (
+        "metric", "key", "col", "margin", "bound"))
+    powers = [u.power for u in model.users]
+    points = [u.constellation.points for u in model.users]
+    # every scored row, by its full tuple: the seeds and the kept rows
+    full, _ = enumerated_rows(model, key)
+    direct = oracles.direct_metric(y[:, col], [h[:, col] for h in chans],
+                                   powers, points, full[None])[0]
+    gap = np.abs(metric - (direct - np.sum(np.abs(y[:, col]) ** 2, axis=0)))
     # within d u S^2, a seventeenth of the margin: the two forms together
     # round by less than one unit per step of the count
-    assert np.all(17 * gap.max(axis=0) <= margin)
+    assert np.all(17 * gap <= margin[col])
+    # no column holds a second candidate within the margin of its best
+    best = np.full(1000, np.inf)
+    np.minimum.at(best, col, metric)
+    assert np.bincount(col[metric <= best[col] + margin[col]]).max() == 1
+    # every enumerated tuple's bound against the metric with user s free
+    # in the plane, computed directly: as far inside the slack
+    sliced = 2 if mods[0] is QPSK else 0
+    tuples = joint_symbol_tuples(model)
+    others = tuples[tuples[:, sliced] == 0]
+    assert bound.shape == (1000, len(others))
+    relaxed = oracles.relaxed_metric(
+        y, chans, powers, points, np.repeat(others[:, :, None], 1000, axis=2),
+        sliced) - np.sum(np.abs(y) ** 2, axis=0)
+    slack = margin * (detectors._BOUND_SLACK_PER_STEP
+                      / detectors._TIE_MARGIN_PER_STEP)
+    assert np.all(17 * np.abs(bound.T - relaxed).max(axis=0) <= slack)
+
+
+# (alphabets, power, n, columns, sliced user's channel zeroed in every
+# third column): the pruned path at each end of its range
+PRUNED_CASES = [
+    ((QAM16, QAM8, QAM8), 1e2, 2, 90, True),
+    ((QPSK, QPSK, QPSK), 1e2, 1, 200, False),
+    ((QAM16, QAM8), 1e2, 2, 300, False),
+    ((QPSK, QPSK, QAM8, QPSK), 1e2, 2, 100, False),
+    ((QAM16, QAM8, QAM8), 1e4, 2, 60, False),
+    ((QAM16, QAM8, QAM8), 1e-1, 2, 60, False),
+]
+
+
+@pytest.mark.parametrize("consts,power,n,cols,zeroed", PRUNED_CASES,
+                         ids=["zero-gain-columns", "n1", "k2", "k4", "40dB",
+                              "-10dB"])
+def test_jmld_pruned_path_matches_brute_force_oracle(monkeypatch, consts,
+                                                     power, n, cols, zeroed):
+    rng = np.random.default_rng(53 + n * cols)
+    spreads = [10.0, 2.5, 0.625, 0.3][:len(consts)]
+    model = make_model([power] * len(consts), spreads, consts, n=n)
+    y, chans = random_batch(rng, model, cols)
+    if zeroed:
+        chans[0][:, ::3] = 0.0  # 16-QAM is the sliced user
+    seen = recording_detector(monkeypatch)
+    assert_jmld_matches_oracle(model, y, chans)
+    # every scored row scores bit for bit as it does among all candidates
+    metric, key, col = (np.concatenate(seen[k]) for k in ("metric", "key",
+                                                           "col"))
+    full, row = enumerated_rows(model, key)
+    dense, sym = oracles.dense_gram_metrics(model, y, chans)
+    s = max(range(model.k), key=lambda k: (consts[k].size, k))
+    assert np.array_equal(metric, dense[row, col])
+    assert np.array_equal(full[s], sym[row, col])
+    # each (tuple, column) row is scored once; at N = 1 user s fits any y,
+    # so the bound prunes nothing, and a zero gain keeps every tuple; from
+    # 20 dB at N = 2 most rows are pruned
+    assert np.unique(row * cols + col).size == row.size
+    if n == 1:
+        assert row.size == dense.size
+    elif zeroed:
+        assert np.bincount(col, minlength=cols)[::3].min() == dense.shape[0]
+    elif power >= 1e2:
+        assert row.size < dense.size / 4
+
+
+@pytest.mark.parametrize("n,cols", [(1, 1024), (2, 4000)], ids=["n1", "n2"])
+def test_jmld_large_batches_score_as_the_dense_form(monkeypatch, n, cols):
+    # at N = 1 every row is scored, in pieces of 2^15 rows: numpy computes
+    # into temporaries that large in place, where its complex product
+    # rounds differently
+    rng = np.random.default_rng(61 + n)
+    model = make_model([1e2] * 3, [10.0, 2.5, 0.625], [QAM16, QAM8, QAM8],
+                       n=n)
+    y, chans = random_batch(rng, model, cols)
+    seen = recording_detector(monkeypatch)
+    jmld_detect_batch(model, y, chans)
+    metric, key, col = (np.concatenate(seen[k]) for k in ("metric", "key",
+                                                           "col"))
+    full, row = enumerated_rows(model, key)
+    dense, sym = oracles.dense_gram_metrics(model, y, chans)
+    assert np.array_equal(metric, dense[row, col])
+    assert np.array_equal(full[0], sym[row, col])
 
 
 def test_jmld_batch_chunks_give_the_same_decisions():
@@ -357,18 +454,16 @@ def test_jmld_ties_across_tuples_keep_the_smallest_tuple(monkeypatch):
     # channel: integer points of the plane have several exact optima
     model = make_model([1.0, 4.0], [1.0, 1.0], [QAM16, QPSK], n=1)
     y = grid_columns(6)
-    tied = [0]
-    near_ties = detectors._near_ties
-
-    def counting(metric, best, margin):
-        near = near_ties(metric, best, margin)
-        tied[0] += near.size
-        return near
-
-    monkeypatch.setattr(detectors, "_near_ties", counting)
+    seen = recording_detector(monkeypatch)
     assert_jmld_matches_oracle(model, y, [np.ones(y.shape, complex)] * 2)
-    # the exact ties reach the tie rule
-    assert 0 < tied[0] < y.shape[1]
+    # the exact ties reach the tie rule: columns where a second scored
+    # candidate lies within the margin of the best
+    metric, col, margin = (np.concatenate(seen[k])
+                           for k in ("metric", "col", "margin"))
+    best = np.full(y.shape[1], np.inf)
+    np.minimum.at(best, col, metric)
+    near = np.bincount(col[metric <= best[col] + margin[col]])
+    assert 0 < np.count_nonzero(near > 1) < y.shape[1]
 
 
 @pytest.mark.parametrize("consts", [(QPSK,) * 3, (QAM16, QAM8, QAM8),
