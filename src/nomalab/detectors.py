@@ -42,8 +42,8 @@ JMLD_DEFAULT_CAP = 1 << 20
 # Joint ML bounds chunks of this many (tuple, column) entries, 256 kB per
 # (chunk, T) float array, so a chunk's working arrays stay in cache. On a
 # 2-core Xeon with 2 MB of L2 per core, 2^15 beat 2^14 and 2^16 when every
-# entry was scored; with the bound, 2^16 ran 3-18% faster per 10k batch
-# than 2^15, and 2^14 9-28% slower.
+# entry was scored; with the bound, 2^16 ran 7-28% faster per 10k batch
+# than 2^15, and 2^14 17-36% slower.
 _CHUNK_ENTRIES = 1 << 15
 
 # Tie margin of the Gram scores, per rounding step on a path.
@@ -436,19 +436,19 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
         col: the enumerated users' part of metric - ||y||^2 and each
         later user's residual projection p_k - sum_j G_kj x_j, one user
         at a time in tuple order, then user s sliced. Complex products
-        take views, not fresh temporaries: numpy computes into a large
-        temporary operand in place, and its in-place complex product
-        rounds differently."""
-        grams, gains = gram[..., col], gain[col]
+        take named operands, not fresh temporaries: numpy computes into
+        a large temporary operand in place, and its in-place complex
+        product rounds differently."""
         part = np.zeros(t.size)
         res = list(proj[:, col])
         for i, xs in enumerate(picked):
             x = xs[t]
-            part = (part + np.abs(x) ** 2 * grams[i, i].real
+            part = (part + np.abs(x) ** 2 * gram[i, i, col].real
                     - 2 * (x.real * res[i].real + x.imag * res[i].imag))
             for j in range(i + 1, e + 1):
-                res[j] = res[j] - x * grams[j, i]
-        z = res[e]
+                g_ji = gram[j, i, col]
+                res[j] = res[j] - x * g_ji
+        z, gains = res[e], gain[col]
         sym = _slice(c_s, z, gains)
         xs = c_s.points[sym]
         return part + energy_s[sym] * gains - 2 * (
@@ -456,29 +456,18 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
 
     out = np.zeros((model.k, b), dtype=np.int64)
     chunk = max(1, _CHUNK_ENTRIES // t_count)
-    # the (column, metric, key) of scored rows and the (column, tuple) of
-    # kept rows still to score, over the chunks since column done
-    scored, kept, held, done = [], [], 0, 0
     for lo in range(0, b, chunk):
         hi = min(lo + chunk, b)
         bound = _relaxed_bounds(points, schur[..., lo:hi], shift[:, lo:hi],
                                 floor[lo:hi])
+        # the seeds, then the other rows whose bound lies within the radius
         seed, col = np.argmin(bound, axis=1), np.arange(lo, hi)
-        scored.append((col, *score(seed, col)))
-        keep = bound <= (scored[-1][1] + spread[lo:hi])[:, None]
+        metric, key = score(seed, col)
+        keep = bound <= (metric + spread[lo:hi])[:, None]
         keep[col - lo, seed] = False
-        col, t = np.divmod(np.flatnonzero(keep), t_count)
-        kept.append((col + lo, t))
-        held += t.size
-        if held >= _CHUNK_ENTRIES or hi == b:
-            col, t = (np.concatenate(a) for a in zip(*kept))
-            # in pieces of 2^13 rows, whose complex arrays take 128 kB each
-            # (the gathered Gram entries (E + 1)^2 times that)
-            for k in range(0, t.size, _CHUNK_ENTRIES // 4):
-                piece = slice(k, k + _CHUNK_ENTRIES // 4)
-                scored.append((col[piece], *score(t[piece], col[piece])))
-            col, metric, key = (np.concatenate(a) for a in zip(*scored))
-            out[:, done:hi] = np.unravel_index(
-                _smallest_tie(metric, key, col - done, margin[done:hi]), sizes)
-            scored, kept, held, done = [], [], 0, hi
+        kept, t = np.divmod(np.flatnonzero(keep), t_count)
+        more, more_key = score(t, kept + lo)
+        out[:, lo:hi] = np.unravel_index(_smallest_tie(
+            np.concatenate([metric, more]), np.concatenate([key, more_key]),
+            np.concatenate([col - lo, kept]), margin[lo:hi]), sizes)
     return out

@@ -367,7 +367,7 @@ def test_jmld_pruned_path_matches_brute_force_oracle(monkeypatch, consts,
 
 @pytest.mark.parametrize("n,cols", [(1, 1024), (2, 4000)], ids=["n1", "n2"])
 def test_jmld_large_batches_score_as_the_dense_form(monkeypatch, n, cols):
-    # at N = 1 every row is scored, in pieces of 2^15 rows: numpy computes
+    # at N = 1 all 2^15 rows of a chunk are scored at once: numpy computes
     # into temporaries that large in place, where its complex product
     # rounds differently
     rng = np.random.default_rng(61 + n)
