@@ -57,11 +57,14 @@ def _row(power_db: float, user: int, source: str, ber: float,
             f"{bits},{seed}")
 
 
-def _analytic_table(model: SystemModel, cfg: RunConfig, grid) -> list[list[float]]:
-    """Closed-form BER per grid offset, one row per offset, user order."""
+def _analytic_table(model: SystemModel, cfg: RunConfig, grid,
+                    *retuned: SystemModel) -> list[list[float]]:
+    """Closed-form BER per grid offset, one row per offset, user order,
+    then as many rows per model in retuned (other powers), in one walk."""
     order = model.decode_order()
-    grid_bers = stage_bers_grid(model, model.scaled_powers(grid),
-                                cfg.analytic.mode, cfg.analytic.prune_threshold,
+    powers = [row for m in (model,) + retuned for row in m.scaled_powers(grid)]
+    grid_bers = stage_bers_grid(model, powers, cfg.analytic.mode,
+                                cfg.analytic.prune_threshold,
                                 cfg.analytic.max_leaves)
     return [[bers[order.index(i)] for i in range(model.k)]
             for bers in grid_bers.tolist()]
@@ -144,10 +147,9 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     grid = sweep_grid(cfg)
     seed = cfg.montecarlo.seed
     tuned = model.with_powers([10.0 ** (p / 10.0) for p in result.powers_db])
-    rows = _analytic_rows(grid, _analytic_table(model, cfg, grid), seed,
-                          source="analytic_before")
-    rows += _analytic_rows(grid, _analytic_table(tuned, cfg, grid), seed,
-                           source="analytic_after")
+    table = _analytic_table(model, cfg, grid, tuned)
+    rows = _analytic_rows(grid, table[:len(grid)], seed, source="analytic_before")
+    rows += _analytic_rows(grid, table[len(grid):], seed, source="analytic_after")
     _write_csv(cfg.output.directory, rows)
     _emit_config(cfg, cfg.output.directory)
     print(f"optimized powers_db = {[round(p, 3) for p in result.powers_db]}, "

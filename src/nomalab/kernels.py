@@ -193,7 +193,7 @@ def _clamp_probability(values, context: str) -> np.ndarray:
         raise RuntimeError(f"{context}: probability {low} is far below zero")
     if low < -1e-12:
         warnings.warn(f"{context}: clamping {low} to 0", RuntimeWarning)
-    return np.where(values < 0.0, 0.0, values)
+    return np.where(values < 0.0, 0.0, values) if low < 0.0 else values
 
 
 def _axis_sum(bounds, levels, xs):
@@ -221,8 +221,8 @@ def _merge(keys, r6, coef):
 
 def _compile(c: Constellation, tx_set, key):
     """Cell probabilities of a uniform choice among the symbols tx_set,
-    summed by key(I offset, Q offset): (keys, rates, M) with keys
-    ascending, rates ascending from 0, and row j at gain g equal to
+    summed by key(I offset, Q offset): (keys, rates, M, 6 rates) with
+    keys ascending, rates ascending from 0, and row j at gain g equal to
     sum_R M[j, R] (1 + g rates[R])^(-n).
 
     Exact in integers: the cell brackets of a symbol (x, y) are the
@@ -248,13 +248,14 @@ def _compile(c: Constellation, tx_set, key):
     r6, col = np.unique(r6, return_inverse=True)
     m = np.zeros((len(keys), len(r6)))
     m[rows, col] = coef / (144 * len(tx_set))
+    r6 = r6.astype(float)
     rates = r6 / 6.0
-    for arr in (rates, m):
+    for arr in (rates, m, r6):
         arr.setflags(write=False)
-    return keys, rates, m
+    return keys, rates, m, r6
 
 
-def _averages(rates: np.ndarray, gains: np.ndarray, n: int) -> np.ndarray:
+def _averages(rates, r6, gains: np.ndarray, n: int) -> np.ndarray:
     """(1 + g R)^(-n) of each gain g (rows) and rate R (columns).
 
     Raised to the n-th power, the rounding of the base 1 + g R would
@@ -267,7 +268,7 @@ def _averages(rates: np.ndarray, gains: np.ndarray, n: int) -> np.ndarray:
     counts as _HUGE: its averages at rates above 0 are below 1e-299."""
     g = np.minimum(gains, _HUGE)[:, None]
     head = ((g / 6.0).view(np.int64) & _HEAD).view(float)
-    t_head = head * (6.0 * rates)  # 6 rates is the integer 6 R, exactly
+    t_head = head * r6  # r6 holds the integers 6 R
     t_tail = (g - 6.0 * head) * rates  # 6 head is exact
     x = t_head + 1.0
     x += t_tail
@@ -282,21 +283,21 @@ def _averages(rates: np.ndarray, gains: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _evaluate(rates: np.ndarray, m: np.ndarray, gains: np.ndarray,
-              n: int) -> np.ndarray:
+def _evaluate(rates: np.ndarray, m: np.ndarray, r6: np.ndarray,
+              gains: np.ndarray, n: int) -> np.ndarray:
     """Rows of _averages @ M.T, one per gain. Gains go in chunks of
     about EVAL_FLOATS averages, and each row is its own vector-matrix
     product, so it comes out the same whatever shares its call."""
     chunk = max(1, EVAL_FLOATS // len(rates))
     if gains.size > chunk:
-        return np.concatenate([_evaluate(rates, m, gains[lo:lo + chunk], n)
+        return np.concatenate([_evaluate(rates, m, r6, gains[lo:lo + chunk], n)
                                for lo in range(0, gains.size, chunk)])
-    return (_averages(rates, gains, n)[:, None, :] @ m.T)[:, 0, :]
+    return (_averages(rates, r6, gains, n)[:, None, :] @ m.T)[:, 0, :]
 
 
 @lru_cache(maxsize=1)
 def _cell_program(c: Constellation, index: int):
-    """(rates, M) of a symbol's cell table, one row per cell in
+    """(rates, M, 6 rates) of a symbol's cell table, one row per cell in
     (cell_i, cell_q) order: offsets sort as the cells do. The last one
     is kept, so a loop over one symbol's cells compiles it once."""
     return _compile(c, (index,), lambda u, v: u * (4 * c.m_q) + v)[1:]
@@ -319,12 +320,12 @@ def cell_probability_table(c: Constellation, tx: complex, gain: float,
 @lru_cache(maxsize=None)
 def sep_program(c: Constellation, tx_set: tuple[int, ...]):
     """Compiled SEP table of a uniform choice among the symbols tx_set:
-    (dists, rates, M), the cell probabilities summed by error distance.
-    dists ascend, and P[dists[d]] = sum_R M[d, R] (1 + g rates[R])^(-n);
-    every rate is an integer over 6 and every coefficient an integer
-    over 144 len(tx_set)."""
-    d2, rates, m = _compile(c, tx_set, lambda u, v: u * u + v * v)
-    return tuple(np.sqrt(d2.astype(float)).tolist()), rates, m
+    (dists, rates, M, 6 rates), the cell probabilities summed by error
+    distance. dists ascend, and P[dists[d]] = sum_R M[d, R] (1 + g
+    rates[R])^(-n); every rate is an integer over 6, kept in 6 rates, and
+    every coefficient an integer over 144 len(tx_set)."""
+    d2, rates, m, r6 = _compile(c, tx_set, lambda u, v: u * u + v * v)
+    return tuple(np.sqrt(d2.astype(float)).tolist()), rates, m, r6
 
 
 def sep_probabilities(program, gain, n: int) -> np.ndarray:
@@ -332,9 +333,9 @@ def sep_probabilities(program, gain, n: int) -> np.ndarray:
     row, an array of gains one row per gain, in gain.shape + (D,); each
     row comes out the same whatever shares its call."""
     _check_gain_n(gain, n)
-    _, rates, m = program
+    _, rates, m, r6 = program
     gains = np.asarray(gain, dtype=float)
-    out = _clamp_probability(_evaluate(rates, m, gains.reshape(-1), n),
+    out = _clamp_probability(_evaluate(rates, m, r6, gains.reshape(-1), n),
                              "sep_probabilities")
     return out.reshape(gains.shape + (m.shape[0],))
 

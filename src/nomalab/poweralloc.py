@@ -8,11 +8,12 @@ points covers the useful basins: everyone at the cap, two decode-order
 staircases, and a received-power equalizer; an optional warm start is
 tried first.
 
-All starts descend in lock step. Each iteration evaluates the gradient
-probes of every start still moving in one call of the analytic walk,
-and each Armijo call takes the next two rungs of every start still
-searching. A walk's columns do not interact, so every start follows
-the trajectory it would follow alone.
+Each start is a generator yielding the points it needs costed, and each
+walk of the analytic model costs those of every start not yet finished:
+first each start with its 2K probes, then per Armijo walk its next two
+rungs and, while another step may follow, the first rung's probes, so a
+step taken at that rung costs one walk. A walk's columns do not
+interact, so every start follows the trajectory it would follow alone.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ def sum_ber_db_cost(model: SystemModel, powers_db, mode: str = "auto",
     """Objective value for absolute per-user powers given in dB: a float
     for one power vector, or a (P,) array for a (P, K) array of them,
     all from one walk. The other arguments are sum_ber's."""
+    # libm's pow and log10 per element: numpy's SIMD loops (AVX-512
+    # builds) round some inputs differently and would change the results
     rows = np.asarray(powers_db, dtype=float)
     linear = [[10.0 ** (p / 10.0) for p in row]
               for row in np.atleast_2d(rows).tolist()]
@@ -97,74 +100,83 @@ def _starts(model: SystemModel, cfg: PaConfig, warm_db) -> list[np.ndarray]:
     return starts[:count]
 
 
-def _armijo(model: SystemModel, p: np.ndarray, cost, grad: np.ndarray,
-            cfg: PaConfig, limits) -> list:
-    """For each row of the (S, K) points p, with its cost and its row of
-    grad: the first rung of the ladder step0_db, step0_db/2, ... down to
-    min_step_db whose projected step decreases the cost enough, as
-    (point, cost); None if no rung does. Each walk takes the next two
-    rungs of every row still searching."""
+def _ladder(cfg: PaConfig) -> list[float]:
+    """Armijo step sizes: step0_db, step0_db/2, ... down to min_step_db."""
     ladder = []
     step = cfg.step0_db
     while step >= cfg.min_step_db:
         ladder.append(step)
         step *= 0.5
-    found = [None] * len(p)
-    searching = list(range(len(p)))
+    return ladder
+
+
+def _search(p: np.ndarray, cost: float, grad: np.ndarray, ladder, cfg: PaConfig, around):
+    """Armijo search from p along -grad, as a generator: it yields each
+    block of points to cost, the next two rungs and, with around given,
+    around(the first), and is sent their costs. Returns (point, cost,
+    costs at around(point) or None) of the first rung that decreases the
+    cost enough; None if no rung does."""
     for lo in range(0, len(ladder), 2):
-        if not searching:
-            break
-        rungs = np.array(ladder[lo:lo + 2])
-        cands = np.minimum(p[searching, None] - rungs[:, None] * grad[searching, None],
-                           cfg.p_max_db)
-        costs = sum_ber_db_cost(model, cands.reshape(-1, p.shape[1]), cfg.mode, *limits)
-        for s, row, row_costs in zip(searching, cands,
-                                     costs.reshape(len(searching), -1).tolist()):
-            for cand, cand_cost in zip(row, row_costs):
-                # sufficient decrease against the projected displacement
-                if cand_cost <= cost[s] - cfg.armijo_c * float(grad[s] @ (p[s] - cand)):
-                    found[s] = (cand, cand_cost)
-                    break
-        searching = [s for s in searching if found[s] is None]
-    return found
+        cands = np.minimum(p - np.multiply.outer(ladder[lo:lo + 2], grad), cfg.p_max_db)
+        costs = yield cands if around is None else np.concatenate([cands, around(cands[0])])
+        for j, (cand, cand_cost) in enumerate(zip(cands, costs.tolist())):
+            # sufficient decrease against the projected displacement
+            if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
+                return cand, cand_cost, costs[len(cands):] if j == 0 and around else None
+    return None
 
 
-def _descend(model: SystemModel, starts: np.ndarray, cfg: PaConfig, limits):
-    """Descend from every row of starts in lock step: each walk serves
-    the probes, or the rungs, of every start still moving. A start stops
-    on its own at a non-finite or zero gradient, when no rung is
-    acceptable, when it improves by less than tol_db, or at max_iters.
-    Returns each start's (point, cost, trace)."""
-    p = np.minimum(starts, cfg.p_max_db)
-    cost = sum_ber_db_cost(model, p, cfg.mode, *limits).tolist()
-    traces = [[c] for c in cost]
-    k = model.k
-    probes = cfg.fd_step_db * np.eye(k)
-    moving = list(range(len(p)))
-    for _ in range(cfg.max_iters):
-        if not moving:
+def _descent(p0: np.ndarray, cfg: PaConfig):
+    """One start's descent, a generator like _search returning (point,
+    cost, trace); its first block is the start, clipped to p_max_db, and
+    its probes. It stops at a non-finite or zero gradient, when no rung
+    is acceptable, when it improves by less than tol_db, or after
+    max_iters steps."""
+    probes = cfg.fd_step_db * np.eye(len(p0))
+
+    def around(q):
+        return np.concatenate([q + probes, q - probes])
+
+    p = np.minimum(p0, cfg.p_max_db)
+    costs = yield np.concatenate([p[None], around(p)])
+    cost, probe_costs, ladder = float(costs[0]), costs[1:], _ladder(cfg)
+    trace = [cost]
+    for iters in range(cfg.max_iters):
+        if probe_costs is None:
+            probe_costs = yield around(p)
+        grad = np.subtract(*probe_costs.reshape(2, -1)) / (2.0 * cfg.fd_step_db)
+        if not np.all(np.isfinite(grad)) or float(grad @ grad) == 0.0:
             break
-        # central differences: the 2K probes p +- step e_i of every start
-        # still moving share one walk
-        at = p[moving, None]
-        points = np.concatenate([at + probes, at - probes], axis=1).reshape(-1, k)
-        costs = sum_ber_db_cost(model, points, cfg.mode, *limits).reshape(-1, 2, k)
-        grads = (costs[:, 0] - costs[:, 1]) / (2.0 * cfg.fd_step_db)
-        ok = [bool(np.all(np.isfinite(g))) and float(g @ g) != 0.0 for g in grads]
-        moving = [s for s, keep in zip(moving, ok) if keep]
-        accepted = _armijo(model, p[moving], [cost[s] for s in moving], grads[ok],
-                           cfg, limits)
-        still = []
-        for s, step in zip(moving, accepted):
-            if step is None:
-                continue
-            improvement = cost[s] - step[1]
-            p[s], cost[s] = step
-            traces[s].append(cost[s])
-            if not improvement < cfg.tol_db:  # a NaN improvement keeps moving
-                still.append(s)
-        moving = still
-    return [(row, c, tuple(trace)) for row, c, trace in zip(p, cost, traces)]
+        step = yield from _search(p, cost, grad, ladder, cfg,
+                                  around if iters + 1 < cfg.max_iters else None)
+        if step is None:
+            break
+        improvement = cost - step[1]
+        p, cost, probe_costs = step
+        trace.append(cost)
+        if improvement < cfg.tol_db:  # a NaN improvement keeps moving
+            break
+    return p, cost, tuple(trace)
+
+
+def _serve(model: SystemModel, jobs, mode: str, limits) -> list:
+    """Run generators like _search side by side and return what each
+    returns. Each walk costs the block of every job not yet finished; a
+    walk's columns do not interact, so each job runs as it would alone."""
+    results = [None] * len(jobs)
+    sent = dict.fromkeys(range(len(jobs)))
+    while True:
+        blocks = {}
+        for i, costs in sent.items():
+            try:
+                blocks[i] = jobs[i].send(costs)
+            except StopIteration as stop:
+                results[i] = stop.value
+        if not blocks:
+            return results
+        costs = sum_ber_db_cost(model, np.concatenate(list(blocks.values())), mode, *limits)
+        ends = np.cumsum([len(block) for block in blocks.values()])
+        sent = dict(zip(blocks, np.split(costs, ends[:-1])))
 
 
 def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),
@@ -175,8 +187,8 @@ def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),
     best = None
     start_costs = []
     initial_costs = []
-    runs = _descend(model, np.array(_starts(model, cfg, warm_db)), cfg,
-                    (prune_threshold, max_leaves))
+    runs = _serve(model, [_descent(p, cfg) for p in _starts(model, cfg, warm_db)],
+                  cfg.mode, (prune_threshold, max_leaves))
     for s_idx, (p, cost, trace) in enumerate(runs):
         start_costs.append(cost)
         initial_costs.append(trace[0])

@@ -542,7 +542,7 @@ def _reference_armijo(model, p, cost, grad, cfg, limits):
 def reference_descend(model, p0, cfg, limits):
     """One start's projected-gradient descent, run alone, with the reason
     it stopped: the sequential reference that each start of the package's
-    lock-step descent must match bit for bit. Returns (p, cost, trace,
+    pipelined descent must match bit for bit. Returns (p, cost, trace,
     reason), reason one of "max_iters", "gradient", "ladder" and "tol"."""
     from nomalab.poweralloc import sum_ber_db_cost
 

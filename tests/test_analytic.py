@@ -210,7 +210,7 @@ def test_compiled_sep_table_matches_cell_merge(m_i, m_q):
     c = build_rect_qam(m_i, m_q)
     for tx_class in (None,) + magnitude_classes(c):
         tx_set = _admissible_tx(c, tx_class)
-        _, rates, coef = sep_program(c, tx_set)
+        _, rates, coef, _ = sep_program(c, tx_set)
         for gain in (0.0, 1e-3, 0.3, 30.0, 3e3, 3e6):
             for n in (1, 2, 4, 16):
                 got = tuple(zip(_table_distances(c, tx_class),

@@ -111,12 +111,20 @@ def test_jmld_detector_flag(tmp_path):
     assert {r.split(",")[2] for r in rows} == {"analytic", "jmld"}
 
 
-def test_optimize_writes_result_json(tmp_path):
+def test_optimize_writes_result_json(tmp_path, monkeypatch):
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return stage_bers_grid(*args)
+
+    monkeypatch.setattr("nomalab.cli.stage_bers_grid", counted)
     data = json.loads(json.dumps(BASE))
     data["poweralloc"] = {"p_max_db": 16.0, "max_iters": 30}
     cfg = write_config(tmp_path, data)
     out = tmp_path / "out"
     assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
+    assert len(walks) == 1  # the before and after tables share a walk
     pa = json.loads((out / "pa_result.json").read_text())
     assert len(pa["powers_db"]) == 2
     assert max(pa["powers_db"]) <= 16.0 + 1e-9

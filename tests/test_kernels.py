@@ -248,7 +248,7 @@ def test_sep_table_merges_the_cell_table(mi, mq):
     c = build_rect_qam(mi, mq)
     for i, tx in enumerate(c.points):
         program = sep_program(c, (i,))
-        _, rates, coef = program
+        _, rates, coef, _ = program
         d2 = [[(tx.real - x) ** 2 + (tx.imag - y) ** 2 for y in c.levels_q]
               for x in c.levels_i]
         for n in (1, 2, 8):
@@ -276,12 +276,12 @@ def test_averages_keep_the_base_rounding_out_of_the_power():
     # every average stays within 4 of them of the 50-digit value
     import mpmath as mp
 
-    rates = sep_program(build_rect_qam(16, 16), (0, 5, 17))[1]
+    _, rates, _, r6 = sep_program(build_rect_qam(16, 16), (0, 5, 17))
     rng = np.random.default_rng(3)
     gains = np.concatenate([[0.0, 1e-300, 1e-9, 1e299],
                             10.0 ** rng.uniform(-6, 12, 40)])
     for n in (1, 2, 8, 515):
-        got = _averages(rates, gains, n)
+        got = _averages(rates, r6, gains, n)
         with mp.workdps(40):
             for g, row in zip(gains, got):
                 for r, e in zip(rates[::5], row[::5]):
@@ -290,7 +290,7 @@ def test_averages_keep_the_base_rounding_out_of_the_power():
                         assert abs(e - ref) <= 4 * 2.0**-53 * ref
     # rate 0 averages to 1, and gains past 1e300 to nearly 0, infinite too
     for n in (1, 4):
-        far = _averages(rates, np.array([1e301, math.inf]), n)
+        far = _averages(rates, r6, np.array([1e301, math.inf]), n)
         assert far[:, 0].tolist() == [1.0, 1.0]
         assert np.all((0.0 <= far[:, 1:]) & (far[:, 1:] < 1e-299))
 
@@ -304,11 +304,11 @@ def test_sep_program_is_exact_in_integers(mi, mq):
     c = build_rect_qam(mi, mq)
     for tx_class in (None,) + magnitude_classes(c):
         tx_set = _admissible_tx(c, tx_class)
-        dists, rates, coef = sep_program(c, tx_set)
+        dists, rates, coef, r6 = sep_program(c, tx_set)
         # every rate an integer over 6, every coefficient over 144 |tx|
         den = 144 * len(tx_set)
-        r6 = np.rint(6.0 * rates)
         k = np.rint(den * coef)
+        assert r6.tolist() == np.rint(6.0 * rates).tolist() == (6.0 * rates).tolist()
         assert (r6 / 6.0).tolist() == rates.tolist()
         assert (k / den).tolist() == coef.tolist()
         assert np.all(np.diff(r6) > 0) and r6[0] == 0
@@ -325,12 +325,12 @@ def test_sep_program_is_exact_in_integers(mi, mq):
 def test_sep_program_holds_no_symbol_or_cell_axis():
     c = build_rect_qam(16, 16)
     tx_set = _admissible_tx(c, None)
-    dists, rates, coef = sep_program(c, tx_set)
+    dists, rates, coef, r6 = sep_program(c, tx_set)
     assert (len(dists), len(rates)) == (120, 411)
     assert coef.shape == (len(dists), len(rates))
     # nothing larger than rates x distances, and no axis of 64 symbols,
     # 256 cells or 16 levels
-    for arr in (rates, coef):
+    for arr in (rates, coef, r6):
         assert arr.size <= len(rates) * len(dists)
         assert not {len(tx_set), c.size, c.m_i} & set(arr.shape)
         assert not arr.flags.writeable  # shared by every caller of the cache

@@ -94,6 +94,25 @@ def test_cost_floor_keeps_log_finite(monkeypatch):
     assert math.isfinite(cost) and cost == pytest.approx(-3000.0)
 
 
+def test_cost_converts_decibels_one_element_at_a_time(monkeypatch):
+    # on AVX-512 builds numpy's SIMD power differs from libm on 12 of
+    # these 150 powers and its log10 on each of these six sums, so
+    # vectorising either conversion would move every optimiser output
+    sums = [0.9713532985690303, 0.3188622235773248, 0.6097069726981972,
+            0.5356733846284132, 0.7748102279152546, 0.5035963021046042]
+    powers_db = np.random.default_rng(5).uniform(-30.0, 40.0, (50, 3))
+    seen = []
+
+    def walk(model, powers, *args):
+        seen.append(powers)
+        return np.array([[sums[i % 6], 0.0, 0.0] for i in range(len(powers))])
+
+    monkeypatch.setattr("nomalab.poweralloc.stage_bers_grid", walk)
+    costs = sum_ber_db_cost(NEAR_FAR, powers_db)
+    assert seen == [[[10.0 ** (p / 10.0) for p in row] for row in powers_db.tolist()]]
+    assert costs.tolist() == [10.0 * math.log10(sums[i % 6]) for i in range(50)]
+
+
 def test_batched_costs_equal_one_probe_at_a_time():
     cfg = PaConfig()
     for model in (NEAR_FAR, qpsk_model([1.0] * 3, [10.0, 2.5, 0.625], n=4)):
@@ -109,38 +128,52 @@ def test_batched_costs_equal_one_probe_at_a_time():
 
 
 def test_armijo_takes_the_first_acceptable_rung():
-    from nomalab.poweralloc import _armijo
+    # the search alone and five side by side, without and with the
+    # probes it carries, against a direct scan of the ladder; the probes
+    # come back only for a step taken at the first rung of a walk
+    from nomalab.poweralloc import _ladder, _search, _serve
 
-    def plain(found):
-        return [f if f is None else (f[0].tolist(), f[1]) for f in found]
+    probes = PaConfig().fd_step_db * np.eye(3)
+
+    def around(q):
+        return np.vstack([q + probes, q - probes])
+
+    def run(cases, cfg, carry):
+        jobs = [_search(p, cost, grad, _ladder(cfg), cfg, around if carry else None)
+                for p, cost, grad in cases]
+        found = _serve(NEAR_FAR, jobs, cfg.mode, (1e-12, 10**7))
+        return [f if f is None else (f[0].tolist(), f[1], f[2] if f[2] is None
+                                     else f[2].tolist()) for f in found]
 
     rng = np.random.default_rng(3)
     for step0 in (4.0, 40.0, 400.0):
         cfg = PaConfig(p_max_db=30.0, step0_db=step0, min_step_db=1e-3)
-        points, costs, grads, expects = [], [], [], []
+        cases, plain, carried = [], [], []
         for _ in range(5):
             p = rng.uniform(0.0, 30.0, 3)
             cost = sum_ber_db_cost(NEAR_FAR, p)
             grad = rng.normal(size=3)
-            expect, step = None, cfg.step0_db
+            expect, probed, step, rung = None, None, cfg.step0_db, 0
             while step >= cfg.min_step_db and expect is None:
                 cand = np.minimum(p - step * grad, cfg.p_max_db)
                 cand_cost = sum_ber_db_cost(NEAR_FAR, cand)
                 if cand_cost <= cost - cfg.armijo_c * float(grad @ (p - cand)):
                     expect = (cand.tolist(), cand_cost)
+                    if rung % 2 == 0:
+                        probed = sum_ber_db_cost(NEAR_FAR, around(cand)).tolist()
                 step *= 0.5
-            got = _armijo(NEAR_FAR, p[None], [cost], grad[None], cfg, (1e-12, 10**7))
-            assert plain(got) == [expect]
-            points.append(p)
-            costs.append(cost)
-            grads.append(grad)
-            expects.append(expect)
-        got = _armijo(NEAR_FAR, np.array(points), costs, np.array(grads), cfg,
-                      (1e-12, 10**7))
-        assert plain(got) == expects
+                rung += 1
+            case = (p, cost, grad)
+            plain.append(expect if expect is None else expect + (None,))
+            carried.append(expect if expect is None else expect + (probed,))
+            assert run([case], cfg, False) == plain[-1:]
+            assert run([case], cfg, True) == carried[-1:]
+            cases.append(case)
+        assert run(cases, cfg, False) == plain
+        assert run(cases, cfg, True) == carried
 
 
-# ---- lock-step descent against the sequential per-start oracle ----
+# ---- pipelined descent against the sequential per-start oracle ----
 
 LIMITS = (DEFAULT_PRUNE, DEFAULT_MAX_LEAVES)
 SPREADS = [10.0, 2.5, 0.625]
@@ -203,7 +236,7 @@ def test_lock_step_equals_the_best_sequential_start(name):
 
 
 def test_short_ladder_cases_stop_starts_apart():
-    # the lock-step cases above include starts that exhaust the ladder,
+    # the cases above include starts that exhaust the ladder,
     # meet tol_db and hit max_iters, each in its own iteration
     model, cfg = LOCK_STEP_CASES["qpsk_n2_short_ladder"]
     assert stops(reference_runs(model, cfg)) == [
@@ -235,3 +268,19 @@ def test_a_zero_gradient_stops_only_its_own_start(monkeypatch):
     assert stops(runs) == [(0, "gradient"), (0, "ladder"), (3, "gradient"),
                            (0, "gradient")]
     assert optimize_powers(NEAR_FAR, cfg) == best_of(runs, cfg)
+
+
+def test_walk_counts_per_solve(monkeypatch):
+    # one walk per step taken at a walk's first rung, not a probe walk
+    # plus a rung walk per step: counts of the pipelined descent, pinned
+    from nomalab import poweralloc
+
+    walks = []
+    grid = poweralloc.stage_bers_grid
+    monkeypatch.setattr(poweralloc, "stage_bers_grid",
+                        lambda model, powers, *args: (walks.append(len(powers)),
+                                                      grid(model, powers, *args))[1])
+    for name, count, columns in (("qpsk_n4", 55, 1254), ("16_8_8_n2", 3, 68)):
+        walks.clear()
+        optimize_powers(*LOCK_STEP_CASES[name])
+        assert (len(walks), sum(walks)) == (count, columns)
