@@ -160,23 +160,23 @@ def _descent(p0: np.ndarray, cfg: PaConfig):
 
 
 def _serve(model: SystemModel, jobs, mode: str, limits) -> list:
-    """Run generators like _search side by side and return what each
-    returns. Each walk costs the block of every job not yet finished; a
-    walk's columns do not interact, so each job runs as it would alone."""
+    """Run generators like _search side by side, one walk for the blocks
+    of all unfinished ones, and return their results: a walk's columns do
+    not interact, so each job runs as it would alone."""
     results = [None] * len(jobs)
     sent = dict.fromkeys(range(len(jobs)))
     while True:
         blocks = {}
-        for i, costs in sent.items():
+        for i, part in sent.items():
             try:
-                blocks[i] = jobs[i].send(costs)
+                blocks[i] = jobs[i].send(part)
             except StopIteration as stop:
                 results[i] = stop.value
         if not blocks:
             return results
         costs = sum_ber_db_cost(model, np.concatenate(list(blocks.values())), mode, *limits)
-        ends = np.cumsum([len(block) for block in blocks.values()])
-        sent = dict(zip(blocks, np.split(costs, ends[:-1])))
+        ends = np.cumsum([len(block) for block in blocks.values()]).tolist()
+        sent = {i: costs[a:b] for i, a, b in zip(blocks, [0] + ends, ends)}
 
 
 def optimize_powers(model: SystemModel, cfg: PaConfig = PaConfig(),

@@ -277,9 +277,12 @@ def test_walk_counts_per_solve(monkeypatch):
 
     walks = []
     grid = poweralloc.stage_bers_grid
-    monkeypatch.setattr(poweralloc, "stage_bers_grid",
-                        lambda model, powers, *args: (walks.append(len(powers)),
-                                                      grid(model, powers, *args))[1])
+
+    def counted(model, powers, *args):
+        walks.append(len(powers))
+        return grid(model, powers, *args)
+
+    monkeypatch.setattr(poweralloc, "stage_bers_grid", counted)
     for name, count, columns in (("qpsk_n4", 55, 1254), ("16_8_8_n2", 3, 68)):
         walks.clear()
         optimize_powers(*LOCK_STEP_CASES[name])
