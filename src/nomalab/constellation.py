@@ -207,7 +207,10 @@ def bit_distance(c: Constellation, a: int, b: int) -> int:
     return int(np.sum(c.bit_labels[ia] != c.bit_labels[ib]))
 
 
+@lru_cache(maxsize=None)
 def hamming_table(c: Constellation) -> np.ndarray:
-    """(M, M) table of pairwise bit-label Hamming distances."""
+    """(M, M) read-only table of pairwise bit-label Hamming distances."""
     diff = c.bit_labels[:, None, :] != c.bit_labels[None, :, :]
-    return diff.sum(axis=2).astype(np.int64)
+    table = diff.sum(axis=2).astype(np.int64)
+    table.flags.writeable = False
+    return table

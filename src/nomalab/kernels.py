@@ -22,8 +22,9 @@ sits in:
   each power with the rounding of its base 1 + g R corrected, which
   the n-th power would otherwise magnify n times. qpsk_sep_triplet is
   the 2x2 SEP table.
-* cell_probability_quadrature integrates the same cell integrand with
-  the exact Q and serves as the validation oracle for the closed route.
+* Oracles with the exact Q: erlang_fade_quadrature, a fixed rule in numpy
+  and the stdlib, checks erlang_fade_average; cell_probability_quadrature,
+  the cell tables' test oracle, is the one function here needing scipy.
 
 Decision-cell integrands use SIGNED boundary offsets relative to the
 transmitted point; for negative arguments the approximation is evaluated
@@ -45,13 +46,13 @@ EVAL_FLOATS = 1 << 20  # gains x rates per evaluation chunk
 _TINY = np.finfo(float).tiny  # the smallest normal float
 _HEAD = ~np.int64((1 << 27) - 1)  # a float's sign, exponent and leading 26 bits
 _HUGE = 1e300  # the largest gain taken as given: past it, g R may overflow
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def q_exact(x):
-    """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2))."""
-    from scipy.special import erfc  # only the oracles pay scipy's import
-
-    out = 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2)), elementwise."""
+    out = 0.5 * np.asarray(_ERFC(np.asarray(x, dtype=float) / math.sqrt(2.0)),
+                           dtype=float)
     return out if out.ndim else float(out)
 
 
@@ -118,26 +119,28 @@ def erlang_fade_average(a, n: int):
     return out if out.ndim else float(out)
 
 
-def erlang_fade_quadrature(a: float, n: int) -> float:
-    """Adaptive-quadrature oracle for erlang_fade_average."""
-    from scipy.integrate import quad
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """200-node Gauss-Legendre rule on [-1, 1], built on first use."""
+    return np.polynomial.legendre.leggauss(200)
 
+
+def erlang_fade_quadrature(a: float, n: int) -> float:
+    """Quadrature oracle for erlang_fade_average: Gauss-Legendre in
+    t = sqrt(lam z), lam = 1 + a/2, over t in [0, sqrt(n + 800)]."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("shape n must be a positive integer")
     if not a >= 0:
         raise ValueError("a must be nonnegative")
+    if a == math.inf:
+        return 0.0
     lam = 1.0 + a / 2.0
-    peak = max((n - 1) / lam, 1e-12)
-    zmax = (n + 800.0) / lam
-
-    def integrand(z):
-        return q_exact(math.sqrt(a * z)) * erlang_pdf(z, n)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val = quad(integrand, 0.0, zmax, points=[peak], limit=500,
-                   epsabs=1e-300, epsrel=1e-12)[0]
-    return val
+    x, w = _gauss_legendre()
+    half = 0.5 * math.sqrt(n + 800.0)
+    t = half * (x + 1.0)
+    z = t * t / lam
+    f = q_exact(np.sqrt(a * z)) * erlang_pdf(z, n) * (2.0 * t / lam)
+    return float(half * (w @ f))
 
 
 def _axis_brackets(bounds, level: float):

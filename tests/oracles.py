@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfc, gammaln
 
 INF = math.inf
 
@@ -59,6 +61,26 @@ def fade_average_chebyshev(a: float, n: int, nodes: int = 800) -> float:
             u = mp.cos(mp.pi * (2 * j - 1) / (2 * nodes))
             tot += ((1 - u) / (1 - u + aa)) ** n
         return float(tot / (2 * nodes))
+
+
+def fade_average_quad(a: float, n: int) -> float:
+    """The same average by scipy's adaptive quadrature in z, with scipy's
+    erfc and gammaln: the independent check of the package's fixed
+    Gauss-Legendre rule, erlang_fade_quadrature."""
+    lam = 1.0 + a / 2.0
+    peak = max((n - 1) / lam, 1e-12)
+    zmax = (n + 800.0) / lam
+
+    def integrand(z):
+        if z <= 0.0:
+            return 0.5 if n == 1 else 0.0
+        q = 0.5 * erfc(math.sqrt(a * z) / math.sqrt(2.0))
+        return q * math.exp((n - 1) * math.log(z) - z - gammaln(n))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return quad(integrand, 0.0, zmax, points=[peak], limit=500,
+                    epsabs=1e-300, epsrel=1e-12)[0]
 
 
 def qpsk_triplet_series(a: float, n: int):

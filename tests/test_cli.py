@@ -11,10 +11,10 @@ import pytest
 
 import nomalab
 from nomalab.analytic import DEFAULT_MAX_LEAVES, stage_bers_grid, sum_ber
-from nomalab.channel import CHILD_SPAN
+from nomalab.channel import CHILD_SPAN, erlang_pdf
 from nomalab.cli import CSV_HEADER, CSV_SCHEMA, _build_parser, main
 from nomalab.config import MAX_ANTENNAS, build_model, load_config
-from nomalab.kernels import erlang_fade_quadrature
+from nomalab.kernels import erlang_fade_quadrature, q_exact
 from nomalab.poweralloc import sum_ber_db_cost
 
 BASE = {
@@ -473,22 +473,23 @@ def test_worker_count_past_the_cap_is_a_config_error(tmp_path, capsys,
 
 NO_SCIPY_CHILD = """
 import json, sys
+from nomalab.channel import erlang_pdf
 from nomalab.cli import main
-from nomalab.kernels import erlang_fade_quadrature
+from nomalab.kernels import erlang_fade_quadrature, q_exact
 
 cfg, out = sys.argv[1:]
 codes = [main([command, "--config", cfg, "--out", f"{out}/{command}"])
-         for command in ("analytic", "optimize", "simulate")]
-before = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
-value = erlang_fade_quadrature(3.0, 2)
-print(json.dumps({"codes": codes, "before": before,
-                  "after": "scipy.integrate" in sys.modules,
-                  "value": value.hex()}))
+         for command in ("analytic", "optimize", "simulate", "validate")]
+values = [erlang_fade_quadrature(3.0, 2), q_exact(1.5), erlang_pdf(2.0, 3)]
+print(json.dumps({"codes": codes, "values": [v.hex() for v in values],
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.partition(".")[0] == "scipy")}))
 """
 
 
 def test_commands_run_without_importing_scipy(tmp_path):
-    # scipy loads only where a quadrature oracle runs
+    # every subcommand, and the fade oracle with its Q and density
+    # helpers, runs on numpy and the stdlib alone
     data = json.loads(json.dumps(BASE))
     data["montecarlo"].update(max_symbols=4_000, batch_size=2_000)
     data["poweralloc"] = {"p_max_db": 16.0, "max_iters": 5}
@@ -501,10 +502,10 @@ def test_commands_run_without_importing_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120,
                           check=True)
     child = json.loads(proc.stdout.splitlines()[-1])
-    assert child["codes"] == [0, 0, 0]
-    assert child["before"] == []
-    assert child["after"]
-    assert child["value"] == erlang_fade_quadrature(3.0, 2).hex()
+    assert child["codes"] == [0, 0, 0, 0]
+    assert child["scipy"] == []
+    assert child["values"] == [erlang_fade_quadrature(3.0, 2).hex(),
+                               q_exact(1.5).hex(), erlang_pdf(2.0, 3).hex()]
 
 
 def test_capacity_error_exit_code(tmp_path, capsys):

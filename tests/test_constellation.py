@@ -84,6 +84,17 @@ def test_hamming_table_matches_bit_distance():
         assert table[a, b] == bit_distance(c, int(a), int(b))
 
 
+def test_hamming_table_is_shared_and_read_only():
+    c = build_rect_qam(4, 2)
+    table = hamming_table(c)
+    before = table.copy()
+    assert hamming_table(c) is table
+    with pytest.raises(ValueError):
+        table[0, 1] = 5
+    assert np.array_equal(table, before)
+    assert np.array_equal(hamming_table(c), before)
+
+
 def test_qpsk_flag():
     assert build_rect_qam(2, 2).is_qpsk
     assert not build_rect_qam(4, 2).is_qpsk

@@ -137,6 +137,34 @@ def test_fade_average_keeps_its_digits_at_many_antennas(n):
             erlang_fade_quadrature(a, n), rel=1e-10, abs=0)
 
 
+def test_fade_quadrature_matches_adaptive_oracle():
+    # validate's fade check runs on the fixed rule, at these 15 points
+    for n in (1, 2, 8):
+        for a in (0.1, 1.0, 10.0, 100.0, 1000.0):
+            assert erlang_fade_quadrature(a, n) == pytest.approx(
+                oracles.fade_average_quad(a, n), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [470, 515])
+def test_fade_quadrature_matches_adaptive_oracle_at_many_antennas(n):
+    for a in (0.3, 1.0, 3.0):
+        assert erlang_fade_quadrature(a, n) == pytest.approx(
+            oracles.fade_average_quad(a, n), rel=1e-10, abs=0)
+
+
+def test_fade_quadrature_special_values():
+    assert erlang_fade_quadrature(math.inf, 2) == 0.0
+    assert isinstance(erlang_fade_quadrature(np.float64(3.0), 2), float)
+    with pytest.raises(ValueError):
+        erlang_fade_quadrature(-0.1, 2)
+    with pytest.raises(ValueError):
+        erlang_fade_quadrature(math.nan, 2)
+    with pytest.raises(ValueError):
+        erlang_fade_quadrature(1.0, 0)
+    with pytest.raises(ValueError):
+        erlang_fade_quadrature(1.0, 2.0)
+
+
 def _plain_product(a, n):
     """p**n and p**n * acc, the all-positive form taken as written."""
     t = a + 2.0
