@@ -13,12 +13,14 @@ its weighted stage-k BER, then expands stage k's SEP table (error
 distances d_k with closed-form probabilities) to depth k + 1.
 
 The walk goes level by level. A level is an array of (node, column)
-rows, one column per power vector, a node's children contiguous and in
-table order; a node stays while any column keeps it above the pruning
-threshold. Each kernel runs once per level over all its rows, and the
-leaf BERs once per walk. A stage sums weight x conditional BER over
-its level's rows, per column; a column's rows keep their order whatever
-the others hold, so every column gets the result it gets alone.
+rows of every class assignment, one column per power vector, a node's
+children contiguous and in table order; a node stays while any column
+keeps it above the pruning threshold. The SEP kernel runs once per
+level and transmitted class, the leaf BERs once per walk. A stage sums
+weight x conditional BER over its level's rows per assignment and
+column, then adds the assignments in order; an assignment's rows keep
+their order whatever the others hold, so every column gets the result
+it gets alone, bit for bit.
 
 Both per-node kernels compile once per alphabet and transmitted class,
 QPSK included: the SEP table is kernels.sep_program, one exact matrix
@@ -132,8 +134,6 @@ def _leaf_bers(terms, gains, n: int) -> list[np.ndarray]:
     """Conditional BERs at each array in gains, with the matching
     _leaf_terms in terms. One erlang_fade_average call serves them all;
     each BER adds its terms in order."""
-    if not gains:
-        return []
     args = [np.multiply.outer(g, [d2 for _, d2 in t]).ravel()
             for g, t in zip(gains, terms)]
     fades = erlang_fade_average(np.concatenate(args), n)
@@ -142,9 +142,9 @@ def _leaf_bers(terms, gains, n: int) -> list[np.ndarray]:
     for g, t in zip(gains, terms):
         f = fades[lo:lo + g.size * len(t)].reshape(g.size, len(t))
         lo += f.size
-        ber = np.zeros(g.size)
-        for j, (coef, _) in enumerate(t):
-            ber += coef * f[:, j]
+        ber = t[0][0] * f[:, 0]  # is 0 + it: the nearest term's coef is > 0
+        for j in range(1, len(t)):
+            ber += t[j][0] * f[:, j]
         out.append(ber)
     return out
 
@@ -214,31 +214,32 @@ def _resolve_mode(c: Constellation, mode: str) -> str:
 @lru_cache(maxsize=None)
 def _plan(consts: tuple[Constellation, ...], mode: str):
     """The walk's fixed part for stage alphabets consts: the number of
-    leaves per column without pruning, and per class assignment its
-    weight, the squared magnitudes of stages 2..K, and per stage its
-    alphabet, transmitted class, leaf terms and SEP-table distances. The
-    last stage has no SEP table (None): the walk stops at its leaves, so
-    its programs are never compiled."""
-    modes = [_resolve_mode(c, mode) for c in consts]
-    out = []
-    leaves = 0
-    for classes, weight in _assignments(consts[1:]):
-        tx_classes = (None,) + classes
-        levels = tuple(
-            (c, cls, _leaf_terms(c, cls, m),
-             np.array(_table_distances(c, cls)) if i + 1 < len(consts) else None)
-            for i, (c, cls, m) in enumerate(zip(consts, tx_classes, modes)))
-        mags = np.array([cls.squared_magnitude for cls in classes])
-        out.append((weight, mags, levels))
-        leaves += math.prod(len(level[3]) for level in levels[:-1])
-    return leaves, tuple(out)
-
-
-def _count_leaves(leaves: np.ndarray, new, max_leaves: int) -> None:
-    """Add new leaves per column; CapacityError past max_leaves."""
-    leaves += new
-    if leaves.max() > max_leaves:
-        raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
+    leaves per column without pruning; the class assignments' weights,
+    (A,), and squared magnitudes of stages 2..K, (A, 1, K-1); and per stage
+    the class group of each assignment, (A,), and per group (alphabet,
+    transmitted class, SEP-table distances) and leaf terms. The last
+    stage has no SEP table (None): its programs are never compiled."""
+    combos = _assignments(consts[1:])
+    weights = np.array([weight for _, weight in combos])
+    mags = np.array([[cls.squared_magnitude for cls in classes]
+                     for classes, _ in combos]).reshape(len(combos), 1, -1)
+    leaves = sum(math.prod(len(_table_distances(c, cls))
+                           for c, cls in zip(consts[:-1], (None,) + classes))
+                 for classes, _ in combos)
+    levels = []
+    for i, c in enumerate(consts):
+        members: dict = {}  # transmitted class: its assignments
+        for a, (classes, _) in enumerate(combos):
+            members.setdefault(((None,) + classes)[i], []).append(a)
+        group_of = np.zeros(len(combos), dtype=np.int64)
+        for g, group in enumerate(members.values()):
+            group_of[group] = g
+        last = i + 1 == len(consts)
+        groups = tuple((c, cls, None if last else np.array(_table_distances(c, cls)))
+                       for cls in members)
+        terms = tuple(_leaf_terms(c, cls, _resolve_mode(c, mode)) for cls in members)
+        levels.append((group_of, groups, terms))
+    return leaves, weights, mags, tuple(levels)
 
 
 def _walk(model: SystemModel, powers: np.ndarray, mode: str,
@@ -247,16 +248,20 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     linear powers in stage order, as a (P, K) array; and per column the
     mass pruned before each stage, as a (P, K) array.
 
-    A level holds (node, column) rows: its column col, the upstream noise
-    up and the weight w. A child row stays while its weight is at least
-    prune_threshold; a node with no row left is not expanded. The
-    upstream noise is carried down in stage order, and the downstream
-    terms are added after it. Leaf BERs wait for one kernel call after
-    the descent; then stage i of a column is the sum of w times its BER
-    over the column's rows at level i. Columns go in slices of at most
-    WALK_LEAVES unpruned leaves, which bounds the memory a level takes."""
+    A level holds (node, column) rows of every class assignment whose
+    weight is at least prune_threshold: the key assignment * P + column,
+    the upstream noise up and the weight w. The rows of a class group go
+    together, each assignment's in its own order, and share a SEP kernel
+    call. A child row stays while its weight is at least prune_threshold.
+    The upstream noise is carried down in stage order, and the downstream
+    terms are added after it. After the descent, one kernel call gives
+    the leaf BERs; stage i adds, assignment by assignment, the sum of w
+    times BER over the assignment's rows at level i, as the pruned mass
+    is added, so each column gets what it gets alone. Columns go in
+    slices of at most WALK_LEAVES unpruned leaves."""
     stages = model.stage_profiles()
-    leaf_bound, plan = _plan(tuple(u.constellation for u in stages), mode)
+    leaf_bound, weights, mags, levels = _plan(
+        tuple(u.constellation for u in stages), mode)
     count = powers.shape[0]
     chunk = max(1, WALK_LEAVES // min(leaf_bound, max_leaves))
     if count > chunk:  # columns are independent: walk them in slices
@@ -270,48 +275,76 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     if not (0.0 < noise_sq < math.inf and np.isfinite(numerators).all()):
         raise ValueError("noise_sigma^2 or 2 P sigma^2 is out of float range")
     n = model.n_antennas
+    every = weights.tolist()
+    live = [a for a, weight in enumerate(every) if not weight < prune_threshold]
+    if k == 1 and len(live) > max_leaves:
+        raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
+    width = len(every) * count
+    key, w = np.arange(width), weights.repeat(count)
+    if len(live) < len(every):
+        key, w = key.reshape(-1, count)[live].ravel(), weights[live].repeat(count)
+    up = np.empty(key.size)
+    up.fill(noise_sq)
+    # per key: the interference of stages 2..K, 2 P sigma^2 and P
+    down = (powers[:, 1:] * mags * sigma_sq[1:]).reshape(width, k - 1)
+    if len(every) > 1:
+        numerators, powers = (np.tile(x, (len(every), 1)) for x in (numerators, powers))
+    # a column holds at most leaf_bound leaves: count them only past max_leaves
+    leaves = np.zeros(count) if leaf_bound > max_leaves else None
+    walked, leaf_terms, leaf_gains = [], [], []  # per level; per level and group
+    cuts = []  # (stage index, mass cut per key) per level and group that prunes
+    for i, (group_of, groups, terms) in enumerate(levels):
+        spans = ((0, key.size),)
+        if len(groups) > 1:
+            of_row = group_of[key // count]
+            order = of_row.argsort(kind="stable")
+            key, up, w = key[order], up[order], w[order]
+            ends = np.bincount(of_row, minlength=len(groups)).cumsum().tolist()
+            spans = tuple(zip([0] + ends, ends))
+        sigma_tot_sq = up
+        for j in range(i, k - 1):
+            sigma_tot_sq = sigma_tot_sq + down[key, j]
+        gain = numerators[key, i] / sigma_tot_sq
+        walked.append((key, w, len(groups)))
+        leaf_terms += terms
+        leaf_gains += [gain] if len(spans) == 1 else [gain[lo:hi] for lo, hi in spans]
+        if i + 1 == k:
+            break
+        children = []
+        for (lo, hi), (c, tx_class, dists) in zip(spans, groups):
+            g_key = key[lo:hi]
+            child_w = w[lo:hi, None] * _sep_table(c, tx_class, gain[lo:hi], n)
+            cut = child_w < prune_threshold
+            if np.count_nonzero(cut):
+                cuts.append((i, np.bincount(g_key[cut.nonzero()[0]], child_w[cut], width)))
+            keep = ~cut
+            if i + 2 == k and leaves is not None:
+                leaves += np.bincount(g_key % count, keep.sum(axis=1), count)
+            rows, slots = keep.nonzero()
+            g_key = g_key[rows]
+            d = dists[slots]
+            children.append((g_key, up[lo:hi][rows]
+                             + powers[g_key, i] * d * d * sigma_sq[i],
+                             child_w[keep]))
+        if i + 2 == k and leaves is not None and leaves.max() > max_leaves:
+            raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
+        key, up, w = (children[0] if len(children) == 1
+                      else map(np.concatenate, zip(*children)))
+    bers = iter(_leaf_bers(leaf_terms, leaf_gains, n))
+    totals = np.zeros((count, k))
+    for i, (key, w, groups) in enumerate(walked):
+        ber = np.concatenate([next(bers) for _ in range(groups)]) if groups > 1 \
+            else next(bers)
+        sums = np.bincount(key, w * ber, width)
+        for a in live:
+            totals[:, i] += sums[a * count:(a + 1) * count]
     dropped = np.zeros((count, k))
-    leaves = np.zeros(count)
-    rows_at = []  # per level of every assignment: (stage index, col, w)
-    gains, terms = [], []
-    for weight, mags, levels in plan:
+    for a, weight in enumerate(every):
         if weight < prune_threshold:
             dropped += weight
             continue
-        down = powers[:, 1:] * mags * sigma_sq[1:]  # interference of stages 2..K
-        col = np.arange(count)
-        up = np.full(count, noise_sq)
-        w = np.full(count, weight)
-        if k == 1:
-            _count_leaves(leaves, 1, max_leaves)
-        for i, (c, tx_class, leaf_terms, dists) in enumerate(levels):
-            sigma_tot_sq = up
-            for j in range(i, k - 1):
-                sigma_tot_sq = sigma_tot_sq + down[col, j]
-            gain = numerators[col, i] / sigma_tot_sq
-            rows_at.append((i, col, w))
-            gains.append(gain)
-            terms.append(leaf_terms)
-            if i + 1 == k:
-                break
-            child_w = w[:, None] * _sep_table(c, tx_class, gain, n)
-            keep = ~(child_w < prune_threshold)
-            if i + 2 == k:  # count the leaves before making their rows
-                _count_leaves(leaves, np.bincount(col, keep.sum(axis=1), count),
-                              max_leaves)
-            if not keep.all():
-                cut = ~keep
-                dropped[:, i + 1:] += np.bincount(
-                    np.broadcast_to(col[:, None], cut.shape)[cut],
-                    child_w[cut], count)[:, None]
-            rows, slots = np.nonzero(keep)
-            col = col[rows]
-            d = dists[slots]
-            up = up[rows] + powers[col, i] * d * d * sigma_sq[i]
-            w = child_w[keep]
-    totals = np.zeros((count, k))
-    for (i, col, w), ber in zip(rows_at, _leaf_bers(terms, gains, n)):
-        totals[:, i] += np.bincount(col, w * ber, minlength=count)
+        for i, mass in cuts:
+            dropped[:, i + 1:] += mass[a * count:(a + 1) * count, None]
     return totals, dropped
 
 

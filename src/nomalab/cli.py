@@ -19,6 +19,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import lru_cache
 
 from .analytic import stage_bers_grid
 from .channel import StreamKey
@@ -183,9 +184,9 @@ def _oracle_checks() -> list[dict]:
     worst = 0.0
     for mi, mq in ((2, 2), (4, 2), (4, 4)):
         c = build_rect_qam(mi, mq)
-        for gain in (0.5, 5.0):
-            for n in (1, 4):
-                for tx in c.points:
+        for tx in c.points:  # outermost: each symbol's cell program compiles once
+            for gain in (0.5, 5.0):
+                for n in (1, 4):
                     total = float(cell_probability_table(c, tx, gain, n).sum())
                     worst = max(worst, abs(total - 1.0))
     checks.append({"name": "cell_probabilities_normalize",
@@ -238,7 +239,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return check_ranges(cfg)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first main() call and kept: parsing leaves it as is."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="path to a JSON run config")
     common.add_argument("--out", default=None, help="output directory override")

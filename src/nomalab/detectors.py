@@ -308,14 +308,16 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     _keep_freed_memory()
     out = np.zeros((model.k, y.shape[1]), dtype=np.int64)
     r = y.astype(complex, copy=True)
-    for idx in model.decode_order():
+    order = model.decode_order()
+    for idx in order:
         u = model.users[idx]
         h = channels[idx]
         z = np.sum(np.conj(h) * r, axis=0)
         scale = np.sqrt(u.power) * np.sum(np.abs(h) ** 2, axis=0)
         s = _slice(u.constellation, z, scale)
         out[idx] = s
-        r -= np.sqrt(u.power) * h * u.constellation.points[s][None, :]
+        if idx != order[-1]:  # no stage reads the last residual
+            r -= np.sqrt(u.power) * h * u.constellation.points[s][None, :]
     return out
 
 

@@ -3,9 +3,10 @@
 Everything here is written independently of the package internals:
 literal series forms, closed forms, direct quadrature, exact rational
 bookkeeping at 50 digits, hard-coded constellation geometry, and
-brute-force searches. Three exceptions reuse package code to check one
+brute-force searches. Four exceptions reuse package code to check one
 layer alone: reference_walk_ber walks the package's per-node kernels,
-reference_descend runs one power-allocation start alone on the package's
+per_assignment_walk runs the package's walk kernels one class
+assignment at a time, as the walk once did, reference_descend runs one power-allocation start alone on the package's
 cost function, and dense_gram_metrics scores every joint-ML candidate
 with the package's slicer, so the pruned detector's scores can be
 checked bit for bit. Tests compare package outputs against these, or
@@ -537,6 +538,103 @@ def reference_walk_ber(model, k, mode="exact"):
     for classes, weight in class_assignments(model):
         walk(1, classes, (), weight)
     return total
+
+
+@lru_cache(maxsize=None)
+def _per_assignment_plan(consts, mode):
+    """The per-assignment walk's fixed part: unpruned leaves per column,
+    and per class assignment its weight, the squared magnitudes of stages
+    2..K and per stage (alphabet, class, leaf terms, distances)."""
+    from nomalab.analytic import (_assignments, _leaf_terms, _resolve_mode,
+                                  _table_distances)
+
+    modes = [_resolve_mode(c, mode) for c in consts]
+    out = []
+    leaves = 0
+    for classes, weight in _assignments(consts[1:]):
+        tx_classes = (None,) + classes
+        levels = tuple(
+            (c, cls, _leaf_terms(c, cls, m),
+             np.array(_table_distances(c, cls)) if i + 1 < len(consts) else None)
+            for i, (c, cls, m) in enumerate(zip(consts, tx_classes, modes)))
+        mags = np.array([cls.squared_magnitude for cls in classes])
+        out.append((weight, mags, levels))
+        leaves += math.prod(len(level[3]) for level in levels[:-1])
+    return leaves, tuple(out)
+
+
+def per_assignment_walk(model, powers, mode, prune_threshold, max_leaves):
+    """(stage BERs, pruned mass), both (P, K), from a walk that runs one
+    pass per class assignment, adding each assignment's stage sums and
+    pruned mass in assignment order: the walk the package's one-level-
+    per-stage walk must match bit for bit. It reuses the package's
+    kernels (_sep_table, _leaf_bers) and its WALK_LEAVES column slices."""
+    from nomalab import analytic
+    from nomalab.errors import CapacityError
+
+    def count_leaves(new):
+        leaves[:] += new
+        if leaves.max() > max_leaves:
+            raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
+
+    stages = model.stage_profiles()
+    leaf_bound, plan = _per_assignment_plan(
+        tuple(u.constellation for u in stages), mode)
+    count = powers.shape[0]
+    chunk = max(1, analytic.WALK_LEAVES // min(leaf_bound, max_leaves))
+    if count > chunk:
+        parts = [per_assignment_walk(model, powers[lo:lo + chunk], mode,
+                                     prune_threshold, max_leaves)
+                 for lo in range(0, count, chunk)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    k = model.k
+    sigma_sq = np.array([u.sigma**2 for u in stages])
+    numerators = 2.0 * powers * sigma_sq
+    noise_sq = model.noise_sigma**2
+    n = model.n_antennas
+    dropped = np.zeros((count, k))
+    leaves = np.zeros(count)
+    rows_at = []
+    gains, terms = [], []
+    for weight, mags, levels in plan:
+        if weight < prune_threshold:
+            dropped += weight
+            continue
+        down = powers[:, 1:] * mags * sigma_sq[1:]
+        col = np.arange(count)
+        up = np.full(count, noise_sq)
+        w = np.full(count, weight)
+        if k == 1:
+            count_leaves(1)
+        for i, (c, tx_class, leaf_terms, dists) in enumerate(levels):
+            sigma_tot_sq = up
+            for j in range(i, k - 1):
+                sigma_tot_sq = sigma_tot_sq + down[col, j]
+            gain = numerators[col, i] / sigma_tot_sq
+            rows_at.append((i, col, w))
+            gains.append(gain)
+            terms.append(leaf_terms)
+            if i + 1 == k:
+                break
+            child_w = w[:, None] * analytic._sep_table(c, tx_class, gain, n)
+            keep = ~(child_w < prune_threshold)
+            if i + 2 == k:
+                count_leaves(np.bincount(col, keep.sum(axis=1), count))
+            if not keep.all():
+                cut = ~keep
+                dropped[:, i + 1:] += np.bincount(
+                    np.broadcast_to(col[:, None], cut.shape)[cut],
+                    child_w[cut], count)[:, None]
+            rows, slots = np.nonzero(keep)
+            col = col[rows]
+            d = dists[slots]
+            up = up[rows] + powers[col, i] * d * d * sigma_sq[i]
+            w = child_w[keep]
+    totals = np.zeros((count, k))
+    bers = analytic._leaf_bers(terms, gains, n) if gains else []
+    for (i, col, w), ber in zip(rows_at, bers):
+        totals[:, i] += np.bincount(col, w * ber, minlength=count)
+    return totals, dropped
 
 
 # ---- sequential power-allocation descent ----

@@ -537,6 +537,80 @@ def test_stage_bers_grid_prune_bounds_hold_per_column(name):
     assert pruned[:, 0].tolist() == exact[:, 0].tolist()
 
 
+WALK_SYSTEMS = {  # alphabets in stage order, spreads, antennas, mode
+    "16": ([QAM16], [3.0], 2, "exact"),
+    "16_8": ([QAM16, QAM8], [10.0, 2.5], 2, "exact"),
+    "qpsk3_n1": ([QPSK] * 3, [10.0, 2.5, 0.625], 1, "exact"),
+    "qpsk3_n2": ([QPSK] * 3, [10.0, 2.5, 0.625], 2, "exact"),
+    "qpsk3_n4": ([QPSK] * 3, [10.0, 2.5, 0.625], 4, "exact"),
+    "8_4_4": ([QAM8, QPSK, QPSK], [10.0, 2.5, 0.625], 2, "exact"),
+    "16_8_8": ([QAM16, QAM8, QAM8], [10.0, 2.5, 0.625], 2, "exact"),
+    "16_16_16": ([QAM16] * 3, [10.0, 2.5, 0.625], 1, "exact"),
+    "64_16_4": ([QAM64, QAM16, QPSK], [10.0, 2.5, 0.625], 4, "auto"),
+    "8_16_8_4": ([QAM8, QAM16, QAM8, QPSK], [8.0, 4.0, 2.0, 1.0], 2, "exact"),
+}
+
+
+def assert_walks_equal(m, powers, mode, thr, max_leaves=DEFAULT_MAX_LEAVES):
+    got = _walk(m, powers, mode, thr, max_leaves)
+    ref = oracles.per_assignment_walk(m, powers, mode, thr, max_leaves)
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+
+
+@pytest.mark.parametrize("name", sorted(WALK_SYSTEMS))
+def test_walk_matches_the_per_assignment_walk_bit_for_bit(name, monkeypatch):
+    consts, sigmas, n, mode = WALK_SYSTEMS[name]
+    m = make_model([1.0] * len(consts), sigmas, consts, n=n)
+    rng = np.random.default_rng(sorted(WALK_SYSTEMS).index(name))
+    batches = [10.0 ** rng.uniform(-1.0, 4.0, (cols, m.k)) for cols in (1, 7, 30)]
+    # 0.1 and 0.3 prune some class assignments whole, or all of them
+    thresholds = (0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.3)
+    for powers in batches:
+        for thr in thresholds:
+            assert_walks_equal(m, powers, mode, thr)
+    # one leaf per walk: both take the columns one at a time
+    monkeypatch.setattr(analytic, "WALK_LEAVES", 1)
+    for thr in thresholds:
+        assert_walks_equal(m, batches[1], mode, thr)
+
+
+def test_walk_raises_where_the_per_assignment_walk_does():
+    m = make_model([1.0] * 4, [8.0, 4.0, 2.0, 1.0], [QAM8, QAM16, QAM8, QPSK])
+    powers = batch_columns([0.0, -5.0, -10.0, -15.0], [-10.0, 10.0, 30.0])
+    # the fewest leaves a column may hold for the per-assignment walk to pass
+    lo, hi = 1, analytic._plan(tuple(u.constellation for u in m.stage_profiles()),
+                               "exact")[0]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            oracles.per_assignment_walk(m, powers, "exact", 1e-6, mid)
+            hi = mid
+        except CapacityError:
+            lo = mid + 1
+    assert_walks_equal(m, powers, "exact", 1e-6, lo)
+    for walk in (_walk, oracles.per_assignment_walk):
+        with pytest.raises(CapacityError, match=f"exceeds {lo - 1} leaves"):
+            walk(m, powers, "exact", 1e-6, lo - 1)
+
+
+def test_walk_calls_the_sep_kernel_once_per_level_and_class(monkeypatch):
+    calls = []
+    real = analytic._sep_table
+    monkeypatch.setattr(analytic, "_sep_table", lambda c, cls, gain, n: (
+        calls.append(cls) or real(c, cls, gain, n)))
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QAM16] * 3, n=1)
+    powers = batch_columns([0.0, -8.0, -14.0], [0.0, 10.0, 20.0, 30.0])
+    stage_bers_grid(m, powers, "exact", 0.0)
+    # stage 1 once, stage 2 once per magnitude class; nothing at stage 3
+    assert len(calls) == 4
+    assert calls[0] is None
+    assert set(calls[1:]) == set(magnitude_classes(QAM16))
+    calls.clear()
+    oracles.per_assignment_walk(m, powers, "exact", 0.0, DEFAULT_MAX_LEAVES)
+    assert len(calls) == 18  # 9 class assignments x 2 levels
+
+
 def test_stage_bers_grid_counts_leaves_per_column():
     m = make_model([100.0, 10.0, 1.0], [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
     powers = batch_columns([20.0, 10.0, 0.0], [-5.0, 0.0, 5.0, 10.0])

@@ -543,3 +543,39 @@ def test_missing_required_flag_exits_via_argparse(tmp_path):
         main(["analytic"])
     with pytest.raises(SystemExit):
         main(["bogus", "--config", "x.json"])
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    data = json.loads(json.dumps(BASE))
+    data["poweralloc"] = {"p_max_db": 16.0, "max_iters": 5}
+    cfg = write_config(tmp_path, data)
+    src = str(Path(nomalab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # importing the CLI builds no parser
+    probe = "import nomalab.cli as c; print(c._build_parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.split() == ["0"]
+    # calls that share this process's parser write what fresh processes write
+    for command, files in (("analytic", ["results.csv"]),
+                           ("optimize", ["results.csv", "pa_result.json"])):
+        fresh, here = tmp_path / f"fresh-{command}", tmp_path / command
+        subprocess.run([sys.executable, "-m", "nomalab.cli", command,
+                        "--config", cfg, "--out", str(fresh)],
+                       capture_output=True, env=env, timeout=120, check=True)
+        assert main([command, "--config", cfg, "--out", str(here)]) == 0
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes()
+        echoes = [json.loads((d / "effective_config.json").read_text())
+                  for d in (here, fresh)]
+        for echo in echoes:
+            echo["output"].pop("directory")
+        assert echoes[0] == echoes[1]
+    assert _build_parser.cache_info().currsize == 1
+    # a later call still rejects a bad flag value
+    with pytest.raises(SystemExit) as exc:
+        main(["analytic", "--config", cfg, "--out", str(tmp_path / "o"),
+              "--mode", "fast"])
+    assert exc.value.code == 2
+    assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
