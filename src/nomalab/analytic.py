@@ -12,15 +12,18 @@ downstream) at SINR parameter 2 P_k sigma_k^2 / sigma_tot^2. It adds
 its weighted stage-k BER, then expands stage k's SEP table (error
 distances d_k with closed-form probabilities) to depth k + 1.
 
-The walk goes level by level. A level is an array of (node, column)
-rows of every class assignment, one column per power vector, a node's
-children contiguous and in table order; a node stays while any column
-keeps it above the pruning threshold. The SEP kernel runs once per
-level and transmitted class, the leaf BERs once per walk. A stage sums
-weight x conditional BER over its level's rows per assignment and
-column, then adds the assignments in order; an assignment's rows keep
-their order whatever the others hold, so every column gets the result
-it gets alone, bit for bit.
+The walk has one fixed shape per tuple of stage alphabets: every node
+of every level, a node's children contiguous and in table order, the
+same for each column (power vector). A node's gain depends only on its
+upstream distances, so every gain comes first; then the SEP kernel runs
+once per compiled program over its nodes at every level, and the
+weights follow level by level. Pruning is per node and column: a weight
+below the threshold becomes 0, so nothing under it counts, and the one
+leaf-BER call takes only the nodes whose weight is not 0. A stage sums
+weight x conditional BER over its level per assignment and column, then
+adds the assignments in order; an assignment's nodes keep their order
+whatever the others hold, so every column gets the result it gets
+alone, bit for bit.
 
 Both per-node kernels compile once per alphabet and transmitted class,
 QPSK included: the SEP table is kernels.sep_program, one exact matrix
@@ -136,7 +139,7 @@ def _leaf_bers(terms, gains, n: int) -> list[np.ndarray]:
     each BER adds its terms in order."""
     args = [np.multiply.outer(g, [d2 for _, d2 in t]).ravel()
             for g, t in zip(gains, terms)]
-    fades = erlang_fade_average(np.concatenate(args), n)
+    fades = erlang_fade_average(np.concatenate(args) if len(args) > 1 else args[0], n)
     out = []
     lo = 0
     for g, t in zip(gains, terms):
@@ -211,35 +214,82 @@ def _resolve_mode(c: Constellation, mode: str) -> str:
     return "approx" if c.size >= AUTO_APPROX_ORDER else "exact"
 
 
+def _span(rows: list[int]):
+    """rows as a slice if they run on without a gap, else as an index
+    array: gathers through a slice take no copy."""
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows)
+
+
 @lru_cache(maxsize=None)
 def _plan(consts: tuple[Constellation, ...], mode: str):
-    """The walk's fixed part for stage alphabets consts: the number of
-    leaves per column without pruning; the class assignments' weights,
-    (A,), and squared magnitudes of stages 2..K, (A, 1, K-1); and per stage
-    the class group of each assignment, (A,), and per group (alphabet,
-    transmitted class, SEP-table distances) and leaf terms. The last
-    stage has no SEP table (None): its programs are never compiled."""
+    """The walk's fixed shape for stage alphabets consts, for one column:
+    every row (node) of every level. Level 0 holds one row per class
+    assignment of stages 2..K; a row at level i < K-1 has a child per
+    entry of its SEP table, in table order; a level's rows go by
+    transmitted class, each assignment's in its own order. Returns the
+    rows at level K-1 (the unpruned leaves per column); the assignments'
+    weights and the least of them; per row its level, (R,), and for each
+    of the K-1 terms of its noise the stage, (K-1, R), and two factors,
+    (2, K-1, R): the error distance twice for a stage above, |x|^2 and 1
+    for one below; per level below 0 (rows, parent rows, entries in the
+    SEP tables side by side); per SEP program (alphabet, transmitted
+    class, rows); per run of rows with equal leaf terms (terms, rows);
+    per row its bincount slot, (assignment, level), for weight x BER and
+    then for cut mass, (2, 1, R); and per stage, for weight x BER and
+    then for cut mass, the slots it adds in order, (2K, A K), an empty
+    slot where a level does not count. The last stage has no SEP table:
+    its programs are never compiled."""
+    k = len(consts)
     combos = _assignments(consts[1:])
-    weights = np.array([weight for _, weight in combos])
-    mags = np.array([[cls.squared_magnitude for cls in classes]
-                     for classes, _ in combos]).reshape(len(combos), 1, -1)
-    leaves = sum(math.prod(len(_table_distances(c, cls))
-                           for c, cls in zip(consts[:-1], (None,) + classes))
-                 for classes, _ in combos)
-    levels = []
+    roots = len(combos)
+    rows, links, starts = [], [], []  # (level, assignment, distances), (parent, slot)
+    programs, leaves = {}, []
+    level = [(a, (), -1, -1) for a in range(roots)]
     for i, c in enumerate(consts):
-        members: dict = {}  # transmitted class: its assignments
-        for a, (classes, _) in enumerate(combos):
-            members.setdefault(((None,) + classes)[i], []).append(a)
-        group_of = np.zeros(len(combos), dtype=np.int64)
-        for g, group in enumerate(members.values()):
-            group_of[group] = g
-        last = i + 1 == len(consts)
-        groups = tuple((c, cls, None if last else np.array(_table_distances(c, cls)))
-                       for cls in members)
-        terms = tuple(_leaf_terms(c, cls, _resolve_mode(c, mode)) for cls in members)
-        levels.append((group_of, groups, terms))
-    return leaves, weights, mags, tuple(levels)
+        starts.append(len(rows))
+        groups: dict = {}  # transmitted class: its rows at this level
+        for row in level:
+            groups.setdefault(((None,) + combos[row[0]][0])[i], []).append(row)
+        for cls, group in groups.items():
+            members = list(range(len(rows), len(rows) + len(group)))
+            rows += [(i, a, dists) for a, dists, _, _ in group]
+            links += [link for _, _, *link in group]
+            terms = _leaf_terms(c, cls, _resolve_mode(c, mode))
+            run = leaves.pop()[1].start if leaves and leaves[-1][0] == terms else members[0]
+            leaves.append((terms, slice(run, len(rows))))
+            if i + 1 < k:  # equal symbol sets share a program
+                programs.setdefault((c, _admissible_tx(c, cls)), (cls, []))[1].extend(members)
+        level = [(a, dists + (d,), r, slot)
+                 for r, (_, a, dists) in enumerate(rows[starts[-1]:], starts[-1])
+                 for slot, d in enumerate(_table_distances(c, ((None,) + combos[a][0])[i]))
+                 ] if i + 1 < k else []
+    start, offset = {}, 0  # where a row's table starts in the walk's probabilities
+    for (c, tx_set), (cls, members) in programs.items():
+        size = len(sep_program(c, tx_set)[0])
+        start.update((r, offset + j * size) for j, r in enumerate(members))
+        offset += size * len(members)
+    blocks = tuple((slice(lo, hi), np.array([p for p, _ in links[lo:hi]]),
+                    _span([start[p] + slot for p, slot in links[lo:hi]]))
+                   for lo, hi in zip(starts[1:], starts[2:] + [len(rows)]))
+    level_of = np.array([i for i, _, _ in rows])
+    stage_of = np.array([[j + (j >= i) for i, _, _ in rows] for j in range(k - 1)],
+                        dtype=np.int64).reshape(k - 1, len(rows))
+    factors = np.ones((2, k - 1, len(rows)))
+    for r, (i, a, dists) in enumerate(rows):
+        factors[:, :i, r] = dists
+        factors[0, i:, r] = [cls.squared_magnitude for cls in combos[a][0][i:]]
+    # a stage adds, assignment by assignment, its level's sum, and the cut
+    # mass of the levels up to its own; slot 2 A K stays empty
+    slot = np.array([a for _, a, _ in rows]) * k + level_of
+    adds = [h * roots * k + a * k + j if j == s or h and j < s else 2 * roots * k
+            for h in (0, 1) for s in range(k) for a in range(roots) for j in range(k)]
+    weights = np.array([weight for _, weight in combos])
+    return (len(rows) - starts[-1], weights, weights.min(), level_of, stage_of,
+            factors, blocks, tuple((c, cls, _span(m)) for (c, _), (cls, m) in programs.items()),
+            tuple(leaves), np.stack([slot, slot + roots * k])[:, None],
+            np.array(adds).reshape(2 * k, roots * k))
 
 
 def _walk(model: SystemModel, powers: np.ndarray, mode: str,
@@ -248,103 +298,71 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     linear powers in stage order, as a (P, K) array; and per column the
     mass pruned before each stage, as a (P, K) array.
 
-    A level holds (node, column) rows of every class assignment whose
-    weight is at least prune_threshold: the key assignment * P + column,
-    the upstream noise up and the weight w. The rows of a class group go
-    together, each assignment's in its own order, and share a SEP kernel
-    call. A child row stays while its weight is at least prune_threshold.
-    The upstream noise is carried down in stage order, and the downstream
-    terms are added after it. After the descent, one kernel call gives
-    the leaf BERs; stage i adds, assignment by assignment, the sum of w
-    times BER over the assignment's rows at level i, as the pruned mass
-    is added, so each column gets what it gets alone. Columns go in
-    slices of at most WALK_LEAVES unpruned leaves."""
+    Every row of the plan is walked for every column, as (column, row)
+    arrays. First every row's gain: its noise is noise_sigma^2 plus, in
+    stage order, the residual (P_j d_j) d_j sigma_j^2 of each stage j
+    above it and the interference (P_j |x_j|^2) sigma_j^2 of each stage
+    below. Then one SEP-kernel call per program, over its rows at every
+    level. Then the weights, level by level: a child's is its parent's
+    times its table entry, and a weight below prune_threshold is cut
+    mass and becomes 0, so the rows under it weigh 0 too. One leaf-BER
+    call takes the rows whose weight is not 0. One bincount sums weight
+    x BER and the cut mass per (column, assignment, level) in row order;
+    a second adds, per column and stage, the assignments in order, with
+    the cut mass of the levels up to the stage's own. So each column
+    gets what it gets alone, where a pruned row is never walked.
+    Columns go in slices of at most WALK_LEAVES unpruned leaves."""
     stages = model.stage_profiles()
-    leaf_bound, weights, mags, levels = _plan(
-        tuple(u.constellation for u in stages), mode)
+    (leaf_bound, weights, lightest, level_of, stage_of, factors, blocks, programs,
+     leaves, keys, adds) = _plan(tuple(u.constellation for u in stages), mode)
     count = powers.shape[0]
-    chunk = max(1, WALK_LEAVES // min(leaf_bound, max_leaves))
+    chunk = max(1, WALK_LEAVES // leaf_bound)
     if count > chunk:  # columns are independent: walk them in slices
         parts = [_walk(model, powers[lo:lo + chunk], mode, prune_threshold,
                        max_leaves) for lo in range(0, count, chunk)]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    k = model.k
+    k, roots, size = model.k, weights.size, level_of.size
     sigma_sq = np.array([u.sigma**2 for u in stages])
     numerators = 2.0 * powers * sigma_sq
     noise_sq = model.noise_sigma**2
     if not (0.0 < noise_sq < math.inf and np.isfinite(numerators).all()):
         raise ValueError("noise_sigma^2 or 2 P sigma^2 is out of float range")
     n = model.n_antennas
-    every = weights.tolist()
-    live = [a for a, weight in enumerate(every) if not weight < prune_threshold]
-    if k == 1 and len(live) > max_leaves:
+    noise = powers.take(stage_of, axis=1)
+    noise *= factors[0]
+    noise *= factors[1]
+    noise *= sigma_sq[stage_of]
+    sigma_tot_sq = noise[:, 0] + noise_sq if k > 1 else np.full((count, 1), noise_sq)
+    for j in range(1, k - 1):
+        sigma_tot_sq += noise[:, j]
+    gain = numerators.take(level_of, axis=1) / sigma_tot_sq
+    tables = [_sep_table(c, tx_class, gain[:, rows], n).reshape(count, -1)
+              for c, tx_class, rows in programs]
+    probs = np.concatenate(tables, axis=1) if len(tables) > 1 else (tables or [None])[0]
+    # a weight is cut below prune_threshold, so a NaN threshold cuts none
+    floor = -math.inf if math.isnan(prune_threshold) else prune_threshold
+    buf = np.zeros((4, count, size))  # weights before and after the cut;
+    cw, w, values = buf[0], buf[1], buf[2:]  # weight x BER and cut mass
+    cw[:, :roots] = weights
+    w[:, :roots] = weights if lightest >= floor else weights * (weights >= floor)
+    for rows, parents, entries in blocks:
+        np.multiply(w.take(parents, axis=1), probs[:, entries], out=cw[:, rows])
+        np.multiply(cw[:, rows], cw[:, rows] >= floor, out=w[:, rows])
+    if leaf_bound > max_leaves and np.count_nonzero(
+            w[:, size - leaf_bound:] >= floor, axis=1).max(initial=0) > max_leaves:
         raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
-    width = len(every) * count
-    key, w = np.arange(width), weights.repeat(count)
-    if len(live) < len(every):
-        key, w = key.reshape(-1, count)[live].ravel(), weights[live].repeat(count)
-    up = np.empty(key.size)
-    up.fill(noise_sq)
-    # per key: the interference of stages 2..K, 2 P sigma^2 and P
-    down = (powers[:, 1:] * mags * sigma_sq[1:]).reshape(width, k - 1)
-    if len(every) > 1:
-        numerators, powers = (np.tile(x, (len(every), 1)) for x in (numerators, powers))
-    # a column holds at most leaf_bound leaves: count them only past max_leaves
-    leaves = np.zeros(count) if leaf_bound > max_leaves else None
-    walked, leaf_terms, leaf_gains = [], [], []  # per level; per level and group
-    cuts = []  # (stage index, mass cut per key) per level and group that prunes
-    for i, (group_of, groups, terms) in enumerate(levels):
-        spans = ((0, key.size),)
-        if len(groups) > 1:
-            of_row = group_of[key // count]
-            order = of_row.argsort(kind="stable")
-            key, up, w = key[order], up[order], w[order]
-            ends = np.bincount(of_row, minlength=len(groups)).cumsum().tolist()
-            spans = tuple(zip([0] + ends, ends))
-        sigma_tot_sq = up
-        for j in range(i, k - 1):
-            sigma_tot_sq = sigma_tot_sq + down[key, j]
-        gain = numerators[key, i] / sigma_tot_sq
-        walked.append((key, w, len(groups)))
-        leaf_terms += terms
-        leaf_gains += [gain] if len(spans) == 1 else [gain[lo:hi] for lo, hi in spans]
-        if i + 1 == k:
-            break
-        children = []
-        for (lo, hi), (c, tx_class, dists) in zip(spans, groups):
-            g_key = key[lo:hi]
-            child_w = w[lo:hi, None] * _sep_table(c, tx_class, gain[lo:hi], n)
-            cut = child_w < prune_threshold
-            if np.count_nonzero(cut):
-                cuts.append((i, np.bincount(g_key[cut.nonzero()[0]], child_w[cut], width)))
-            keep = ~cut
-            if i + 2 == k and leaves is not None:
-                leaves += np.bincount(g_key % count, keep.sum(axis=1), count)
-            rows, slots = keep.nonzero()
-            g_key = g_key[rows]
-            d = dists[slots]
-            children.append((g_key, up[lo:hi][rows]
-                             + powers[g_key, i] * d * d * sigma_sq[i],
-                             child_w[keep]))
-        if i + 2 == k and leaves is not None and leaves.max() > max_leaves:
-            raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
-        key, up, w = (children[0] if len(children) == 1
-                      else map(np.concatenate, zip(*children)))
-    bers = iter(_leaf_bers(leaf_terms, leaf_gains, n))
-    totals = np.zeros((count, k))
-    for i, (key, w, groups) in enumerate(walked):
-        ber = np.concatenate([next(bers) for _ in range(groups)]) if groups > 1 \
-            else next(bers)
-        sums = np.bincount(key, w * ber, width)
-        for a in live:
-            totals[:, i] += sums[a * count:(a + 1) * count]
-    dropped = np.zeros((count, k))
-    for a, weight in enumerate(every):
-        if weight < prune_threshold:
-            dropped += weight
-            continue
-        for i, mass in cuts:
-            dropped[:, i + 1:] += mass[a * count:(a + 1) * count, None]
+    live = [w[:, rows] != 0 for _, rows in leaves]  # the rest add 0 x BER
+    bers = _leaf_bers([terms for terms, _ in leaves],
+                      [gain[:, rows][m] for (_, rows), m in zip(leaves, live)], n)
+    for (_, rows), m, ber in zip(leaves, live, bers):
+        values[0, :, rows][m] = ber
+    values[0] *= w
+    np.subtract(cw, w, out=values[1])
+    span = 2 * roots * k + 1
+    sums = np.bincount((np.arange(0, span * count, span)[:, None] + keys).ravel(),
+                       values.ravel(), span * count).reshape(count, span)
+    out = np.bincount(np.arange(2 * k * count).repeat(roots * k), sums[:, adds].ravel())
+    totals, dropped = np.ascontiguousarray(out.reshape(count, 2, k).transpose(1, 0, 2))
     return totals, dropped
 
 
@@ -361,7 +379,7 @@ def stage_bers_grid(model: SystemModel, powers, mode: str = "auto",
     powers = np.asarray(powers, dtype=float)
     if powers.ndim != 2 or powers.shape[1] != model.k:
         raise ValueError(f"powers must be (P, {model.k}), got {powers.shape}")
-    if not np.all(powers >= 0):
+    if not (powers >= 0).all():
         raise ValueError("user power must be nonnegative")
     powers = powers[:, list(model.decode_order())]
     return _walk(model, powers, mode, prune_threshold, max_leaves)[0]

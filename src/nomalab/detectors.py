@@ -155,6 +155,9 @@ class SystemModel:
         elif sorted(ranks) != list(range(1, len(users) + 1)):
             raise ValueError(f"sic_rank values {ranks} are not a permutation of 1..K")
         object.__setattr__(self, "users", users)
+        order = tuple(sorted(range(len(users)), key=lambda i: users[i].sic_rank))
+        object.__setattr__(self, "_order", order)  # not a field: read per walk
+        object.__setattr__(self, "_stages", tuple(users[i] for i in order))
 
     @property
     def k(self) -> int:
@@ -162,10 +165,10 @@ class SystemModel:
 
     def decode_order(self) -> tuple[int, ...]:
         """User indices sorted by sic_rank (first decoded first)."""
-        return tuple(sorted(range(self.k), key=lambda i: self.users[i].sic_rank))
+        return self._order
 
     def stage_profiles(self) -> tuple[UserProfile, ...]:
-        return tuple(self.users[i] for i in self.decode_order())
+        return self._stages
 
     def with_powers(self, powers) -> "SystemModel":
         powers = tuple(float(p) for p in powers)

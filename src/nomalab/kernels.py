@@ -103,7 +103,8 @@ def erlang_fade_average(a, n: int):
     qk = q
     for k in range(1, n):
         acc = acc + float(math.comb(n - 1 + k, k)) * qk
-        qk = qk * q
+        if k + 1 < n:
+            qk = qk * q
     pn = p**n
     out = pn * acc
     low = pn < _TINY

@@ -18,6 +18,7 @@ interact, so every start follows the trajectory it would follow alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,7 +146,7 @@ def _descent(p0: np.ndarray, cfg: PaConfig):
         if probe_costs is None:
             probe_costs = yield around(p)
         grad = np.subtract(*probe_costs.reshape(2, -1)) / (2.0 * cfg.fd_step_db)
-        if not np.all(np.isfinite(grad)) or float(grad @ grad) == 0.0:
+        if not np.isfinite(grad).all() or float(grad @ grad) == 0.0:
             break
         step = yield from _search(p, cost, grad, ladder, cfg,
                                   around if iters + 1 < cfg.max_iters else None)
@@ -175,7 +176,7 @@ def _serve(model: SystemModel, jobs, mode: str, limits) -> list:
         if not blocks:
             return results
         costs = sum_ber_db_cost(model, np.concatenate(list(blocks.values())), mode, *limits)
-        ends = np.cumsum([len(block) for block in blocks.values()]).tolist()
+        ends = list(itertools.accumulate(len(block) for block in blocks.values()))
         sent = {i: costs[a:b] for i, a, b in zip(blocks, [0] + ends, ends)}
 
 

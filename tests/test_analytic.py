@@ -2,6 +2,7 @@
 references and its own specialized fast paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -594,11 +595,19 @@ def test_walk_raises_where_the_per_assignment_walk_does():
             walk(m, powers, "exact", 1e-6, lo - 1)
 
 
-def test_walk_calls_the_sep_kernel_once_per_level_and_class(monkeypatch):
-    calls = []
-    real = analytic._sep_table
+def test_walk_calls_the_sep_kernel_once_per_program(monkeypatch):
+    calls, fades = [], []
+    real, fade = analytic._sep_table, analytic.erlang_fade_average
     monkeypatch.setattr(analytic, "_sep_table", lambda c, cls, gain, n: (
         calls.append(cls) or real(c, cls, gain, n)))
+    monkeypatch.setattr(analytic, "erlang_fade_average", lambda a, n: (
+        fades.append(n) or fade(a, n)))
+    # QPSK x3: stages 1 and 2 share one program, and one leaf call serves
+    # every row
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
+    stage_bers_grid(m, batch_columns([0.0, -8.0, -14.0], [0.0, 10.0, 20.0]))
+    assert len(calls) == 1 and len(fades) == 1
+    calls.clear()
     m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QAM16] * 3, n=1)
     powers = batch_columns([0.0, -8.0, -14.0], [0.0, 10.0, 20.0, 30.0])
     stage_bers_grid(m, powers, "exact", 0.0)
@@ -609,6 +618,53 @@ def test_walk_calls_the_sep_kernel_once_per_level_and_class(monkeypatch):
     calls.clear()
     oracles.per_assignment_walk(m, powers, "exact", 0.0, DEFAULT_MAX_LEAVES)
     assert len(calls) == 18  # 9 class assignments x 2 levels
+
+
+def pa_batch(rng, k, cap_db, cols):
+    """(cols, K) linear powers shaped like a power-allocation walk: points
+    in [cap - 40, cap] dB, each followed by its +-0.01 dB probes of every
+    user, cut to cols columns."""
+    rows = []
+    while len(rows) < cols:
+        point = np.minimum(cap_db - 40.0 + 40.0 * rng.random(k), cap_db)
+        rows.append(point)
+        for i in range(k):
+            for step in (0.01, -0.01):
+                probe = point.copy()
+                probe[i] += step
+                rows.append(probe)
+    return 10.0 ** (np.array(rows[:cols]) / 10.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_walk_matches_the_per_assignment_walk_on_power_allocation_batches(n):
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QPSK] * 3, n=n)
+    rng = np.random.default_rng(n)
+    for cap_db in (0.0, 16.0, 36.0):
+        for cols in (8, 16, 32):
+            powers = pa_batch(rng, 3, cap_db, cols)
+            for thr in (0.0, 1e-12, 1e-6):
+                assert_walks_equal(m, powers, "auto", thr)
+
+
+def test_walk_evaluates_pruned_rows_without_warning():
+    # high gains prune rows at level 1; the fixed-shape walk still takes
+    # their SEP tables, and no probability there may clamp with a warning
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QAM64, QAM16, QPSK], n=4)
+    powers = batch_columns([0.0, -8.0, -14.0], [40.0, 50.0, 60.0, 70.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_walks_equal(m, powers, "auto", 1e-12)
+        _, dropped = _walk(m, powers, "auto", 1e-12, DEFAULT_MAX_LEAVES)
+    assert np.all(dropped[:, 1] > 0.0)
+
+
+def test_stage_bers_grid_rejects_a_leaf_limit_of_zero():
+    m = make_model([1.0, 0.5], [2.0, 1.0], [QPSK] * 2)
+    with pytest.raises(CapacityError, match="exceeds 0 leaves"):
+        stage_bers_grid(m, [[1.0, 0.5]], max_leaves=0)
+    with pytest.raises(CapacityError, match="exceeds -1 leaves"):
+        stage_bers_grid(m, [[1.0, 0.5]], max_leaves=-1)
 
 
 def test_stage_bers_grid_counts_leaves_per_column():
