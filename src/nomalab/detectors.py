@@ -12,7 +12,7 @@ alphabet, and for each tuple slices that user to the point nearest its
 combined residual, which is its exact best reply. The cap still bounds
 the full cartesian product of all user alphabets. It scores candidates
 by the Gram form of the metric, from G = g^H g and p = g^H y, and only
-those that can win: in cache-sized chunks it bounds every enumerated
+those that can win: in chunks of bounded size it bounds every enumerated
 tuple's metric from below by the metric with the sliced user free in
 the complex plane, scores the tuple with the lowest bound, and slices
 and scores only the tuples whose bound lies within that score plus the
@@ -28,7 +28,6 @@ single-shot functions run a batch of one.
 from __future__ import annotations
 
 import ctypes
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,12 +38,30 @@ from .errors import CapacityError
 
 JMLD_DEFAULT_CAP = 1 << 20
 
-# Joint ML bounds chunks of this many (tuple, column) entries, 256 kB per
-# (chunk, T) float array, so a chunk's working arrays stay in cache. On a
-# 2-core Xeon with 2 MB of L2 per core, 2^15 beat 2^14 and 2^16 when every
-# entry was scored; with the bound, 2^16 ran 7-28% faster per 10k batch
-# than 2^15, and 2^14 17-36% slower.
-_CHUNK_ENTRIES = 1 << 15
+# Joint ML bounds chunks of at most this many (tuple, column) entries,
+# 1 MB per (chunk, T) float array, and at most _CHUNK_COLUMNS columns. Few
+# rows per column are scored at N >= 2, so a small chunk's cost is mostly
+# its fixed numpy calls. On a 2-core Xeon, per 10k batch (median ms,
+# tracemalloc peak MB) at 2^15 / 2^16 / 2^17 / 2^18 entries: 16/8/8 at
+# N = 2, 20 dB 8.5 / 6.7 / 6.1 / 5.9 ms and 5.1 / 5.1 / 5.8 / 7.9 MB;
+# QPSK x3 at N = 2, 15 dB 4.2 / 3.9 / 3.9 / 3.8 ms and 5.1 / 5.2 / 6.4 /
+# 7.0 MB; at N = 1, where every row is scored, within 3% of each other.
+# At 2^18 OpenBLAS threads the bound's last matrix product, which stalled
+# for milliseconds when the other core was busy.
+_CHUNK_ENTRIES = 1 << 17
+
+# With few tuples a chunk's seeds, one per column, outweigh its bounds:
+# QPSK x3 (16 tuples) ran 3-4% faster per batch in chunks of 8,192
+# columns than of 4,096, but its traced peak rose 1.2 MB, and the peak RSS
+# of a pass of the benchmark's analytic_sweep jobs 3-4 MB.
+_CHUNK_COLUMNS = 1 << 12
+
+# A chunk's kept rows are scored in runs of whole columns of about this
+# many rows, so that a chunk where little is pruned (N = 1, low SNR, a
+# zero gain) needs no more working memory than one where most is. Runs of
+# 2^12 to 2^14 rows timed within 5% of each other at N = 1; 2^15 was up
+# to 18% slower and peaked 4-5 MB higher.
+_SCORED_ROWS = 1 << 13
 
 # Tie margin of the Gram scores, per rounding step on a path.
 # Written out in real and imaginary parts, the Gram form of
@@ -239,9 +256,9 @@ def mrc_sic_detect(model: SystemModel, y, channels) -> np.ndarray:
 
 
 def joint_symbol_tuples(model: SystemModel) -> np.ndarray:
-    """(T, K) array of all joint symbol-index tuples, lexicographic order;
-    CapacityError past JMLD_DEFAULT_CAP tuples."""
-    sizes = [u.constellation.size for u in model.users]
+    """(T, K) array of all joint symbol-index tuples, lexicographic order,
+    read-only; CapacityError past JMLD_DEFAULT_CAP tuples."""
+    sizes = tuple(u.constellation.size for u in model.users)
     total = 1
     for m in sizes:
         total *= m
@@ -249,7 +266,16 @@ def joint_symbol_tuples(model: SystemModel) -> np.ndarray:
             raise CapacityError(
                 f"joint search space {'x'.join(map(str, sizes))} exceeds cap "
                 f"{JMLD_DEFAULT_CAP}")
-    return np.array(list(itertools.product(*(range(m) for m in sizes))), dtype=np.int64)
+    return _tuple_product(sizes)
+
+
+@lru_cache(maxsize=None)
+def _tuple_product(sizes: tuple[int, ...]) -> np.ndarray:
+    """Read-only product of range(m) over sizes, lexicographic; callers
+    check the cap first."""
+    tuples = np.indices(sizes, dtype=np.int64).reshape(len(sizes), -1).T.copy()
+    tuples.flags.writeable = False
+    return tuples
 
 
 def jmld_detect(model: SystemModel, y, channels) -> np.ndarray:
@@ -339,29 +365,51 @@ def _gram_form(model: SystemModel, y: np.ndarray, channels, order):
     return gram, proj, np.linalg.norm(y, axis=0) + peak @ np.linalg.norm(g, axis=1)
 
 
-def _relaxed_bounds(points, schur, shift, floor) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _joint_plan(consts: tuple[Constellation, ...]):
+    """What joint ML needs of the alphabets alone: the sliced user s (the
+    last with the largest alphabet), the enumerated users in tuple order,
+    the full-tuple rank of every enumerated tuple (user s at index 0) and
+    user s's stride, per enumerated user its point in every tuple, and the
+    bound's levels: per enumerated user its points and the (4, M) stack
+    (1, |x|^2, -2 Re x, -2 Im x)."""
+    sizes = tuple(c.size for c in consts)
+    s = max(range(len(sizes)), key=lambda k: (sizes[k], k))
+    tuples = _tuple_product(sizes)
+    others = tuples[tuples[:, s] == 0]  # lexicographic over the others
+    strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
+    enum = [k for k in range(len(sizes)) if k != s]
+    picked = [consts[k].points[others[:, k]] for k in enum]
+    levels = [(c.points, np.stack([np.ones(c.size), np.abs(c.points) ** 2,
+                                   -2 * c.points.real, -2 * c.points.imag]))
+              for c in (consts[k] for k in enum)]
+    return s, enum, others @ strides, int(strides[s]), picked, levels
+
+
+def _relaxed_bounds(levels, schur, shift, floor) -> np.ndarray:
     """(w, T) lower bounds on the metrics of every enumerated tuple, in
     lexicographic order along each column's row: the metric's Gram
     recursion run on the Schur complement of G_ss, which leaves user s
     free in the complex plane.
 
-    points are the enumerated users' alphabets in tuple order; schur is
-    their (E, E, w) A = G_oo - G_os G_so / G_ss, shift their (E, w)
-    b = p_o - G_os p_s / G_ss, and floor the (w,) -|p_s|^2 / G_ss.
+    levels are the enumerated users' (points, coefficient stack) in tuple
+    order (_joint_plan); schur is their (E, E, w) A = G_oo - G_os G_so /
+    G_ss, shift their (E, w) b = p_o - G_os p_s / G_ss, and floor the (w,)
+    -|p_s|^2 / G_ss.
     """
     w = floor.size
     bound = floor[:, None]
     res = list(shift[:, :, None])
-    for i, pts in enumerate(points):  # one more user, in tuple order
+    for i, (pts, coef) in enumerate(levels):  # one more user, in tuple order
         # each tuple's bound + |x|^2 A_ii - 2 Re(conj(x) r) for every point
         # x, one matrix product over (bound, A_ii, Re r, Im r)
-        coef = np.stack([np.ones(pts.size), np.abs(pts) ** 2,
-                         -2 * pts.real, -2 * pts.imag])
-        terms = np.stack([bound, np.broadcast_to(schur[i, i, :, None].real,
-                                                 bound.shape),
-                          res[i].real, res[i].imag], axis=-1)
+        terms = np.empty(bound.shape + (4,))
+        terms[..., 0] = bound
+        terms[..., 1] = schur[i, i, :, None].real
+        terms[..., 2] = res[i].real
+        terms[..., 3] = res[i].imag
         bound = (terms.reshape(-1, 4) @ coef).reshape(w, -1)
-        for j in range(i + 1, len(points)):
+        for j in range(i + 1, len(levels)):
             res[j] = (res[j][:, :, None] - schur[j, i, :, None, None] * pts
                       ).reshape(w, -1)
     return bound
@@ -400,22 +448,19 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
     bit as among all candidates. Over the scored candidates, those within
     the margin of the best are ties, and ties go to the smallest full
     tuple. Columns where G_ss is zero or subnormal keep every tuple.
+    Bounds are taken at most _CHUNK_ENTRIES (tuple, column) entries and
+    _CHUNK_COLUMNS columns at a time, and kept candidates are scored about
+    _SCORED_ROWS at a time.
     """
     _keep_freed_memory()
-    tuples = joint_symbol_tuples(model)
+    joint_symbol_tuples(model)  # the cap
+    s, enum, rank, stride, picked, levels = _joint_plan(
+        tuple(u.constellation for u in model.users))
     sizes = [u.constellation.size for u in model.users]
-    s = max(range(model.k), key=lambda k: (sizes[k], k))
-    others = tuples[tuples[:, s] == 0]  # lexicographic over the others
-    t_count = others.shape[0]
+    t_count, e = rank.size, len(enum)
     n, b = y.shape
-    # a full tuple's lexicographic rank: the others' part, plus user s's
-    # index times its stride
-    strides = np.cumprod([1] + sizes[:0:-1])[::-1]
-    rank = others @ strides
     # the enumerated users in tuple order, then user s: g_s^H r = p_s -
     # sum_k G_sk x_k over the others, and G_ss = ||g_s||^2 is the gain
-    enum = [k for k in range(model.k) if k != s]
-    e = len(enum)
     gram, proj, reach = _gram_form(model, y, channels, enum + [s])
     gain = gram[e, e].real
     # the Schur complement of G_ss, with G_ks / G_ss as lean
@@ -425,9 +470,6 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
     schur = gram[:e, :e] - lean[:, None] * gram[e, :e]
     shift = proj[:e] - lean * proj[e]
     floor = -(proj[e].real ** 2 + proj[e].imag ** 2) / safe
-    points = [model.users[k].constellation.points for k in enum]
-    # each enumerated user's point in every enumerated tuple
-    picked = [pts[others[:, k]] for pts, k in zip(points, enum)]
     c_s = model.users[s].constellation
     energy_s = np.abs(c_s.points) ** 2
     # S sets the tie margin and the slack; where G_ss is zero or subnormal
@@ -457,22 +499,30 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
         sym = _slice(c_s, z, gains)
         xs = c_s.points[sym]
         return part + energy_s[sym] * gains - 2 * (
-            xs.real * z.real + xs.imag * z.imag), rank[t] + sym * strides[s]
+            xs.real * z.real + xs.imag * z.imag), rank[t] + sym * stride
 
     out = np.zeros((model.k, b), dtype=np.int64)
-    chunk = max(1, _CHUNK_ENTRIES // t_count)
-    for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
-        bound = _relaxed_bounds(points, schur[..., lo:hi], shift[:, lo:hi],
+    width = max(1, min(_CHUNK_COLUMNS, _CHUNK_ENTRIES // t_count))
+    for lo in range(0, b, width):
+        hi = min(lo + width, b)
+        w = hi - lo
+        bound = _relaxed_bounds(levels, schur[..., lo:hi], shift[:, lo:hi],
                                 floor[lo:hi])
         # the seeds, then the other rows whose bound lies within the radius
-        seed, col = np.argmin(bound, axis=1), np.arange(lo, hi)
-        metric, key = score(seed, col)
+        seed, col = np.argmin(bound, axis=1), np.arange(w)
+        metric, key = score(seed, col + lo)
         keep = bound <= (metric + spread[lo:hi])[:, None]
-        keep[col - lo, seed] = False
-        kept, t = np.divmod(np.flatnonzero(keep), t_count)
-        more, more_key = score(t, kept + lo)
-        out[:, lo:hi] = np.unravel_index(_smallest_tie(
-            np.concatenate([metric, more]), np.concatenate([key, more_key]),
-            np.concatenate([col - lo, kept]), margin[lo:hi]), sizes)
+        keep[col, seed] = False
+        del bound
+        # the kept rows, scored in runs of whole columns
+        runs = max(1, -(-int(np.count_nonzero(keep)) // _SCORED_ROWS))
+        for r in range(runs):
+            first, stop = r * w // runs, (r + 1) * w // runs
+            kept, t = np.divmod(np.flatnonzero(keep[first:stop]), t_count)
+            more, more_key = score(t, kept + (lo + first))
+            out[:, lo + first:lo + stop] = np.unravel_index(_smallest_tie(
+                np.concatenate([metric[first:stop], more]),
+                np.concatenate([key[first:stop], more_key]),
+                np.concatenate([col[:stop - first], kept]),
+                margin[lo + first:lo + stop]), sizes)
     return out

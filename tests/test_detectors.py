@@ -4,6 +4,7 @@ brute-force references."""
 import itertools
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,12 +330,14 @@ PRUNED_CASES = [
     ((QPSK, QPSK, QAM8, QPSK), 1e2, 2, 100, False),
     ((QAM16, QAM8, QAM8), 1e4, 2, 60, False),
     ((QAM16, QAM8, QAM8), 1e-1, 2, 60, False),
+    # every row kept, more than a run holds: the chunk is scored in runs
+    ((QPSK, QPSK, QPSK), 1e2, 1, detectors._SCORED_ROWS // 8, False),
 ]
 
 
 @pytest.mark.parametrize("consts,power,n,cols,zeroed", PRUNED_CASES,
                          ids=["zero-gain-columns", "n1", "k2", "k4", "40dB",
-                              "-10dB"])
+                              "-10dB", "n1-runs"])
 def test_jmld_pruned_path_matches_brute_force_oracle(monkeypatch, consts,
                                                      power, n, cols, zeroed):
     rng = np.random.default_rng(53 + n * cols)
@@ -365,11 +368,16 @@ def test_jmld_pruned_path_matches_brute_force_oracle(monkeypatch, consts,
         assert row.size < dense.size / 4
 
 
-@pytest.mark.parametrize("n,cols", [(1, 1024), (2, 4000)], ids=["n1", "n2"])
-def test_jmld_large_batches_score_as_the_dense_form(monkeypatch, n, cols):
-    # at N = 1 all 2^15 rows of a chunk are scored at once: numpy computes
-    # into temporaries that large in place, where its complex product
-    # rounds differently
+@pytest.mark.parametrize("n,cols,one_run", [(1, 1024, False), (2, 4000, False),
+                                            (1, 1024, True)],
+                         ids=["n1", "n2", "n1-one-run"])
+def test_jmld_large_batches_score_as_the_dense_form(monkeypatch, n, cols,
+                                                    one_run):
+    # at N = 1 every row of the chunk is kept and scored in runs; in one
+    # run of all 64k rows numpy computes into temporaries that large in
+    # place, where its complex product rounds differently
+    if one_run:
+        monkeypatch.setattr(detectors, "_SCORED_ROWS", 1 << 16)
     rng = np.random.default_rng(61 + n)
     model = make_model([1e2] * 3, [10.0, 2.5, 0.625], [QAM16, QAM8, QAM8],
                        n=n)
@@ -385,19 +393,71 @@ def test_jmld_large_batches_score_as_the_dense_form(monkeypatch, n, cols):
 
 
 def test_jmld_batch_chunks_give_the_same_decisions():
-    # 16 * 16 * 4 = 1,024 enumerated tuples give chunks of 32 columns: the
-    # whole batch crosses several chunk boundaries, and the cut at 75 moves
-    # every boundary after it
+    # 16 * 16 * 4 = 1,024 enumerated tuples give chunks of
+    # _CHUNK_ENTRIES / 1,024 columns: the batch crosses four chunk
+    # boundaries, and the cut at 75 moves every boundary after it
     chunk = detectors._CHUNK_ENTRIES // 1024
-    assert 75 % chunk and 300 > 4 * chunk
+    cols = 4 * chunk + 44
+    assert 75 % chunk and cols > 4 * chunk
     rng = np.random.default_rng(41)
     model = make_model([16.0, 8.0, 4.0, 1.0], [1.0] * 4,
                        [QAM16, QAM16, QAM16, QPSK], n=4)
-    y, chans = random_batch(rng, model, 300)
+    y, chans = random_batch(rng, model, cols)
     whole = jmld_detect_batch(model, y, chans)
     halves = [jmld_detect_batch(model, y[:, cut], [h[:, cut] for h in chans])
               for cut in (slice(0, 75), slice(75, None))]
     assert np.array_equal(whole, np.concatenate(halves, axis=1))
+
+
+# Traced peak (MiB) of one 10k-column batch on the shipped spreads when
+# chunks held 2^15 entries and a chunk's kept rows were scored at once,
+# by (alphabets, n, dB, sliced user's channel zeroed in every third
+# column): chunks now hold four times as many entries, and the working
+# memory may grow by at most 2 MiB on any of them.
+PEAK_BEFORE_MIB = {
+    ("4-4-4", 1, -10, False): 10.59,
+    ("4-4-4", 1, 20, False): 10.59,
+    ("4-4-4", 2, -10, False): 5.12,
+    ("4-4-4", 2, 20, False): 5.12,
+    ("4-4-4", 4, -10, False): 7.86,
+    ("4-4-4", 4, 20, False): 7.86,
+    ("4-4-4", 2, 20, True): 6.22,
+    ("16-8-8", 1, -10, False): 10.89,
+    ("16-8-8", 1, 20, False): 10.89,
+    ("16-8-8", 2, -10, False): 6.46,
+    ("16-8-8", 2, 20, False): 5.14,
+    ("16-8-8", 4, -10, False): 7.89,
+    ("16-8-8", 4, 20, False): 7.89,
+    ("16-8-8", 2, 20, True): 6.40,
+}
+
+
+@pytest.mark.parametrize("mods,n,db,zeroed", list(PEAK_BEFORE_MIB),
+                         ids=[f"{m}_n{n}_{db}dB" + ("_zeroed" if z else "")
+                              for m, n, db, z in PEAK_BEFORE_MIB])
+def test_jmld_working_memory_stays_bounded(mods, n, db, zeroed):
+    peak = traced_jmld_peak(mods, n, db, zeroed)
+    assert peak <= (PEAK_BEFORE_MIB[mods, n, db, zeroed] + 2) * 2 ** 20
+
+
+def traced_jmld_peak(mods, n, db, zeroed):
+    """tracemalloc's peak, in bytes, over one joint-ML batch of 10k
+    columns at db per user; mods names the alphabets."""
+    consts = {"4-4-4": (QPSK,) * 3, "16-8-8": (QAM16, QAM8, QAM8)}[mods]
+    rng = np.random.default_rng(67 + n)
+    model = make_model([10.0 ** (db / 10)] * 3, [10.0, 2.5, 0.625], consts,
+                       n=n)
+    y, chans = random_batch(rng, model, 10_000)
+    if zeroed:
+        s = max(range(3), key=lambda k: (consts[k].size, k))
+        chans[s][:, ::3] = 0.0
+    jmld_detect_batch(model, y[:, :8], [h[:, :8] for h in chans])  # caches
+    tracemalloc.start()
+    try:
+        jmld_detect_batch(model, y, chans)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
