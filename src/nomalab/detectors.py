@@ -53,7 +53,8 @@ _CHUNK_ENTRIES = 1 << 17
 # With few tuples a chunk's seeds, one per column, outweigh its bounds:
 # QPSK x3 (16 tuples) ran 3-4% faster per batch in chunks of 8,192
 # columns than of 4,096, but its traced peak rose 1.2 MB, and the peak RSS
-# of a pass of the benchmark's analytic_sweep jobs 3-4 MB.
+# of three passes of the benchmark's analytic_sweep jobs 2.7 MB (highest
+# of four runs each).
 _CHUNK_COLUMNS = 1 << 12
 
 # A chunk's kept rows are scored in runs of whole columns of about this
@@ -453,7 +454,7 @@ def jmld_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray
     _SCORED_ROWS at a time.
     """
     _keep_freed_memory()
-    joint_symbol_tuples(model)  # the cap
+    joint_symbol_tuples(model)  # CapacityError past the cap
     s, enum, rank, stride, picked, levels = _joint_plan(
         tuple(u.constellation for u in model.users))
     sizes = [u.constellation.size for u in model.users]

@@ -412,8 +412,8 @@ def test_jmld_batch_chunks_give_the_same_decisions():
 # Traced peak (MiB) of one 10k-column batch on the shipped spreads when
 # chunks held 2^15 entries and a chunk's kept rows were scored at once,
 # by (alphabets, n, dB, sliced user's channel zeroed in every third
-# column): chunks now hold four times as many entries, and the working
-# memory may grow by at most 2 MiB on any of them.
+# column): chunks now hold up to four times as many entries, and the
+# working memory may grow by at most 2 MiB on any of them.
 PEAK_BEFORE_MIB = {
     ("4-4-4", 1, -10, False): 10.59,
     ("4-4-4", 1, 20, False): 10.59,
@@ -430,14 +430,6 @@ PEAK_BEFORE_MIB = {
     ("16-8-8", 4, 20, False): 7.89,
     ("16-8-8", 2, 20, True): 6.40,
 }
-
-
-@pytest.mark.parametrize("mods,n,db,zeroed", list(PEAK_BEFORE_MIB),
-                         ids=[f"{m}_n{n}_{db}dB" + ("_zeroed" if z else "")
-                              for m, n, db, z in PEAK_BEFORE_MIB])
-def test_jmld_working_memory_stays_bounded(mods, n, db, zeroed):
-    peak = traced_jmld_peak(mods, n, db, zeroed)
-    assert peak <= (PEAK_BEFORE_MIB[mods, n, db, zeroed] + 2) * 2 ** 20
 
 
 def traced_jmld_peak(mods, n, db, zeroed):
@@ -458,6 +450,14 @@ def traced_jmld_peak(mods, n, db, zeroed):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mods,n,db,zeroed", list(PEAK_BEFORE_MIB),
+                         ids=[f"{m}_n{n}_{db}dB" + ("_zeroed" if z else "")
+                              for m, n, db, z in PEAK_BEFORE_MIB])
+def test_jmld_working_memory_stays_bounded(mods, n, db, zeroed):
+    peak = traced_jmld_peak(mods, n, db, zeroed)
+    assert peak <= (PEAK_BEFORE_MIB[mods, n, db, zeroed] + 2) * 2 ** 20
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
