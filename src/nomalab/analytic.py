@@ -18,8 +18,10 @@ same for each column (power vector). A node's gain depends only on its
 upstream distances, so every gain comes first; then the SEP kernel runs
 once per compiled program over its nodes at every level, and the
 weights follow level by level. Pruning is per node and column: a weight
-below the threshold becomes 0, so nothing under it counts, and the one
-leaf-BER call takes only the nodes whose weight is not 0. A stage sums
+below the threshold becomes 0, so nothing under it counts. A node's
+level and noise factors fix its gain, so the one leaf-BER call takes
+each distinct fading argument (gain x d^2) once, for every node, pruned
+or not: a pruned node adds BER x 0 = 0. A stage sums
 weight x conditional BER over its level per assignment and column, then
 adds the assignments in order; an assignment's nodes keep their order
 whatever the others hold, so every column gets the result it gets
@@ -133,25 +135,6 @@ def _leaf_terms(c: Constellation, tx_class, mode: str):
     return tuple((coef / norm, d * d) for d, coef in sorted(acc.items()) if coef)
 
 
-def _leaf_bers(terms, gains, n: int) -> list[np.ndarray]:
-    """Conditional BERs at each array in gains, with the matching
-    _leaf_terms in terms. One erlang_fade_average call serves them all;
-    each BER adds its terms in order."""
-    args = [np.multiply.outer(g, [d2 for _, d2 in t]).ravel()
-            for g, t in zip(gains, terms)]
-    fades = erlang_fade_average(np.concatenate(args) if len(args) > 1 else args[0], n)
-    out = []
-    lo = 0
-    for g, t in zip(gains, terms):
-        f = fades[lo:lo + g.size * len(t)].reshape(g.size, len(t))
-        lo += f.size
-        ber = t[0][0] * f[:, 0]  # is 0 + it: the nearest term's coef is > 0
-        for j in range(1, len(t)):
-            ber += t[j][0] * f[:, j]
-        out.append(ber)
-    return out
-
-
 def _stage_point(model: SystemModel, k: int, classes, distances):
     """Alphabet, transmitted class and SINR parameter of stage k under
     the class assignment classes of stages 2..K and the upstream error
@@ -184,7 +167,8 @@ def conditional_ber_user(model: SystemModel, k: int, classes, distances=(),
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
     terms = _leaf_terms(c, tx_class, mode)
-    return float(_leaf_bers([terms], [np.array([gain])], model.n_antennas)[0][0])
+    fades = erlang_fade_average(np.array([gain * d2 for _, d2 in terms]), model.n_antennas)
+    return float(sum(coef * f for (coef, _), f in zip(terms, fades)))
 
 
 @lru_cache(maxsize=None)
@@ -235,17 +219,22 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     (2, K-1, R): the error distance twice for a stage above, |x|^2 and 1
     for one below; per level below 0 (rows, parent rows, entries in the
     SEP tables side by side); per SEP program (alphabet, transmitted
-    class, rows); per run of rows with equal leaf terms (terms, rows);
-    per row its bincount slot, (assignment, level), for weight x BER and
-    then for cut mass, (2, 1, R); and per stage, for weight x BER and
-    then for cut mass, the slots it adds in order, (2K, A K), an empty
-    slot where a level does not count. The last stage has no SEP table:
-    its programs are never compiled."""
+    class, rows). Level and factors fix a row's gain bit for bit, so
+    rows that share them share a gain key, named by its first row. For
+    the leaf BERs: per distinct fading argument (gain key, d^2) the
+    key's row and d^2, (F,) each; per distinct set of leaf terms, over
+    the leaves (gain key, terms) that use it, the coefs, (T, 1), and
+    the arguments, (T, L); per row its leaf, (R,), leaves numbered set
+    by set. Then per row its bincount slot, (assignment, level), for
+    weight x BER and then for cut mass, (2, 1, R); and per stage, for
+    weight x BER and then for cut mass, the slots it adds in order,
+    (2K, A K), an empty slot where a level does not count. The last
+    stage has no SEP table: its programs are never compiled."""
     k = len(consts)
     combos = _assignments(consts[1:])
     roots = len(combos)
     rows, links, starts = [], [], []  # (level, assignment, distances), (parent, slot)
-    programs, leaves = {}, []
+    programs, row_terms = {}, []
     level = [(a, (), -1, -1) for a in range(roots)]
     for i, c in enumerate(consts):
         starts.append(len(rows))
@@ -256,9 +245,7 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
             members = list(range(len(rows), len(rows) + len(group)))
             rows += [(i, a, dists) for a, dists, _, _ in group]
             links += [link for _, _, *link in group]
-            terms = _leaf_terms(c, cls, _resolve_mode(c, mode))
-            run = leaves.pop()[1].start if leaves and leaves[-1][0] == terms else members[0]
-            leaves.append((terms, slice(run, len(rows))))
+            row_terms += [_leaf_terms(c, cls, _resolve_mode(c, mode))] * len(group)
             if i + 1 < k:  # equal symbol sets share a program
                 programs.setdefault((c, _admissible_tx(c, cls)), (cls, []))[1].extend(members)
         level = [(a, dists + (d,), r, slot)
@@ -280,6 +267,18 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     for r, (i, a, dists) in enumerate(rows):
         factors[:, :i, r] = dists
         factors[0, i:, r] = [cls.squared_magnitude for cls in combos[a][0][i:]]
+    # a gain key is (level, factors), named by its first row
+    first, leaf_sets, row_leaf = {}, {}, []
+    for r, terms in enumerate(row_terms):
+        g = first.setdefault((level_of[r], *factors[:, :, r].ravel().tolist()), r)
+        leaf_sets.setdefault(terms, {}).setdefault(g, None)
+        row_leaf.append((terms, g))
+    fade_args, leaf_index, ber_groups = {}, {}, []
+    for terms, keys in leaf_sets.items():
+        leaf_index.update(((terms, g), len(leaf_index)) for g in keys)
+        ber_groups.append((np.array([[coef] for coef, _ in terms]), np.array(
+            [[fade_args.setdefault((g, d2), len(fade_args)) for g in keys]
+             for _, d2 in terms])))
     # a stage adds, assignment by assignment, its level's sum, and the cut
     # mass of the levels up to its own; slot 2 A K stays empty
     slot = np.array([a for _, a, _ in rows]) * k + level_of
@@ -288,8 +287,9 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     weights = np.array([weight for _, weight in combos])
     return (len(rows) - starts[-1], weights, weights.min(), level_of, stage_of,
             factors, blocks, tuple((c, cls, _span(m)) for (c, _), (cls, m) in programs.items()),
-            tuple(leaves), np.stack([slot, slot + roots * k])[:, None],
-            np.array(adds).reshape(2 * k, roots * k))
+            np.array([g for g, _ in fade_args]), np.array([d2 for _, d2 in fade_args]),
+            tuple(ber_groups), np.array([leaf_index[key] for key in row_leaf]),
+            np.stack([slot, slot + roots * k])[:, None], np.array(adds).reshape(2 * k, roots * k))
 
 
 def _walk(model: SystemModel, powers: np.ndarray, mode: str,
@@ -305,16 +305,19 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     below. Then one SEP-kernel call per program, over its rows at every
     level. Then the weights, level by level: a child's is its parent's
     times its table entry, and a weight below prune_threshold is cut
-    mass and becomes 0, so the rows under it weigh 0 too. One leaf-BER
-    call takes the rows whose weight is not 0. One bincount sums weight
-    x BER and the cut mass per (column, assignment, level) in row order;
+    mass and becomes 0, so the rows under it weigh 0 too. One fade call
+    takes each distinct leaf argument, gain x d^2, once; each leaf adds
+    its terms in order, and every row takes its leaf's BER, pruned or
+    not, as its weight 0 makes it add 0. One bincount sums weight x BER
+    and the cut mass per (column, assignment, level) in row order;
     a second adds, per column and stage, the assignments in order, with
     the cut mass of the levels up to the stage's own. So each column
     gets what it gets alone, where a pruned row is never walked.
     Columns go in slices of at most WALK_LEAVES unpruned leaves."""
     stages = model.stage_profiles()
     (leaf_bound, weights, lightest, level_of, stage_of, factors, blocks, programs,
-     leaves, keys, adds) = _plan(tuple(u.constellation for u in stages), mode)
+     fade_rows, fade_d2, ber_groups, row_leaf, keys, adds) = _plan(
+         tuple(u.constellation for u in stages), mode)
     count = powers.shape[0]
     chunk = max(1, WALK_LEAVES // leaf_bound)
     if count > chunk:  # columns are independent: walk them in slices
@@ -351,12 +354,17 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     if leaf_bound > max_leaves and np.count_nonzero(
             w[:, size - leaf_bound:] >= floor, axis=1).max(initial=0) > max_leaves:
         raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
-    live = [w[:, rows] != 0 for _, rows in leaves]  # the rest add 0 x BER
-    bers = _leaf_bers([terms for terms, _ in leaves],
-                      [gain[:, rows][m] for (_, rows), m in zip(leaves, live)], n)
-    for (_, rows), m, ber in zip(leaves, live, bers):
-        values[0, :, rows][m] = ber
-    values[0] *= w
+    # every row's BER, pruned or not: a pruned row adds BER x 0 = 0
+    fades = erlang_fade_average(gain.take(fade_rows, axis=1) * fade_d2, n)
+    bers = []
+    for coefs, picks in ber_groups:
+        f = fades.take(picks, axis=1)  # (column, term, leaf)
+        f *= coefs
+        for j in range(1, len(coefs)):  # each leaf adds its terms in order
+            f[:, 0] += f[:, j]
+        bers.append(f[:, 0])
+    ber = np.concatenate(bers, axis=1) if len(bers) > 1 else bers[0]
+    np.multiply(ber.take(row_leaf, axis=1), w, out=values[0])
     np.subtract(cw, w, out=values[1])
     span = 2 * roots * k + 1
     sums = np.bincount((np.arange(0, span * count, span)[:, None] + keys).ravel(),

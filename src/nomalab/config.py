@@ -322,5 +322,14 @@ def sweep_grid(cfg: RunConfig) -> list[float]:
     return [round(off, 10) for off in _sweep_offsets(cfg.sweep)]
 
 
+def _fields(section) -> dict:
+    return {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
+
+
 def to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
+    """cfg as nested dicts, as dataclasses.asdict gives it but without its
+    deep copy: the sections hold only numbers, strings, None and the
+    users."""
+    out = {name: _fields(section) for name, section in _fields(cfg).items()}
+    out["system"]["users"] = tuple(_fields(u) for u in cfg.system.users)
+    return out

@@ -5,7 +5,7 @@ literal series forms, closed forms, direct quadrature, exact rational
 bookkeeping at 50 digits, hard-coded constellation geometry, and
 brute-force searches. Four exceptions reuse package code to check one
 layer alone: reference_walk_ber walks the package's per-node kernels,
-per_assignment_walk runs the package's walk kernels one class
+per_assignment_walk runs the package's SEP and fade kernels one class
 assignment at a time, as the walk once did, reference_descend runs one power-allocation start alone on the package's
 cost function, and dense_gram_metrics scores every joint-ML candidate
 with the package's slicer, so the pruned detector's scores can be
@@ -563,12 +563,35 @@ def _per_assignment_plan(consts, mode):
     return leaves, tuple(out)
 
 
+def leaf_bers(terms, gains, n: int) -> list[np.ndarray]:
+    """Conditional BERs at each array in gains, with the matching
+    _leaf_terms in terms. One erlang_fade_average call serves them all;
+    each BER adds its terms in order."""
+    from nomalab.kernels import erlang_fade_average
+
+    args = [np.multiply.outer(g, [d2 for _, d2 in t]).ravel()
+            for g, t in zip(gains, terms)]
+    fades = erlang_fade_average(np.concatenate(args) if len(args) > 1 else args[0], n)
+    out = []
+    lo = 0
+    for g, t in zip(gains, terms):
+        f = fades[lo:lo + g.size * len(t)].reshape(g.size, len(t))
+        lo += f.size
+        ber = t[0][0] * f[:, 0]  # is 0 + it: the nearest term's coef is > 0
+        for j in range(1, len(t)):
+            ber += t[j][0] * f[:, j]
+        out.append(ber)
+    return out
+
+
+
 def per_assignment_walk(model, powers, mode, prune_threshold, max_leaves):
     """(stage BERs, pruned mass), both (P, K), from a walk that runs one
     pass per class assignment, adding each assignment's stage sums and
     pruned mass in assignment order: the walk the package's one-level-
-    per-stage walk must match bit for bit. It reuses the package's
-    kernels (_sep_table, _leaf_bers) and its WALK_LEAVES column slices."""
+    per-stage walk must match bit for bit. It reuses the package's SEP
+    kernel (_sep_table) and its WALK_LEAVES column slices, and takes the
+    leaf BERs of its live rows through leaf_bers above."""
     from nomalab import analytic
     from nomalab.errors import CapacityError
 
@@ -631,7 +654,7 @@ def per_assignment_walk(model, powers, mode, prune_threshold, max_leaves):
             up = up[rows] + powers[col, i] * d * d * sigma_sq[i]
             w = child_w[keep]
     totals = np.zeros((count, k))
-    bers = analytic._leaf_bers(terms, gains, n) if gains else []
+    bers = leaf_bers(terms, gains, n) if gains else []
     for (i, col, w), ber in zip(rows_at, bers):
         totals[:, i] += np.bincount(col, w * ber, minlength=count)
     return totals, dropped

@@ -620,6 +620,22 @@ def test_walk_calls_the_sep_kernel_once_per_program(monkeypatch):
     assert len(calls) == 18  # 9 class assignments x 2 levels
 
 
+def test_walk_takes_each_fade_argument_once(monkeypatch):
+    sizes = []
+    fade = analytic.erlang_fade_average
+    monkeypatch.setattr(analytic, "erlang_fade_average", lambda a, n: (
+        sizes.append(np.size(a)) or fade(a, n)))
+    # per column, the distinct (gain, d^2) pairs of the leaf rows' terms:
+    # 13 of 13 on QPSK x3, 417 of 2,267 on 16/16/16, 282 of 712 on 16/8/8
+    for consts, n, per_column in (([QPSK] * 3, 2, 13), ([QAM16] * 3, 1, 417),
+                                  ([QAM16, QAM8, QAM8], 2, 282)):
+        m = make_model([1.0] * 3, [10.0, 2.5, 0.625], consts, n=n)
+        powers = batch_columns([0.0, -8.0, -14.0], [0.0, 10.0, 20.0])
+        stage_bers_grid(m, powers, "exact")
+        assert sizes == [per_column * len(powers)]
+        sizes.clear()
+
+
 def pa_batch(rng, k, cap_db, cols):
     """(cols, K) linear powers shaped like a power-allocation walk: points
     in [cap - 40, cap] dB, each followed by its +-0.01 dB probes of every

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, artifacts, exit codes, and
 byte-level reproducibility."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -536,6 +537,27 @@ def test_mode_override_lands_in_echo(tmp_path):
     echo = json.loads((out / "effective_config.json").read_text())
     assert echo["analytic"]["mode"] == "approx"
     assert echo["poweralloc"]["mode"] == "approx"
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_echo_is_the_config_as_asdict_writes_it(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)  # the shipped output directories are relative
+    cfg = load_config(str(path))
+    out = tmp_path / "out"
+    overridden = dataclasses.replace(
+        cfg, output=dataclasses.replace(cfg.output, directory=str(out)),
+        montecarlo=dataclasses.replace(cfg.montecarlo, seed=5),
+        analytic=dataclasses.replace(cfg.analytic, mode="approx"),
+        poweralloc=dataclasses.replace(cfg.poweralloc, mode="approx"))
+    for argv, expect in (([], cfg), (["--out", str(out), "--seed", "5", "--mode",
+                                      "approx"], overridden)):
+        assert main(["analytic", "--config", str(path)] + argv) == 0
+        echo = Path(expect.output.directory) / "effective_config.json"
+        assert echo.read_text(encoding="utf-8") == json.dumps(
+            dataclasses.asdict(expect), indent=2, sort_keys=True) + "\n"
 
 
 def test_missing_required_flag_exits_via_argparse(tmp_path):
