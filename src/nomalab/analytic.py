@@ -37,8 +37,10 @@ each axis, "approx" charges one fading tail per adjacent boundary.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -198,15 +200,31 @@ def _resolve_mode(c: Constellation, mode: str) -> str:
     return "approx" if c.size >= AUTO_APPROX_ORDER else "exact"
 
 
-def _span(rows: list[int]):
+def _span(rows):
     """rows as a slice if they run on without a gap, else as an index
     array: gathers through a slice take no copy."""
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        return slice(rows[0], rows[0] + len(rows))
-    return np.array(rows)
+    rows = np.asarray(rows)
+    if (np.diff(rows) == 1).all():
+        return slice(int(rows[0]), int(rows[0]) + rows.size)
+    return rows
+
+
+@contextmanager
+def _collector_off():
+    """The cyclic garbage collector off, and back on after if it was:
+    a plan's tuples hold no cycles, yet passes over its millions of them
+    took most of the time of a 1.7e7-row plan."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @lru_cache(maxsize=None)
+@_collector_off()
 def _plan(consts: tuple[Constellation, ...], mode: str):
     """The walk's fixed shape for stage alphabets consts, for one column:
     every row (node) of every level. Level 0 holds one row per class
@@ -219,22 +237,28 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     (2, K-1, R): the error distance twice for a stage above, |x|^2 and 1
     for one below; per level below 0 (rows, parent rows, entries in the
     SEP tables side by side); per SEP program (alphabet, transmitted
-    class, rows). Level and factors fix a row's gain bit for bit, so
-    rows that share them share a gain key, named by its first row. For
-    the leaf BERs: per distinct fading argument (gain key, d^2) the
-    key's row and d^2, (F,) each; per distinct set of leaf terms, over
-    the leaves (gain key, terms) that use it, the coefs, (T, 1), and
-    the arguments, (T, L); per row its leaf, (R,), leaves numbered set
-    by set. Then per row its bincount slot, (assignment, level), for
+    class, rows). A row's gain key, its level, upstream distances and
+    |x|^2 below, fixes its factors and so its gain bit for bit. For the
+    leaf BERs: per distinct fading argument (gain key, d^2) a row of the
+    key and d^2, (F,) each; per distinct set of leaf terms, over the
+    leaves (gain key, terms) that use it, the coefs, (T, 1), and the
+    arguments, (T, L); per row its leaf, (R,), leaves numbered set by
+    set. Then per row its bincount slot, (assignment, level), for
     weight x BER and then for cut mass, (2, 1, R); and per stage, for
     weight x BER and then for cut mass, the slots it adds in order,
     (2K, A K), an empty slot where a level does not count. The last
-    stage has no SEP table: its programs are never compiled."""
+    stage has no SEP table: its programs are never compiled.
+
+    Only the tree's expansion walks row by row in Python; the per-row
+    arrays are gathered from per-key ones, as a plan can hold over 1e7
+    rows."""
     k = len(consts)
     combos = _assignments(consts[1:])
     roots = len(combos)
-    rows, links, starts = [], [], []  # (level, assignment, distances), (parent, slot)
-    programs, row_terms = {}, []
+    rows, links, starts = [], [], []  # (assignment, distances), (parent, slot)
+    programs, gain_keys, leaf_sets, row_leaf = {}, {}, {}, []
+    below = [[tuple(cls.squared_magnitude for cls in classes[i:]) for i in range(k)]
+             for classes, _ in combos]  # per assignment and level: |x|^2 below it
     level = [(a, (), -1, -1) for a in range(roots)]
     for i, c in enumerate(consts):
         starts.append(len(rows))
@@ -242,53 +266,64 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
         for row in level:
             groups.setdefault(((None,) + combos[row[0]][0])[i], []).append(row)
         for cls, group in groups.items():
-            members = list(range(len(rows), len(rows) + len(group)))
-            rows += [(i, a, dists) for a, dists, _, _ in group]
-            links += [link for _, _, *link in group]
-            row_terms += [_leaf_terms(c, cls, _resolve_mode(c, mode))] * len(group)
+            # gain keys are numbered as they first come, and a row's leaf
+            # by its key's place among the keys of its leaf terms
+            terms = _leaf_terms(c, cls, _resolve_mode(c, mode))
+            keys = leaf_sets.setdefault(terms, {})
+            row_leaf.append((terms, np.fromiter(
+                (keys.setdefault(gain_keys.setdefault((i, dists, below[a][i]), len(gain_keys)),
+                                 len(keys)) for a, dists, _, _ in group),
+                np.int64, len(group))))
             if i + 1 < k:  # equal symbol sets share a program
-                programs.setdefault((c, _admissible_tx(c, cls)), (cls, []))[1].extend(members)
+                programs.setdefault((c, _admissible_tx(c, cls)), (cls, []))[1].extend(
+                    range(len(rows), len(rows) + len(group)))
+            rows += [(a, dists) for a, dists, _, _ in group]
+            links += [(parent, slot) for _, _, parent, slot in group]
         level = [(a, dists + (d,), r, slot)
-                 for r, (_, a, dists) in enumerate(rows[starts[-1]:], starts[-1])
+                 for r, (a, dists) in enumerate(rows[starts[-1]:], starts[-1])
                  for slot, d in enumerate(_table_distances(c, ((None,) + combos[a][0])[i]))
                  ] if i + 1 < k else []
-    start, offset = {}, 0  # where a row's table starts in the walk's probabilities
+    size = len(rows)
+    assignment = np.fromiter((a for a, _ in rows), np.int64, size)
+    parents, entries = np.array(links, dtype=np.int64).T.copy()
+    del rows, links, groups, group  # the tuples, which outweigh every array here
+    start = np.zeros(size, np.int64)  # where a row's table starts in the walk's probabilities
+    offset = 0
     for (c, tx_set), (cls, members) in programs.items():
-        size = len(sep_program(c, tx_set)[0])
-        start.update((r, offset + j * size) for j, r in enumerate(members))
-        offset += size * len(members)
-    blocks = tuple((slice(lo, hi), np.array([p for p, _ in links[lo:hi]]),
-                    _span([start[p] + slot for p, slot in links[lo:hi]]))
-                   for lo, hi in zip(starts[1:], starts[2:] + [len(rows)]))
-    level_of = np.array([i for i, _, _ in rows])
-    stage_of = np.array([[j + (j >= i) for i, _, _ in rows] for j in range(k - 1)],
-                        dtype=np.int64).reshape(k - 1, len(rows))
-    factors = np.ones((2, k - 1, len(rows)))
-    for r, (i, a, dists) in enumerate(rows):
-        factors[:, :i, r] = dists
-        factors[0, i:, r] = [cls.squared_magnitude for cls in combos[a][0][i:]]
-    # a gain key is (level, factors), named by its first row
-    first, leaf_sets, row_leaf = {}, {}, []
-    for r, terms in enumerate(row_terms):
-        g = first.setdefault((level_of[r], *factors[:, :, r].ravel().tolist()), r)
-        leaf_sets.setdefault(terms, {}).setdefault(g, None)
-        row_leaf.append((terms, g))
-    fade_args, leaf_index, ber_groups = {}, {}, []
-    for terms, keys in leaf_sets.items():
-        leaf_index.update(((terms, g), len(leaf_index)) for g in keys)
+        width = len(sep_program(c, tx_set)[0])
+        start[members] = offset + width * np.arange(len(members))
+        offset += width * len(members)
+    entries += start[parents]
+    blocks = tuple((slice(lo, hi), parents[lo:hi], _span(entries[lo:hi]))
+                   for lo, hi in zip(starts[1:], starts[2:] + [size]))
+    level_of = np.repeat(np.arange(k), np.diff(starts + [size]))
+    stage_of = np.arange(k - 1)[:, None] + (np.arange(k - 1)[:, None] >= level_of)
+    fade_args, first_leaf, leaf_key, ber_groups = {}, {}, [], []
+    for terms, keys in leaf_sets.items():  # leaves are numbered set by set
+        first_leaf[terms] = len(leaf_key)
+        leaf_key += keys
         ber_groups.append((np.array([[coef] for coef, _ in terms]), np.array(
             [[fade_args.setdefault((g, d2), len(fade_args)) for g in keys]
              for _, d2 in terms])))
+    row_leaf = np.concatenate([first_leaf[terms] + ids for terms, ids in row_leaf])
+    key_of = np.array(leaf_key)[row_leaf]
+    key_row = np.empty(len(gain_keys), np.int64)
+    key_row[key_of] = np.arange(size)  # a row of each key: any serves
+    factors = np.ones((2, k - 1, len(gain_keys)))
+    for g, (i, dists, magnitudes) in enumerate(gain_keys):
+        factors[:, :i, g] = dists
+        factors[0, i:, g] = magnitudes
     # a stage adds, assignment by assignment, its level's sum, and the cut
     # mass of the levels up to its own; slot 2 A K stays empty
-    slot = np.array([a for _, a, _ in rows]) * k + level_of
+    slot = assignment * k + level_of
     adds = [h * roots * k + a * k + j if j == s or h and j < s else 2 * roots * k
             for h in (0, 1) for s in range(k) for a in range(roots) for j in range(k)]
     weights = np.array([weight for _, weight in combos])
-    return (len(rows) - starts[-1], weights, weights.min(), level_of, stage_of,
-            factors, blocks, tuple((c, cls, _span(m)) for (c, _), (cls, m) in programs.items()),
-            np.array([g for g, _ in fade_args]), np.array([d2 for _, d2 in fade_args]),
-            tuple(ber_groups), np.array([leaf_index[key] for key in row_leaf]),
+    return (size - starts[-1], weights, weights.min(), level_of, stage_of,
+            factors[:, :, key_of], blocks,
+            tuple((c, cls, _span(m)) for (c, _), (cls, m) in programs.items()),
+            key_row[[g for g, _ in fade_args]], np.array([d2 for _, d2 in fade_args]),
+            tuple(ber_groups), row_leaf,
             np.stack([slot, slot + roots * k])[:, None], np.array(adds).reshape(2 * k, roots * k))
 
 
