@@ -33,6 +33,18 @@ over the table's unique rates, and the conditional BER is pairs with
 BER = sum coef * erlang_fade_average(gain * d^2, n). Only these leaf
 pairs depend on the mode: "exact" walks the Gray decision boundaries of
 each axis, "approx" charges one fading tail per adjacent boundary.
+
+What a walk needs besides its powers depends only on the model, the
+mode, the prune threshold and the leaf limit, so the first walk of each
+such tuple binds it (_BoundWalk) and keeps it on the model, beside its
+stage order; later walks reuse it. It holds the unpacked plan, the
+stage-ordered sigma^2 and its gather per noise term, sigma_n^2
+(range-checked once, when bound), whether the decode order is the
+identity, and the two bincount index arrays for the most columns walked
+so far. Every walk still checks its powers and 2 P sigma^2, and checks
+every gain once before the SEP kernel, which runs unchecked; the
+probabilities are still clamped per program. A plan past PLAN_ROWS rows
+raises CapacityError from its row count, before any row is built.
 """
 
 from __future__ import annotations
@@ -49,12 +61,17 @@ from .constellation import (Constellation, _axis_gray_labels, magnitude_classes,
                             neighbor_count)
 from .detectors import SystemModel
 from .errors import CapacityError
-from .kernels import erlang_fade_average, sep_probabilities, sep_program
+from .kernels import erlang_fade_average, sep_program, sep_rows
 
 DEFAULT_PRUNE = 1e-12
 DEFAULT_MAX_LEAVES = 10_000_000
 AUTO_APPROX_ORDER = 64  # mode "auto" gives stages of this many points approx leaves
 WALK_LEAVES = 1 << 18  # unpruned leaves, over all columns, that one walk holds
+# Rows a walk plan may hold. Building one peaked at 334-365 bytes per row
+# under tracemalloc and kept 100-150 (16-QAM x4, 21,297 rows; 64-QAM x3,
+# 74,133; 16-QAM x5, 532,641, built in 8 s), so this cap keeps a build
+# under about 400 MB.
+PLAN_ROWS = 1 << 20
 
 
 def _check_stage(model: SystemModel, k: int) -> None:
@@ -99,8 +116,9 @@ def _admissible_tx(c: Constellation, tx_class) -> tuple[int, ...]:
 
 def _sep_table(c: Constellation, tx_class, gain, n: int) -> np.ndarray:
     """SEP table probabilities at each gain, in gain.shape + (D,), for
-    the distances of _table_distances(c, tx_class)."""
-    return sep_probabilities(sep_program(c, _admissible_tx(c, tx_class)), gain, n)
+    the distances of _table_distances(c, tx_class). The callers check
+    that every gain is nonnegative and n a positive integer."""
+    return sep_rows(sep_program(c, _admissible_tx(c, tx_class)), gain, n)
 
 
 def _table_distances(c: Constellation, tx_class) -> tuple[float, ...]:
@@ -149,6 +167,8 @@ def _stage_point(model: SystemModel, k: int, classes, distances):
     u = model.stage_profiles()[k - 1]
     gain = (2.0 * u.power * u.sigma**2
             / effective_noise_variance(model, k, distances, x_mags))
+    if not gain >= 0:  # NaN fails too
+        raise ValueError("gain must be nonnegative")
     return u.constellation, classes[k - 2] if k >= 2 else None, gain
 
 
@@ -223,6 +243,20 @@ def _collector_off():
             gc.enable()
 
 
+def _plan_rows(consts: tuple[Constellation, ...]) -> int:
+    """Rows of the plan for stage alphabets consts, from the SEP-table
+    sizes alone: per assignment, a level holds a row per path of table
+    entries above it."""
+    rows = 0
+    for classes, _ in _assignments(consts[1:]):
+        width = 1
+        for c, cls in zip(consts[:-1], (None,) + classes):
+            rows += width
+            width *= len(_table_distances(c, cls))
+        rows += width
+    return rows
+
+
 @lru_cache(maxsize=None)
 @_collector_off()
 def _plan(consts: tuple[Constellation, ...], mode: str):
@@ -244,14 +278,17 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     leaves (gain key, terms) that use it, the coefs, (T, 1), and the
     arguments, (T, L); per row its leaf, (R,), leaves numbered set by
     set. Then per row its bincount slot, (assignment, level), for
-    weight x BER and then for cut mass, (2, 1, R); and per stage, for
+    weight x BER and then for cut mass, (2, R); and per stage, for
     weight x BER and then for cut mass, the slots it adds in order,
     (2K, A K), an empty slot where a level does not count. The last
     stage has no SEP table: its programs are never compiled.
 
     Only the tree's expansion walks row by row in Python; the per-row
-    arrays are gathered from per-key ones, as a plan can hold over 1e7
-    rows."""
+    arrays are gathered from per-key ones. A plan of more than PLAN_ROWS
+    rows raises CapacityError before any row is built."""
+    size = _plan_rows(consts)
+    if size > PLAN_ROWS:
+        raise CapacityError(f"walk plan of {size} rows exceeds {PLAN_ROWS}")
     k = len(consts)
     combos = _assignments(consts[1:])
     roots = len(combos)
@@ -283,7 +320,6 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
                  for r, (a, dists) in enumerate(rows[starts[-1]:], starts[-1])
                  for slot, d in enumerate(_table_distances(c, ((None,) + combos[a][0])[i]))
                  ] if i + 1 < k else []
-    size = len(rows)
     assignment = np.fromiter((a for a, _ in rows), np.int64, size)
     parents, entries = np.array(links, dtype=np.int64).T.copy()
     del rows, links, groups, group  # the tuples, which outweigh every array here
@@ -324,7 +360,114 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
             tuple((c, cls, _span(m)) for (c, _), (cls, m) in programs.items()),
             key_row[[g for g, _ in fade_args]], np.array([d2 for _, d2 in fade_args]),
             tuple(ber_groups), row_leaf,
-            np.stack([slot, slot + roots * k])[:, None], np.array(adds).reshape(2 * k, roots * k))
+            np.stack([slot, slot + roots * k]), np.array(adds).reshape(2 * k, roots * k))
+
+
+class _BoundWalk:
+    """_walk bound to one model, mode, prune floor and leaf limit (see
+    the module docstring); calling it walks a (P, K) array of powers in
+    stage order."""
+
+    def __init__(self, model: SystemModel, mode: str, floor: float, max_leaves: int):
+        stages = model.stage_profiles()
+        (self.leaf_bound, self.weights, lightest, self.level_of, self.stage_of,
+         self.factors, self.blocks, self.programs, self.fade_rows, self.fade_d2,
+         self.ber_groups, self.row_leaf, self.keys, self.adds) = _plan(
+             tuple(u.constellation for u in stages), mode)
+        self.noise_sq = model.noise_sigma**2
+        if not 0.0 < self.noise_sq < math.inf:
+            raise ValueError("noise_sigma^2 is out of float range")
+        self.k, self.n, self.floor, self.max_leaves = model.k, model.n_antennas, floor, max_leaves
+        self.sigma_sq = np.array([u.sigma**2 for u in stages])
+        self.sigma_rows = self.sigma_sq[self.stage_of]
+        order = list(model.decode_order())
+        self.order = None if order == list(range(self.k)) else order
+        self.root_w = (self.weights if lightest >= floor
+                       else self.weights * (self.weights >= floor))
+        self.index = (0, None, None)
+
+    def _index(self, count: int):
+        """The bincount indices for count columns: per (column, sum, row)
+        its (column, assignment, level) slot, and per (column, sum, stage)
+        entry of the second pass its bin. Built for the most columns yet,
+        whose prefixes serve fewer, and replaced in one assignment, so a
+        walk on another thread sees a matching pair."""
+        cols, slots, bins = self.index
+        if count > cols:
+            span = 2 * self.weights.size * self.k + 1
+            slots = (np.arange(0, span * count, span)[:, None, None] + self.keys).ravel()
+            bins = np.arange(2 * self.k * count).repeat(self.weights.size * self.k)
+            self.index = (count, slots, bins)
+        return slots, bins
+
+    def __call__(self, powers: np.ndarray):
+        count = powers.shape[0]
+        chunk = max(1, WALK_LEAVES // self.leaf_bound)
+        if count > chunk:  # columns are independent: walk them in slices
+            parts = [self(powers[lo:lo + chunk]) for lo in range(0, count, chunk)]
+            return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        k, n, roots, size = self.k, self.n, self.weights.size, self.level_of.size
+        numerators = 2.0 * powers * self.sigma_sq
+        if not np.isfinite(numerators).all():
+            raise ValueError("2 P sigma^2 is out of float range")
+        noise = powers.take(self.stage_of, axis=1)
+        noise *= self.factors[0]
+        noise *= self.factors[1]
+        noise *= self.sigma_rows
+        sigma_tot_sq = (noise[:, 0] + self.noise_sq if k > 1
+                        else np.full((count, 1), self.noise_sq))
+        for j in range(1, k - 1):
+            sigma_tot_sq += noise[:, j]
+        gain = numerators.take(self.level_of, axis=1) / sigma_tot_sq
+        if not gain.min(initial=0.0) >= 0:  # NaN fails too
+            raise ValueError("gain must be nonnegative")
+        tables = [_sep_table(c, tx_class, gain[:, rows], n).reshape(count, -1)
+                  for c, tx_class, rows in self.programs]
+        probs = np.concatenate(tables, axis=1) if len(tables) > 1 else (tables or [None])[0]
+        floor = self.floor
+        cw, w = np.empty((2, count, size))  # weights before and after the cut
+        cw[:, :roots] = self.weights
+        w[:, :roots] = self.root_w
+        for rows, parents, entries in self.blocks:
+            np.multiply(w.take(parents, axis=1), probs[:, entries], out=cw[:, rows])
+            np.multiply(cw[:, rows], cw[:, rows] >= floor, out=w[:, rows])
+        leaf_bound, max_leaves = self.leaf_bound, self.max_leaves
+        if leaf_bound > max_leaves and np.count_nonzero(
+                w[:, size - leaf_bound:] >= floor, axis=1).max(initial=0) > max_leaves:
+            raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
+        # every row's BER, pruned or not: a pruned row adds BER x 0 = 0
+        fades = erlang_fade_average(gain.take(self.fade_rows, axis=1) * self.fade_d2, n)
+        bers = []
+        for coefs, picks in self.ber_groups:
+            f = fades.take(picks, axis=1)  # (column, term, leaf)
+            f *= coefs
+            for j in range(1, len(coefs)):  # each leaf adds its terms in order
+                f[:, 0] += f[:, j]
+            bers.append(f[:, 0])
+        ber = np.concatenate(bers, axis=1) if len(bers) > 1 else bers[0]
+        values = np.empty((count, 2, size))  # weight x BER and cut mass
+        np.multiply(ber.take(self.row_leaf, axis=1), w, out=values[:, 0])
+        np.subtract(cw, w, out=values[:, 1])
+        slots, bins = self._index(count)
+        span = 2 * roots * k + 1
+        sums = np.bincount(slots[:values.size], values.ravel(),
+                           span * count).reshape(count, span)
+        per_stage = sums[:, self.adds].ravel()
+        out = np.bincount(bins[:per_stage.size], per_stage)
+        totals, dropped = np.ascontiguousarray(out.reshape(count, 2, k).transpose(1, 0, 2))
+        return totals, dropped
+
+
+def _bind(model: SystemModel, mode: str, prune_threshold: float,
+          max_leaves: int) -> _BoundWalk:
+    """The model's walk for these arguments, bound on first use. A
+    weight is cut below prune_threshold, so a NaN threshold cuts none."""
+    floor = -math.inf if math.isnan(prune_threshold) else prune_threshold
+    key = (mode, floor, max_leaves)
+    walk = model._walks.get(key)
+    if walk is None:
+        walk = model._walks[key] = _BoundWalk(model, mode, floor, max_leaves)
+    return walk
 
 
 def _walk(model: SystemModel, powers: np.ndarray, mode: str,
@@ -349,64 +492,7 @@ def _walk(model: SystemModel, powers: np.ndarray, mode: str,
     the cut mass of the levels up to the stage's own. So each column
     gets what it gets alone, where a pruned row is never walked.
     Columns go in slices of at most WALK_LEAVES unpruned leaves."""
-    stages = model.stage_profiles()
-    (leaf_bound, weights, lightest, level_of, stage_of, factors, blocks, programs,
-     fade_rows, fade_d2, ber_groups, row_leaf, keys, adds) = _plan(
-         tuple(u.constellation for u in stages), mode)
-    count = powers.shape[0]
-    chunk = max(1, WALK_LEAVES // leaf_bound)
-    if count > chunk:  # columns are independent: walk them in slices
-        parts = [_walk(model, powers[lo:lo + chunk], mode, prune_threshold,
-                       max_leaves) for lo in range(0, count, chunk)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    k, roots, size = model.k, weights.size, level_of.size
-    sigma_sq = np.array([u.sigma**2 for u in stages])
-    numerators = 2.0 * powers * sigma_sq
-    noise_sq = model.noise_sigma**2
-    if not (0.0 < noise_sq < math.inf and np.isfinite(numerators).all()):
-        raise ValueError("noise_sigma^2 or 2 P sigma^2 is out of float range")
-    n = model.n_antennas
-    noise = powers.take(stage_of, axis=1)
-    noise *= factors[0]
-    noise *= factors[1]
-    noise *= sigma_sq[stage_of]
-    sigma_tot_sq = noise[:, 0] + noise_sq if k > 1 else np.full((count, 1), noise_sq)
-    for j in range(1, k - 1):
-        sigma_tot_sq += noise[:, j]
-    gain = numerators.take(level_of, axis=1) / sigma_tot_sq
-    tables = [_sep_table(c, tx_class, gain[:, rows], n).reshape(count, -1)
-              for c, tx_class, rows in programs]
-    probs = np.concatenate(tables, axis=1) if len(tables) > 1 else (tables or [None])[0]
-    # a weight is cut below prune_threshold, so a NaN threshold cuts none
-    floor = -math.inf if math.isnan(prune_threshold) else prune_threshold
-    buf = np.zeros((4, count, size))  # weights before and after the cut;
-    cw, w, values = buf[0], buf[1], buf[2:]  # weight x BER and cut mass
-    cw[:, :roots] = weights
-    w[:, :roots] = weights if lightest >= floor else weights * (weights >= floor)
-    for rows, parents, entries in blocks:
-        np.multiply(w.take(parents, axis=1), probs[:, entries], out=cw[:, rows])
-        np.multiply(cw[:, rows], cw[:, rows] >= floor, out=w[:, rows])
-    if leaf_bound > max_leaves and np.count_nonzero(
-            w[:, size - leaf_bound:] >= floor, axis=1).max(initial=0) > max_leaves:
-        raise CapacityError(f"expansion tree exceeds {max_leaves} leaves")
-    # every row's BER, pruned or not: a pruned row adds BER x 0 = 0
-    fades = erlang_fade_average(gain.take(fade_rows, axis=1) * fade_d2, n)
-    bers = []
-    for coefs, picks in ber_groups:
-        f = fades.take(picks, axis=1)  # (column, term, leaf)
-        f *= coefs
-        for j in range(1, len(coefs)):  # each leaf adds its terms in order
-            f[:, 0] += f[:, j]
-        bers.append(f[:, 0])
-    ber = np.concatenate(bers, axis=1) if len(bers) > 1 else bers[0]
-    np.multiply(ber.take(row_leaf, axis=1), w, out=values[0])
-    np.subtract(cw, w, out=values[1])
-    span = 2 * roots * k + 1
-    sums = np.bincount((np.arange(0, span * count, span)[:, None] + keys).ravel(),
-                       values.ravel(), span * count).reshape(count, span)
-    out = np.bincount(np.arange(2 * k * count).repeat(roots * k), sums[:, adds].ravel())
-    totals, dropped = np.ascontiguousarray(out.reshape(count, 2, k).transpose(1, 0, 2))
-    return totals, dropped
+    return _bind(model, mode, prune_threshold, max_leaves)(powers)
 
 
 def stage_bers_grid(model: SystemModel, powers, mode: str = "auto",
@@ -424,8 +510,8 @@ def stage_bers_grid(model: SystemModel, powers, mode: str = "auto",
         raise ValueError(f"powers must be (P, {model.k}), got {powers.shape}")
     if not (powers >= 0).all():
         raise ValueError("user power must be nonnegative")
-    powers = powers[:, list(model.decode_order())]
-    return _walk(model, powers, mode, prune_threshold, max_leaves)[0]
+    walk = _bind(model, mode, prune_threshold, max_leaves)
+    return walk(powers if walk.order is None else powers[:, walk.order])[0]
 
 
 def stage_bers(model: SystemModel, mode: str = "auto",

@@ -52,7 +52,10 @@ def _sample_cn(n: int, sigma: float, rng: np.random.Generator,
         raise ValueError("sigma must be positive")
     shape = (2, n) if count is None else (2, n, int(count))
     g = rng.standard_normal(shape)
-    return sigma * (g[0] + 1j * g[1])
+    out = np.empty(shape[1:], dtype=complex)
+    np.multiply(sigma, g[0], out=out.real)
+    np.multiply(sigma, g[1], out=out.imag)
+    return out
 
 
 def sample_channel(n: int, sigma: float, rng: np.random.Generator,

@@ -176,6 +176,7 @@ class SystemModel:
         order = tuple(sorted(range(len(users)), key=lambda i: users[i].sic_rank))
         object.__setattr__(self, "_order", order)  # not a field: read per walk
         object.__setattr__(self, "_stages", tuple(users[i] for i in order))
+        object.__setattr__(self, "_walks", {})  # analytic walks bound to the model
 
     @property
     def k(self) -> int:
@@ -242,11 +243,14 @@ def superimpose(model: SystemModel, symbols, channels, noise) -> np.ndarray:
     chans = _check_vectors(model, y, channels)
     if len(symbols) != model.k:
         raise ValueError("one symbol index entry per user required")
+    work = np.empty_like(y)  # each user's sqrt(P) h x, in place
     for u, h, s in zip(model.users, chans, symbols):
         s = np.asarray(s)
         if s.shape != y.shape[1:]:
             raise ValueError(f"symbol indices shape {s.shape} != {y.shape[1:]}")
-        y += np.sqrt(u.power) * h * u.constellation.points[s]
+        np.multiply(np.sqrt(u.power), h, out=work)
+        work *= u.constellation.points[s]
+        y += work
     return y
 
 
@@ -338,16 +342,21 @@ def sic_detect_batch(model: SystemModel, y: np.ndarray, channels) -> np.ndarray:
     _keep_freed_memory()
     out = np.zeros((model.k, y.shape[1]), dtype=np.int64)
     r = y.astype(complex, copy=True)
+    work = np.empty_like(r)  # conj(h) r, then sqrt(P) h x, in place
     order = model.decode_order()
     for idx in order:
         u = model.users[idx]
         h = channels[idx]
-        z = np.sum(np.conj(h) * r, axis=0)
+        np.conjugate(h, out=work)
+        work *= r
+        z = np.sum(work, axis=0)
         scale = np.sqrt(u.power) * np.sum(np.abs(h) ** 2, axis=0)
         s = _slice(u.constellation, z, scale)
         out[idx] = s
         if idx != order[-1]:  # no stage reads the last residual
-            r -= np.sqrt(u.power) * h * u.constellation.points[s][None, :]
+            np.multiply(np.sqrt(u.power), h, out=work)
+            work *= u.constellation.points[s][None, :]
+            r -= work
     return out
 
 
@@ -355,7 +364,7 @@ def _gram_form(model: SystemModel, y: np.ndarray, channels, order):
     """The Gram form's inputs for the users in order, with g_k = sqrt(P_k)
     h_k: G_kj = g_k^H g_j (len(order), len(order), B), p_k = g_k^H y
     (len(order), B), and per column S = ||y|| + sum_k ||g_k|| max|x_k|
-    over all users."""
+    over all users, which order must hold, with ||g_k|| = sqrt(G_kk)."""
     g = np.stack([np.sqrt(u.power) * np.asarray(channels[i])
                   for i, u in enumerate(model.users)])  # (K, n, B)
     g_conj = np.conj(g[order])
@@ -363,7 +372,9 @@ def _gram_form(model: SystemModel, y: np.ndarray, channels, order):
     gram = np.array([[np.sum(a * g[k], axis=0) for k in order]
                      for a in g_conj])
     peak = np.array([np.abs(u.constellation.points).max() for u in model.users])
-    return gram, proj, np.linalg.norm(y, axis=0) + peak @ np.linalg.norm(g, axis=1)
+    norms = np.empty(g.shape[::2])  # ||g_k|| = sqrt(G_kk), in user order
+    norms[order] = np.sqrt(np.diagonal(gram).real.T)
+    return gram, proj, np.linalg.norm(y, axis=0) + peak @ norms
 
 
 @lru_cache(maxsize=None)

@@ -337,6 +337,12 @@ def sep_probabilities(program, gain, n: int) -> np.ndarray:
     row, an array of gains one row per gain, in gain.shape + (D,); each
     row comes out the same whatever shares its call."""
     _check_gain_n(gain, n)
+    return sep_rows(program, gain, n)
+
+
+def sep_rows(program, gain, n: int) -> np.ndarray:
+    """sep_probabilities without its input checks, for a caller that
+    has made them: every gain nonnegative, n a positive integer."""
     _, rates, m, r6 = program
     gains = np.asarray(gain, dtype=float)
     out = _clamp_probability(_evaluate(rates, m, r6, gains.reshape(-1), n),

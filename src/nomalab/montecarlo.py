@@ -10,6 +10,7 @@ per-user symbol indices, then per-user channel matrices, then noise.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,8 @@ def estimate_ber(model: SystemModel, detector: str = "sic",
     Batches are dispatched in waves of `workers`, none past the one that
     reaches max_symbols, and folded in batch order; batches past the
     stopping point are discarded, so the result does not depend on the
-    worker count.
+    worker count. A wave's first batch runs in the calling thread and the
+    rest in a pool of workers - 1 threads, so one worker starts none.
     """
     if detector not in DETECTORS:
         raise ValueError(f"unknown detector {detector!r}")
@@ -111,15 +113,16 @@ def estimate_ber(model: SystemModel, detector: str = "sic",
     symbols = 0
     next_batch = 0
     done = False
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ThreadPoolExecutor(max_workers=workers - 1) if workers > 1 else nullcontext()
+    with pool:
         while not done:
-            wave = [
-                pool.submit(_run_batch, model, detector, stop.batch_size,
-                            key.child(next_batch + i))
-                for i in range(min(workers, last_batch - next_batch))]
-            next_batch += len(wave)
-            for fut in wave:
-                batch_err = fut.result()
+            keys = [key.child(next_batch + i)
+                    for i in range(min(workers, last_batch - next_batch))]
+            rest = [pool.submit(_run_batch, model, detector, stop.batch_size, k)
+                    for k in keys[1:]]
+            first = _run_batch(model, detector, stop.batch_size, keys[0])
+            next_batch += len(keys)
+            for batch_err in [first] + [fut.result() for fut in rest]:
                 if done:
                     continue
                 errors += batch_err

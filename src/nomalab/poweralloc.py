@@ -70,13 +70,14 @@ def sum_ber_db_cost(model: SystemModel, powers_db, mode: str = "auto",
     # libm's pow and log10 per element: numpy's SIMD loops (AVX-512
     # builds) round some inputs differently and would change the results
     rows = np.asarray(powers_db, dtype=float)
-    linear = [[10.0 ** (p / 10.0) for p in row]
-              for row in np.atleast_2d(rows).tolist()]
+    grid = np.atleast_2d(rows)
+    linear = np.fromiter((10.0 ** (p / 10.0) for p in grid.ravel().tolist()),
+                         float, grid.size).reshape(grid.shape)
     bers = stage_bers_grid(model, linear, mode, prune_threshold, max_leaves)
-    costs = []
-    for stage_row in bers.tolist():
-        total = sum(stage_row)
-        costs.append(10.0 * math.log10(max(total, BER_FLOOR)))
+    totals = bers[:, 0]
+    for j in range(1, model.k):  # stage by stage, in stage order
+        totals = totals + bers[:, j]
+    costs = [10.0 * math.log10(t) for t in np.maximum(totals, BER_FLOOR).tolist()]
     return costs[0] if rows.ndim == 1 else np.array(costs)
 
 
@@ -133,10 +134,11 @@ def _descent(p0: np.ndarray, cfg: PaConfig):
     its probes. It stops at a non-finite or zero gradient, when no rung
     is acceptable, when it improves by less than tol_db, or after
     max_iters steps."""
-    probes = cfg.fd_step_db * np.eye(len(p0))
+    step = cfg.fd_step_db * np.eye(len(p0))
+    probes = np.concatenate([step, -step])
 
-    def around(q):
-        return np.concatenate([q + probes, q - probes])
+    def around(q):  # q + step, then q - step: a - b is a + (-b), bit for bit
+        return q + probes
 
     p = np.minimum(p0, cfg.p_max_db)
     costs = yield np.concatenate([p[None], around(p)])

@@ -451,6 +451,29 @@ def reference_sic(y, channels, powers, point_sets, order):
     return tuple(out)
 
 
+def draw_batch(model, batch_size, key):
+    """One Monte Carlo batch as (symbols, channels, y), drawn as the
+    package drew it with fresh temporaries per product: each complex
+    normal as sigma (g_re + 1j g_im), y as the noise plus each user's
+    sqrt(P) h x in turn. The draw order is montecarlo._draw_batch's."""
+    from nomalab.channel import generator
+
+    rng = generator(key)
+    n = model.n_antennas
+
+    def complex_normal(sigma):
+        g = rng.standard_normal((2, n, batch_size))
+        return sigma * (g[0] + 1j * g[1])
+
+    sym = [rng.integers(0, u.constellation.size, size=batch_size)
+           for u in model.users]
+    chans = [complex_normal(u.sigma) for u in model.users]
+    y = complex_normal(model.noise_sigma)
+    for u, h, s in zip(model.users, chans, sym):
+        y += np.sqrt(u.power) * h * u.constellation.points[s]
+    return sym, chans, y
+
+
 # ---- SEP table at 50 digits ----
 
 def _tail_terms(u):

@@ -675,6 +675,117 @@ def test_walk_evaluates_pruned_rows_without_warning():
     assert np.all(dropped[:, 1] > 0.0)
 
 
+def fresh(m):
+    """An equal model that has bound no walk yet."""
+    return SystemModel(m.n_antennas, m.noise_sigma, m.users)
+
+
+@pytest.mark.parametrize("name", ["qpsk3_n2", "8_4_4", "16_8_8", "8_16_8_4"])
+def test_a_bound_walk_gives_what_fresh_walks_give(name):
+    consts, sigmas, n, mode = WALK_SYSTEMS[name]
+    m = make_model([1.0] * len(consts), sigmas, consts, n=n)
+    rng = np.random.default_rng(24)
+    # the column counts grow, shrink and grow past their earlier peak
+    for cols, thr in ((7, 1e-12), (1, 1e-12), (30, 1e-12), (3, 1e-6), (30, 1e-6),
+                      (12, 1e-12), (64, 1e-12), (5, 0.0)):
+        powers = 10.0 ** rng.uniform(-1.0, 4.0, (cols, m.k))
+        got = _walk(m, powers, mode, thr, DEFAULT_MAX_LEAVES)
+        for ref in (_walk(fresh(m), powers, mode, thr, DEFAULT_MAX_LEAVES),
+                    oracles.per_assignment_walk(m, powers, mode, thr, DEFAULT_MAX_LEAVES)):
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert len(m._walks) == 3  # one binding per (mode, threshold, leaf limit)
+
+
+def test_threads_sharing_a_bound_walk_get_what_one_thread_gets():
+    # the bound walk regrows its bincount indices as column counts rise;
+    # a thread that read a stale pair would sum into the wrong bins
+    import sys
+    import threading
+
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QAM16, QAM8, QAM8], n=2)
+    rng = np.random.default_rng(7)
+    batches = [10.0 ** rng.uniform(-1.0, 4.0, (cols, 3)) for cols in range(1, 41)]
+    expect = [stage_bers_grid(fresh(m), powers) for powers in batches]
+    bad = []
+
+    def walk(offset):
+        for i in range(len(batches)):
+            j = (i + offset) % len(batches)
+            if not np.array_equal(stage_bers_grid(m, batches[j]), expect[j]):
+                bad.append(j)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(10 * t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+def test_power_allocation_walks_give_what_fresh_walks_give(monkeypatch):
+    from nomalab import poweralloc
+
+    walks = []
+    grid = poweralloc.stage_bers_grid
+    monkeypatch.setattr(poweralloc, "stage_bers_grid", lambda m, powers, *args: (
+        walks.append((np.array(powers), args)) or grid(m, powers, *args)))
+    m = make_model([1.0] * 3, [0.625, 10.0, 2.5], [QPSK] * 3, n=2, ranks=[3, 1, 2])
+    poweralloc.optimize_powers(m, poweralloc.PaConfig(p_max_db=16.0, max_iters=6))
+    assert len({len(powers) for powers, _ in walks}) > 2
+    for powers, args in walks:
+        got = stage_bers_grid(m, powers, *args)
+        assert np.array_equal(got, stage_bers_grid(fresh(m), powers, *args))
+        ref, _ = oracles.per_assignment_walk(m, powers[:, [1, 2, 0]], *args)
+        assert np.array_equal(got, ref)
+
+
+def test_a_bound_walk_still_checks_every_call():
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
+    high = batch_columns([0.0, -8.0, -14.0], [30.0, 40.0])
+    low = batch_columns([0.0, -8.0, -14.0], [-20.0])
+    stage_bers_grid(m, high, "exact", 1e-3, 8)  # binds the walk
+    with pytest.raises(ValueError, match="nonnegative"):
+        stage_bers_grid(m, -high, "exact", 1e-3, 8)
+    with pytest.raises(ValueError, match="gain must be nonnegative"):
+        _walk(m, -high, "exact", 1e-3, 8)  # unchecked powers reach the gains
+    with pytest.raises(ValueError, match="out of float range"):
+        stage_bers_grid(m, [[math.inf, 1.0, 1.0]], "exact", 1e-3, 8)
+    # nine leaves at -20 dB weigh above 1e-3; at 30 and 40 dB fewer do
+    with pytest.raises(CapacityError, match="exceeds 8 leaves"):
+        stage_bers_grid(m, low, "exact", 1e-3, 8)
+    assert np.array_equal(stage_bers_grid(m, high, "exact", 1e-3, 8),
+                          stage_bers_grid(fresh(m), high, "exact", 1e-3, 8))
+    assert len(m._walks) == 1
+
+
+def test_plan_rows_are_counted_before_any_row_is_built():
+    import time
+    import tracemalloc
+
+    for consts in ([QPSK] * 3, [QAM16, QAM8, QAM8], [QAM8, QAM16, QAM8, QPSK],
+                   [QAM64, QAM16, QPSK], [QAM16] * 3):
+        consts = tuple(consts)
+        assert analytic._plan_rows(consts) == analytic._plan(consts, "auto")[3].size
+    # four 64-QAM stages: 17,279,631 rows, about 6 GB to build
+    m = make_model([1.0] * 4, [8.0, 4.0, 2.0, 1.0], [QAM64] * 4)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(CapacityError, match="17279631 rows exceeds"):
+            stage_bers_grid(m, [[1.0] * 4])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert time.perf_counter() - start < 5.0
+
+
 def test_stage_bers_grid_rejects_a_leaf_limit_of_zero():
     m = make_model([1.0, 0.5], [2.0, 1.0], [QPSK] * 2)
     with pytest.raises(CapacityError, match="exceeds 0 leaves"):

@@ -597,6 +597,21 @@ def test_jmld_zero_gain_user_decides_index_0(zeroed, how):
     assert not jmld_detect_batch(model, y, chans)[zeroed].any()
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_gram_form_takes_the_channel_norms_from_its_diagonal(n):
+    # S must keep its bits: it sets the tie margin and the pruning radius
+    rng = np.random.default_rng(n)
+    model = make_model([100.0, 10.0, 1.0], [10.0, 2.5, 0.625],
+                       [QAM16, QAM8, QAM8], n=n)
+    for order in ([0, 2, 1], [1, 2, 0]):
+        y, chans = random_batch(rng, model, 2_000)
+        g = np.stack([np.sqrt(u.power) * h for u, h in zip(model.users, chans)])
+        peak = np.array([np.abs(u.constellation.points).max() for u in model.users])
+        reach = np.linalg.norm(y, axis=0) + peak @ np.linalg.norm(g, axis=1)
+        got = detectors._gram_form(model, y, chans, order)[2]
+        assert got.view(np.uint64).tolist() == reach.view(np.uint64).tolist()
+
+
 def test_superimpose_batch_shape_validation():
     model = make_model([1.0, 1.0], [1.0, 1.0], [QPSK, QPSK], n=2)
     noise = np.zeros((2, 5), complex)

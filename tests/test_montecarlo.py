@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from nomalab.analytic import ber_user, stage_bers, stage_bers_grid
 from nomalab.channel import StreamKey
 from nomalab.constellation import build_rect_qam
@@ -87,6 +88,61 @@ def test_no_wave_runs_past_the_symbol_budget(monkeypatch):
         est = estimate_ber(MODEL, "sic", rule, StreamKey(0, 1), workers)
         assert est.symbols == 80
         assert sorted(run) == [8 + i for i in range(8)]
+
+
+def test_each_wave_runs_its_first_batch_in_the_calling_thread(monkeypatch):
+    import threading
+
+    from nomalab import montecarlo
+
+    run = []
+
+    def counted(model, detector, batch_size, key):
+        run.append((key.stream, threading.current_thread() is threading.main_thread()))
+        return np.zeros(model.k, dtype=np.int64)
+
+    monkeypatch.setattr(montecarlo, "_run_batch", counted)
+    rule = StopRule(min_errors=10**9, max_symbols=70, batch_size=10)
+    estimate_ber(MODEL, "sic", rule, StreamKey(0), workers=3)
+    assert sorted(stream for stream, _ in run) == list(range(7))
+    assert sorted(stream for stream, main in run if main) == [0, 3, 6]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("one worker starts no thread pool")
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+    run.clear()
+    estimate_ber(MODEL, "sic", rule, StreamKey(0), workers=1)
+    assert run == [(i, True) for i in range(7)]
+
+
+QAM8, QAM16 = build_rect_qam(4, 2), build_rect_qam(4, 4)
+DRAW_SYSTEMS = {  # alphabets, powers, spreads, antennas, noise sigma
+    "qpsk3_n2": ([QPSK] * 3, [31.6, 3.16, 1.0], [10.0, 2.5, 0.625], 2, 1.0),
+    "qpsk3_n4": ([QPSK] * 3, [31.6, 3.16, 1.0], [10.0, 2.5, 0.625], 4, 1.0),
+    "16_8_8_n2": ([QAM16, QAM8, QAM8], [100.0, 10.0, 1.0], [10.0, 2.5, 0.625], 2, 0.8),
+    "16_8_8_n4": ([QAM16, QAM8, QAM8], [100.0, 10.0, 1.0], [10.0, 2.5, 0.625], 4, 0.8),
+    "k2_n1": ([QPSK] * 2, [10.0, 2.0], [1.0, 0.7], 1, 1.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_SYSTEMS))
+def test_batches_draw_bit_for_bit_what_fresh_temporaries_drew(name):
+    # numpy elides the temporaries of products past 256 kB and computes
+    # them in place, so batches on both sides of that size are checked
+    from nomalab import montecarlo
+
+    consts, powers, sigmas, n, noise_sigma = DRAW_SYSTEMS[name]
+    model = SystemModel(n, noise_sigma, tuple(
+        UserProfile(p, s, c) for p, s, c in zip(powers, sigmas, consts)))
+    for batch, size in enumerate((1, 7, 10_000, 20_000)):
+        key = StreamKey(5, sorted(DRAW_SYSTEMS).index(name)).child(batch)
+        sym, chans, y = montecarlo._draw_batch(model, size, key)
+        ref_sym, ref_chans, ref_y = oracles.draw_batch(model, size, key)
+        assert all(np.array_equal(a, b) for a, b in zip(sym, ref_sym))
+        for got, ref in zip(chans + [y], ref_chans + [ref_y]):
+            assert got.shape == ref.shape
+            assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
 
 
 def test_min_errors_is_per_user():

@@ -109,7 +109,8 @@ def test_cost_converts_decibels_one_element_at_a_time(monkeypatch):
 
     monkeypatch.setattr("nomalab.poweralloc.stage_bers_grid", walk)
     costs = sum_ber_db_cost(NEAR_FAR, powers_db)
-    assert seen == [[[10.0 ** (p / 10.0) for p in row] for row in powers_db.tolist()]]
+    assert [np.asarray(powers).tolist() for powers in seen] == [
+        [[10.0 ** (p / 10.0) for p in row] for row in powers_db.tolist()]]
     assert costs.tolist() == [10.0 * math.log10(sums[i % 6]) for i in range(50)]
 
 
