@@ -69,8 +69,8 @@ AUTO_APPROX_ORDER = 64  # mode "auto" gives stages of this many points approx le
 WALK_LEAVES = 1 << 18  # unpruned leaves, over all columns, that one walk holds
 # Rows a walk plan may hold. Building one peaked at 334-365 bytes per row
 # under tracemalloc and kept 100-150 (16-QAM x4, 21,297 rows; 64-QAM x3,
-# 74,133; 16-QAM x5, 532,641, built in 8 s), so this cap keeps a build
-# under about 400 MB.
+# 74,133; 16-QAM x5, 532,641, built in 8 s on a 2-core Xeon), so this cap
+# keeps a build under about 400 MB.
 PLAN_ROWS = 1 << 20
 
 
@@ -384,6 +384,7 @@ class _BoundWalk:
         self.order = None if order == list(range(self.k)) else order
         self.root_w = (self.weights if lightest >= floor
                        else self.weights * (self.weights >= floor))
+        self.span = 2 * self.weights.size * self.k + 1  # bins per column, the last empty
         self.index = (0, None, None)
 
     def _index(self, count: int):
@@ -394,7 +395,7 @@ class _BoundWalk:
         walk on another thread sees a matching pair."""
         cols, slots, bins = self.index
         if count > cols:
-            span = 2 * self.weights.size * self.k + 1
+            span = self.span
             slots = (np.arange(0, span * count, span)[:, None, None] + self.keys).ravel()
             bins = np.arange(2 * self.k * count).repeat(self.weights.size * self.k)
             self.index = (count, slots, bins)
@@ -449,9 +450,8 @@ class _BoundWalk:
         np.multiply(ber.take(self.row_leaf, axis=1), w, out=values[:, 0])
         np.subtract(cw, w, out=values[:, 1])
         slots, bins = self._index(count)
-        span = 2 * roots * k + 1
         sums = np.bincount(slots[:values.size], values.ravel(),
-                           span * count).reshape(count, span)
+                           self.span * count).reshape(count, self.span)
         per_stage = sums[:, self.adds].ravel()
         out = np.bincount(bins[:per_stage.size], per_stage)
         totals, dropped = np.ascontiguousarray(out.reshape(count, 2, k).transpose(1, 0, 2))
