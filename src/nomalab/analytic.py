@@ -12,20 +12,27 @@ downstream) at SINR parameter 2 P_k sigma_k^2 / sigma_tot^2. It adds
 its weighted stage-k BER, then expands stage k's SEP table (error
 distances d_k with closed-form probabilities) to depth k + 1.
 
-The walk has one fixed shape per tuple of stage alphabets: every node
-of every level, a node's children contiguous and in table order, the
-same for each column (power vector). A node's gain depends only on its
-upstream distances, so every gain comes first; then the SEP kernel runs
-once per compiled program over its nodes at every level, and the
-weights follow level by level. Pruning is per node and column: a weight
-below the threshold becomes 0, so nothing under it counts. A node's
-level and noise factors fix its gain, so the one leaf-BER call takes
-each distinct fading argument (gain x d^2) once, for every node, pruned
-or not: a pruned node adds BER x 0 = 0. A stage sums
-weight x conditional BER over its level per assignment and column, then
-adds the assignments in order; an assignment's nodes keep their order
-whatever the others hold, so every column gets the result it gets
-alone, bit for bit.
+The walk has one fixed shape per tuple of stage alphabets (_plan):
+every node of every level, a node's children contiguous and in table
+order, the same for each column (power vector). A node's gain depends
+only on its upstream distances, so every gain comes first: its noise is
+sigma_n^2 plus, in stage order, the residual (P_j d_j) d_j sigma_j^2 of
+each stage j above it and the interference (P_j |x_j|^2) sigma_j^2 of
+each stage below. Then the SEP kernel runs once per compiled program
+(the plan holds each one) over its nodes at every level, and the
+weights follow level by level: a child's is its parent's times its
+table entry. Pruning is per node and column: a weight below the
+threshold is cut mass and becomes 0, so nothing under it counts. A
+node's level and noise factors fix its gain, so the one leaf-BER call
+takes each distinct fading argument (gain x d^2) once, for every node,
+pruned or not: a pruned node adds BER x 0 = 0, and each leaf adds its
+terms in order. One bincount sums weight x conditional BER and the cut
+mass per column, assignment and level, in node order; a second adds,
+per column and stage, the assignments in order, with the cut mass of
+the levels up to the stage's own. An assignment's nodes keep their
+order whatever the others hold, so every column gets the result it
+gets alone, bit for bit. Columns go in slices of at most WALK_LEAVES
+unpruned leaves.
 
 Both per-node kernels compile once per alphabet and transmitted class,
 QPSK included: the SEP table is kernels.sep_program, one exact matrix
@@ -37,14 +44,15 @@ each axis, "approx" charges one fading tail per adjacent boundary.
 What a walk needs besides its powers depends only on the model, the
 mode, the prune threshold and the leaf limit, so the first walk of each
 such tuple binds it (_BoundWalk) and keeps it on the model, beside its
-stage order; later walks reuse it. It holds the unpacked plan, the
-stage-ordered sigma^2 and its gather per noise term, sigma_n^2
-(range-checked once, when bound), whether the decode order is the
-identity, and the two bincount index arrays for the most columns walked
-so far. Every walk still checks its powers and 2 P sigma^2, and checks
-every gain once before the SEP kernel, which runs unchecked; the
-probabilities are still clamped per program. A plan past PLAN_ROWS rows
-raises CapacityError from its row count, before any row is built.
+stage order; later walks reuse it and look nothing up. It holds the
+unpacked plan, compiled SEP programs included, the stage-ordered
+sigma^2 and its gather per noise term, sigma_n^2 (range-checked once,
+when bound), whether the decode order is the identity, and the two
+bincount index arrays for the most columns walked so far. Every walk
+still checks its powers and 2 P sigma^2, and checks every gain once
+before the SEP kernel, which runs unchecked; the probabilities are
+still clamped per program. A plan past PLAN_ROWS rows raises
+CapacityError from its row count, before any row is built.
 """
 
 from __future__ import annotations
@@ -114,16 +122,11 @@ def _admissible_tx(c: Constellation, tx_class) -> tuple[int, ...]:
     return out
 
 
-def _sep_table(c: Constellation, tx_class, gain, n: int) -> np.ndarray:
-    """SEP table probabilities at each gain, in gain.shape + (D,), for
-    the distances of _table_distances(c, tx_class). The callers check
-    that every gain is nonnegative and n a positive integer."""
-    return sep_rows(sep_program(c, _admissible_tx(c, tx_class)), gain, n)
-
-
-def _table_distances(c: Constellation, tx_class) -> tuple[float, ...]:
-    """Error distances of a SEP table, ascending."""
-    return sep_program(c, _admissible_tx(c, tx_class))[0]
+def _sep_program(c: Constellation, tx_class):
+    """Compiled SEP table of tx_class, a magnitude class of c (None: any
+    symbol), as kernels.sep_program: its distances, ascending, come
+    first, and kernels.sep_rows evaluates it."""
+    return sep_program(c, _admissible_tx(c, tx_class))
 
 
 @lru_cache(maxsize=None)
@@ -177,8 +180,8 @@ def sep_table_user(model: SystemModel, k: int, classes, distances=()):
     assignment and upstream distances, as in _stage_point:
     (distance, probability) pairs, ascending in distance."""
     c, tx_class, gain = _stage_point(model, k, classes, distances)
-    probs = _sep_table(c, tx_class, gain, model.n_antennas).tolist()
-    return tuple(zip(_table_distances(c, tx_class), probs))
+    program = _sep_program(c, tx_class)
+    return tuple(zip(program[0], sep_rows(program, gain, model.n_antennas).tolist()))
 
 
 def conditional_ber_user(model: SystemModel, k: int, classes, distances=(),
@@ -252,7 +255,7 @@ def _plan_rows(consts: tuple[Constellation, ...]) -> int:
         width = 1
         for c, cls in zip(consts[:-1], (None,) + classes):
             rows += width
-            width *= len(_table_distances(c, cls))
+            width *= len(_sep_program(c, cls)[0])
         rows += width
     return rows
 
@@ -270,22 +273,20 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     of the K-1 terms of its noise the stage, (K-1, R), and two factors,
     (2, K-1, R): the error distance twice for a stage above, |x|^2 and 1
     for one below; per level below 0 (rows, parent rows, entries in the
-    SEP tables side by side); per SEP program (alphabet, transmitted
-    class, rows). A row's gain key, its level, upstream distances and
-    |x|^2 below, fixes its factors and so its gain bit for bit. For the
-    leaf BERs: per distinct fading argument (gain key, d^2) a row of the
-    key and d^2, (F,) each; per distinct set of leaf terms, over the
-    leaves (gain key, terms) that use it, the coefs, (T, 1), and the
-    arguments, (T, L); per row its leaf, (R,), leaves numbered set by
-    set. Then per row its bincount slot, (assignment, level), for
-    weight x BER and then for cut mass, (2, R); and per stage, for
-    weight x BER and then for cut mass, the slots it adds in order,
-    (2K, A K), an empty slot where a level does not count. The last
-    stage has no SEP table: its programs are never compiled.
-
-    Only the tree's expansion walks row by row in Python; the per-row
-    arrays are gathered from per-key ones. A plan of more than PLAN_ROWS
-    rows raises CapacityError before any row is built."""
+    SEP tables side by side); per SEP program its compiled tuple
+    (kernels.sep_program) and its rows. A row's gain key, its level,
+    upstream distances and |x|^2 below, fixes its factors and so its
+    gain bit for bit. For the leaf BERs: per distinct fading argument
+    (gain key, d^2) a row of the key and d^2, (F,) each; per distinct
+    set of leaf terms, over the leaves (gain key, terms) that use it,
+    the coefs, (T, 1), and the arguments, (T, L); per row its leaf,
+    (R,), leaves numbered set by set. Then per row its bincount slot,
+    (assignment, level), for weight x BER and then for cut mass, (2, R);
+    and per stage, for weight x BER and then for cut mass, the slots it
+    adds in order, (2K, A K), an empty slot where a level does not
+    count. The last stage has no SEP table: its programs are never
+    compiled. A plan of more than PLAN_ROWS rows raises CapacityError
+    before any row is built."""
     size = _plan_rows(consts)
     if size > PLAN_ROWS:
         raise CapacityError(f"walk plan of {size} rows exceeds {PLAN_ROWS}")
@@ -312,21 +313,23 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
                                  len(keys)) for a, dists, _, _ in group),
                 np.int64, len(group))))
             if i + 1 < k:  # equal symbol sets share a program
-                programs.setdefault((c, _admissible_tx(c, cls)), (cls, []))[1].extend(
+                programs.setdefault((c, _admissible_tx(c, cls)), []).extend(
                     range(len(rows), len(rows) + len(group)))
             rows += [(a, dists) for a, dists, _, _ in group]
             links += [(parent, slot) for _, _, parent, slot in group]
         level = [(a, dists + (d,), r, slot)
                  for r, (a, dists) in enumerate(rows[starts[-1]:], starts[-1])
-                 for slot, d in enumerate(_table_distances(c, ((None,) + combos[a][0])[i]))
+                 for slot, d in enumerate(_sep_program(c, ((None,) + combos[a][0])[i])[0])
                  ] if i + 1 < k else []
     assignment = np.fromiter((a for a, _ in rows), np.int64, size)
     parents, entries = np.array(links, dtype=np.int64).T.copy()
     del rows, links, groups, group  # the tuples, which outweigh every array here
     start = np.zeros(size, np.int64)  # where a row's table starts in the walk's probabilities
     offset = 0
-    for (c, tx_set), (cls, members) in programs.items():
-        width = len(sep_program(c, tx_set)[0])
+    programs = tuple((sep_program(c, tx_set), members)
+                     for (c, tx_set), members in programs.items())
+    for program, members in programs:
+        width = len(program[0])
         start[members] = offset + width * np.arange(len(members))
         offset += width * len(members)
     entries += start[parents]
@@ -357,16 +360,17 @@ def _plan(consts: tuple[Constellation, ...], mode: str):
     weights = np.array([weight for _, weight in combos])
     return (size - starts[-1], weights, weights.min(), level_of, stage_of,
             factors[:, :, key_of], blocks,
-            tuple((c, cls, _span(m)) for (c, _), (cls, m) in programs.items()),
+            tuple((program, _span(members)) for program, members in programs),
             key_row[[g for g, _ in fade_args]], np.array([d2 for _, d2 in fade_args]),
             tuple(ber_groups), row_leaf,
             np.stack([slot, slot + roots * k]), np.array(adds).reshape(2 * k, roots * k))
 
 
 class _BoundWalk:
-    """_walk bound to one model, mode, prune floor and leaf limit (see
-    the module docstring); calling it walks a (P, K) array of powers in
-    stage order."""
+    """The walk of one model, mode, prune floor and leaf limit. Called
+    with a (P, K) array of linear powers in stage order, it returns the
+    BERs of stages 1..K and, per column, the mass pruned before each
+    stage, both (P, K)."""
 
     def __init__(self, model: SystemModel, mode: str, floor: float, max_leaves: int):
         stages = model.stage_profiles()
@@ -422,8 +426,8 @@ class _BoundWalk:
         gain = numerators.take(self.level_of, axis=1) / sigma_tot_sq
         if not gain.min(initial=0.0) >= 0:  # NaN fails too
             raise ValueError("gain must be nonnegative")
-        tables = [_sep_table(c, tx_class, gain[:, rows], n).reshape(count, -1)
-                  for c, tx_class, rows in self.programs]
+        tables = [sep_rows(program, gain[:, rows], n).reshape(count, -1)
+                  for program, rows in self.programs]
         probs = np.concatenate(tables, axis=1) if len(tables) > 1 else (tables or [None])[0]
         floor = self.floor
         cw, w = np.empty((2, count, size))  # weights before and after the cut
@@ -468,31 +472,6 @@ def _bind(model: SystemModel, mode: str, prune_threshold: float,
     if walk is None:
         walk = model._walks[key] = _BoundWalk(model, mode, floor, max_leaves)
     return walk
-
-
-def _walk(model: SystemModel, powers: np.ndarray, mode: str,
-          prune_threshold: float, max_leaves: int):
-    """BERs of stages 1..K for each row of powers, a (P, K) array of
-    linear powers in stage order, as a (P, K) array; and per column the
-    mass pruned before each stage, as a (P, K) array.
-
-    Every row of the plan is walked for every column, as (column, row)
-    arrays. First every row's gain: its noise is noise_sigma^2 plus, in
-    stage order, the residual (P_j d_j) d_j sigma_j^2 of each stage j
-    above it and the interference (P_j |x_j|^2) sigma_j^2 of each stage
-    below. Then one SEP-kernel call per program, over its rows at every
-    level. Then the weights, level by level: a child's is its parent's
-    times its table entry, and a weight below prune_threshold is cut
-    mass and becomes 0, so the rows under it weigh 0 too. One fade call
-    takes each distinct leaf argument, gain x d^2, once; each leaf adds
-    its terms in order, and every row takes its leaf's BER, pruned or
-    not, as its weight 0 makes it add 0. One bincount sums weight x BER
-    and the cut mass per (column, assignment, level) in row order;
-    a second adds, per column and stage, the assignments in order, with
-    the cut mass of the levels up to the stage's own. So each column
-    gets what it gets alone, where a pruned row is never walked.
-    Columns go in slices of at most WALK_LEAVES unpruned leaves."""
-    return _bind(model, mode, prune_threshold, max_leaves)(powers)
 
 
 def stage_bers_grid(model: SystemModel, powers, mode: str = "auto",

@@ -103,7 +103,10 @@ def cmd_analytic(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def _simulate(cfg: RunConfig, args):
+    """The closed form and a Monte Carlo sweep of args.detector over the
+    configured grid, both written to results.csv beside the config echo:
+    (analytic table, curve, rows written, results.csv path)."""
     model = build_model(cfg)
     grid = sweep_grid(cfg)
     seed = cfg.montecarlo.seed
@@ -114,7 +117,12 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     rows += _sim_rows(model, curve, args.detector, seed)
     path = _write_csv(cfg.output.directory, rows)
     _emit_config(cfg, cfg.output.directory)
-    print(f"wrote {len(rows)} points to {path}")
+    return analytic, curve, len(rows), path
+
+
+def cmd_simulate(cfg: RunConfig, args) -> int:
+    _, _, count, path = _simulate(cfg, args)
+    print(f"wrote {count} points to {path}")
     return 0
 
 
@@ -196,13 +204,8 @@ def _oracle_checks() -> list[dict]:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
-    model = build_model(cfg)
-    grid = sweep_grid(cfg)
-    seed = cfg.montecarlo.seed
     oracle = _oracle_checks()
-    analytic = _analytic_table(model, cfg, grid)
-    curve = sweep(model, grid, args.detector, cfg.montecarlo.stop_rule(),
-                  StreamKey(seed), cfg.montecarlo.workers)
+    analytic, curve, _, _ = _simulate(cfg, args)
     report = compare_analytic(curve, analytic, cfg.validate)
     payload = {
         "oracle_checks": oracle,
@@ -214,10 +217,6 @@ def cmd_validate(cfg: RunConfig, args) -> int:
     }
     _write_json(os.path.join(cfg.output.directory, "validate_report.json"),
                 payload)
-    rows = _analytic_rows(grid, analytic, seed)
-    rows += _sim_rows(model, curve, args.detector, seed)
-    _write_csv(cfg.output.directory, rows)
-    _emit_config(cfg, cfg.output.directory)
     status = "PASS" if payload["passed"] else "FAIL"
     print(f"validate: {status} ({report.n_checked} points checked, "
           f"{report.n_failed} failed)")
@@ -282,7 +281,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        os.makedirs(cfg.output.directory, exist_ok=True)
+        try:
+            os.makedirs(cfg.output.directory, exist_ok=True)
+        except OSError as exc:  # empty, an existing file, or under a file
+            raise ConfigError(f"cannot create output.directory "
+                              f"{cfg.output.directory!r}: {exc}") from exc
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

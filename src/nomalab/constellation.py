@@ -157,19 +157,6 @@ def _check_index(c: Constellation, index: int) -> int:
     return idx
 
 
-def symbol_class(c: Constellation, index: int) -> str:
-    """Geometric class of a symbol: 'interior', 'edge', or 'corner'.
-
-    A level is extreme when it sits at either end of its axis; a
-    degenerate single-level axis counts as extreme.
-    """
-    idx = _check_index(c, index)
-    ext_i = c.level_index_i[idx] in (0, c.m_i - 1)
-    ext_q = c.level_index_q[idx] in (0, c.m_q - 1)
-    n_ext = int(ext_i) + int(ext_q)
-    return ("interior", "edge", "corner")[n_ext]
-
-
 def neighbor_count(c: Constellation, index: int) -> int:
     """Number of directly adjacent decision boundaries around a symbol.
 
@@ -199,12 +186,6 @@ def magnitude_classes(c: Constellation) -> tuple[MagnitudeClass, ...]:
         members = tuple(sorted(groups[key]))
         out.append(MagnitudeClass(key, members, len(members) / c.size))
     return tuple(out)
-
-
-def bit_distance(c: Constellation, a: int, b: int) -> int:
-    """Hamming distance between the bit labels of two symbols."""
-    ia, ib = _check_index(c, a), _check_index(c, b)
-    return int(np.sum(c.bit_labels[ia] != c.bit_labels[ib]))
 
 
 @lru_cache(maxsize=None)

@@ -7,11 +7,12 @@ well as one gain, and compute each entry the same way whatever array it
 sits in:
 
 * erlang_fade_average(a, n) is the exact average of Q(sqrt(a Z)).
-* The two-term exponential approximation q_approx(x) (Chiani, Dardari,
-  Simon) makes each decision axis contribute a bracket that is an
-  exponential mixture in Z. _axis_brackets returns one axis's brackets
-  as a coefficient matrix over that axis's unit-gain rates; e^(-r g Z)
-  averages to (1 + g r)^(-n). On the odd grid every rate is an integer
+* The two-term exponential approximation of Q (Chiani, Dardari,
+  Simon), q(x) = exp(-x^2/2)/12 + exp(-2 x^2/3)/4 for x >= 0 and
+  1 - q(-x) below, makes each decision axis contribute a bracket that
+  is an exponential mixture in Z. _axis_brackets returns one axis's
+  brackets as a coefficient matrix over that axis's unit-gain rates;
+  e^(-r g Z) averages to (1 + g r)^(-n). On the odd grid every rate is an integer
   over 6 and every coefficient an integer over 12, so a table of
   probabilities compiles exactly, in integers, into a matrix M over a
   few unique rates R: entry d is sum_R M[d, R] (1 + g R)^(-n).
@@ -28,7 +29,7 @@ sits in:
 
 Decision-cell integrands use SIGNED boundary offsets relative to the
 transmitted point; for negative arguments the approximation is evaluated
-as 1 - q_approx(|x|), mirroring Q(-x) = 1 - Q(x).
+as 1 - q(|x|), mirroring Q(-x) = 1 - Q(x).
 """
 
 from __future__ import annotations
@@ -53,22 +54,6 @@ def q_exact(x):
     """Gaussian tail probability Q(x) = 0.5 erfc(x / sqrt(2)), elementwise."""
     out = 0.5 * np.asarray(_ERFC(np.asarray(x, dtype=float) / math.sqrt(2.0)),
                            dtype=float)
-    return out if out.ndim else float(out)
-
-
-def q_approx(x):
-    """Two-term exponential approximation of Q(x).
-
-    exp(-x^2/2)/12 + exp(-2 x^2/3)/4 for x >= 0, and 1 minus that value
-    at |x| for x < 0. Gives 1/3 at x = 0 (the approximation is not exact
-    there) and inherits the approximation's 10-30% relative error on
-    small probabilities; it exists to make products of Q terms average
-    in closed form.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        base = np.exp(-0.5 * x_arr * x_arr) / 12.0 + np.exp(-(2.0 / 3.0) * x_arr * x_arr) / 4.0
-    out = np.where(x_arr >= 0, base, 1.0 - base)
     return out if out.ndim else float(out)
 
 
@@ -151,7 +136,7 @@ def _axis_brackets(bounds, level: float):
     the probability that the axis statistic lands in cell j given gain
     g and Z = z, is sum_a C[j, a] e^(-g r[a] z). Rate 0 comes first,
     then u^2/2 and 2 u^2/3 for each finite boundary at signed offset u
-    from level. That boundary's tail q_approx(u sqrt(g z)) is [u < 0]
+    from level. That boundary's tail q(u sqrt(g z)) is [u < 0]
     at rate 0 and +-(1/12, 1/4) at its two rates; the +-inf sentinels
     contribute only the constant. Bracket j is tail(lower) - tail(upper).
     On the odd grid u is an odd integer, so 6 r (3 u^2 or 4 u^2) and

@@ -112,11 +112,18 @@ def qpsk_triplet_closed(a: float, n: int):
     return p_same, p_adj, p_diag
 
 
-def q_two_term(x: float) -> float:
-    """Two-term exponential Q model with the signed two-branch rule."""
-    if x >= 0:
-        return math.exp(-x * x / 2.0) / 12.0 + math.exp(-2.0 * x * x / 3.0) / 4.0
-    return 1.0 - q_two_term(-x)
+def q_approx(x):
+    """Two-term exponential approximation of Q(x) (Chiani, Dardari,
+    Simon), elementwise: exp(-x^2/2)/12 + exp(-2 x^2/3)/4 for x >= 0,
+    and 1 minus that value at |x| for x < 0 (a float for a scalar). It
+    gives 1/3 at x = 0 and overshoots the exact tail by 10-30% on small
+    probabilities; the closed forms average products of it, and
+    kernels._axis_brackets holds its differences across an axis."""
+    x_arr = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        base = np.exp(-0.5 * x_arr * x_arr) / 12.0 + np.exp(-(2.0 / 3.0) * x_arr * x_arr) / 4.0
+    out = np.where(x_arr >= 0, base, 1.0 - base)
+    return out if out.ndim else float(out)
 
 
 def qpsk_triplet_quadrature(a: float, n: int):
@@ -127,13 +134,29 @@ def qpsk_triplet_quadrature(a: float, n: int):
 
     def avg(fn):
         val, _ = quad(
-            lambda v: fn(q_two_term(math.sqrt(a) * v))
+            lambda v: fn(q_approx(math.sqrt(a) * v))
             * dens * v ** (2 * n - 1) * math.exp(-v * v),
             0.0, upper, limit=300, epsabs=1e-14, epsrel=1e-12)
         return val
 
     return (avg(lambda q: (1.0 - q) ** 2), avg(lambda q: 2.0 * q * (1.0 - q)),
             avg(lambda q: q * q))
+
+
+# ---- symbol geometry and labels ----
+
+def symbol_class(c, index: int) -> str:
+    """Geometric class of a symbol: 'interior', 'edge', or 'corner'. A
+    level is extreme at either end of its axis; a degenerate
+    single-level axis counts as extreme."""
+    ext_i = c.level_index_i[index] in (0, c.m_i - 1)
+    ext_q = c.level_index_q[index] in (0, c.m_q - 1)
+    return ("interior", "edge", "corner")[int(ext_i) + int(ext_q)]
+
+
+def bit_distance(c, a: int, b: int) -> int:
+    """Hamming distance between the bit labels of two symbols."""
+    return int(np.sum(c.bit_labels[a] != c.bit_labels[b]))
 
 
 # ---- exponential-term bookkeeping for pairwise cell probabilities ----
@@ -567,9 +590,10 @@ def reference_walk_ber(model, k, mode="exact"):
 def _per_assignment_plan(consts, mode):
     """The per-assignment walk's fixed part: unpruned leaves per column,
     and per class assignment its weight, the squared magnitudes of stages
-    2..K and per stage (alphabet, class, leaf terms, distances)."""
+    2..K and per stage (compiled SEP program, leaf terms), the last
+    stage's program None."""
     from nomalab.analytic import (_assignments, _leaf_terms, _resolve_mode,
-                                  _table_distances)
+                                  _sep_program)
 
     modes = [_resolve_mode(c, mode) for c in consts]
     out = []
@@ -577,12 +601,12 @@ def _per_assignment_plan(consts, mode):
     for classes, weight in _assignments(consts[1:]):
         tx_classes = (None,) + classes
         levels = tuple(
-            (c, cls, _leaf_terms(c, cls, m),
-             np.array(_table_distances(c, cls)) if i + 1 < len(consts) else None)
+            (_sep_program(c, cls) if i + 1 < len(consts) else None,
+             _leaf_terms(c, cls, m))
             for i, (c, cls, m) in enumerate(zip(consts, tx_classes, modes)))
         mags = np.array([cls.squared_magnitude for cls in classes])
         out.append((weight, mags, levels))
-        leaves += math.prod(len(level[3]) for level in levels[:-1])
+        leaves += math.prod(len(level[0][0]) for level in levels[:-1])
     return leaves, tuple(out)
 
 
@@ -613,7 +637,7 @@ def per_assignment_walk(model, powers, mode, prune_threshold, max_leaves):
     pass per class assignment, adding each assignment's stage sums and
     pruned mass in assignment order: the walk the package's one-level-
     per-stage walk must match bit for bit. It reuses the package's SEP
-    kernel (_sep_table) and its WALK_LEAVES column slices, and takes the
+    kernel (sep_rows) and its WALK_LEAVES column slices, and takes the
     leaf BERs of its live rows through leaf_bers above."""
     from nomalab import analytic
     from nomalab.errors import CapacityError
@@ -652,7 +676,7 @@ def per_assignment_walk(model, powers, mode, prune_threshold, max_leaves):
         w = np.full(count, weight)
         if k == 1:
             count_leaves(1)
-        for i, (c, tx_class, leaf_terms, dists) in enumerate(levels):
+        for i, (program, leaf_terms) in enumerate(levels):
             sigma_tot_sq = up
             for j in range(i, k - 1):
                 sigma_tot_sq = sigma_tot_sq + down[col, j]
@@ -662,7 +686,7 @@ def per_assignment_walk(model, powers, mode, prune_threshold, max_leaves):
             terms.append(leaf_terms)
             if i + 1 == k:
                 break
-            child_w = w[:, None] * analytic._sep_table(c, tx_class, gain, n)
+            child_w = w[:, None] * analytic.sep_rows(program, gain, n)
             keep = ~(child_w < prune_threshold)
             if i + 2 == k:
                 count_leaves(np.bincount(col, keep.sum(axis=1), count))
@@ -673,7 +697,7 @@ def per_assignment_walk(model, powers, mode, prune_threshold, max_leaves):
                     child_w[cut], count)[:, None]
             rows, slots = np.nonzero(keep)
             col = col[rows]
-            d = dists[slots]
+            d = np.array(program[0])[slots]
             up = up[rows] + powers[col, i] * d * d * sigma_sq[i]
             w = child_w[keep]
     totals = np.zeros((count, k))

@@ -11,11 +11,9 @@ import oracles
 from nomalab.analytic import (
     AUTO_APPROX_ORDER,
     DEFAULT_MAX_LEAVES,
-    _walk,
     _admissible_tx,
     _resolve_mode,
-    _sep_table,
-    _table_distances,
+    _sep_program,
     ber_user,
     ber_user_qam,
     ber_user_qpsk,
@@ -32,7 +30,8 @@ from nomalab.detectors import SystemModel, UserProfile
 from nomalab.errors import CapacityError
 from nomalab import analytic, kernels
 from nomalab.kernels import (cell_probability_closed, erlang_fade_average,
-                             qpsk_sep_triplet, sep_probabilities, sep_program)
+                             qpsk_sep_triplet, sep_probabilities, sep_program,
+                             sep_rows)
 
 QPSK = build_rect_qam(2, 2)
 QAM8 = build_rect_qam(4, 2)
@@ -47,11 +46,18 @@ def make_model(powers, sigmas, consts, n=2, noise_sigma=1.0, ranks=None):
     return SystemModel(n, noise_sigma, users)
 
 
+def bound_walk(m, powers, mode, prune_threshold, max_leaves):
+    """(stage BERs, pruned mass), both (P, K), from the model's bound walk
+    over a (P, K) array of powers in stage order: stage_bers_grid without
+    its input checks, and with the pruned mass it drops."""
+    return analytic._bind(m, mode, prune_threshold, max_leaves)(powers)
+
+
 def pruned_and_dropped(m, k, mode, prune_threshold):
     """Stage k's BER and the probability mass pruned before it, from one
     walk at the model's powers."""
     powers = np.array([[u.power for u in m.stage_profiles()]])
-    bers, dropped = _walk(m, powers, mode, prune_threshold, DEFAULT_MAX_LEAVES)
+    bers, dropped = bound_walk(m, powers, mode, prune_threshold, DEFAULT_MAX_LEAVES)
     return float(bers[0, k - 1]), float(dropped[0, k - 1])
 
 
@@ -180,10 +186,10 @@ def test_ber_user_qam_reads_the_pruned_walk():
 def test_stage_bers_match_uncached_reference_walk(monkeypatch):
     import nomalab.analytic as ana
 
-    rows = []  # (node, column) rows fed to the SEP-table kernels
-    real = ana._sep_table
-    monkeypatch.setattr(ana, "_sep_table", lambda c, cls, gain, n: (
-        rows.append(np.size(gain)) or real(c, cls, gain, n)))
+    rows = []  # (node, column) rows fed to the SEP-table kernel
+    real = ana.sep_rows
+    monkeypatch.setattr(ana, "sep_rows", lambda program, gain, n: (
+        rows.append(np.size(gain)) or real(program, gain, n)))
     rng = np.random.default_rng(2417)
     systems = [[QAM16, QAM8], [QAM16, QAM8, QPSK], [QPSK, QAM16, QAM8],
                [QAM16, QAM8, QAM8, QAM8]]
@@ -211,11 +217,11 @@ def test_compiled_sep_table_matches_cell_merge(m_i, m_q):
     c = build_rect_qam(m_i, m_q)
     for tx_class in (None,) + magnitude_classes(c):
         tx_set = _admissible_tx(c, tx_class)
-        _, rates, coef, _ = sep_program(c, tx_set)
+        dists, rates, coef, _ = program = sep_program(c, tx_set)
+        assert _sep_program(c, tx_class) is program
         for gain in (0.0, 1e-3, 0.3, 30.0, 3e3, 3e6):
             for n in (1, 2, 4, 16):
-                got = tuple(zip(_table_distances(c, tx_class),
-                                _sep_table(c, tx_class, gain, n)))
+                got = tuple(zip(dists, sep_rows(program, gain, n)))
                 ref = oracles.sep_table_mp(c, tx_set, gain, n)
                 bound = 5 * n * 2.0**-53 * (np.abs(coef) @ (1.0 + gain * rates) ** -n)
                 assert len(got) == len(ref)
@@ -292,7 +298,7 @@ def test_sep_tables_normalize_and_sort():
         assert dlist == sorted(dlist) and dlist[0] == 0.0
         t2 = sep_table_user(m, 2, classes, (2.0,))
         assert abs(sum(p for _, p in t2) - 1.0) <= 1e-9
-        assert [d for d, _ in t2] == list(_table_distances(QAM8, classes[0]))
+        assert [d for d, _ in t2] == list(_sep_program(QAM8, classes[0])[0])
 
 
 def test_sep_table_sigma_matches_effective_noise():
@@ -305,7 +311,7 @@ def test_sep_table_sigma_matches_effective_noise():
     u = m.stage_profiles()[1]
     gain = 2.0 * u.power * u.sigma**2 / expect
     # the transmitted class of stage 2 is the assignment's first class
-    assert [p for _, p in t2] == _sep_table(QAM8, classes[0], gain, 2).tolist()
+    assert [p for _, p in t2] == sep_rows(_sep_program(QAM8, classes[0]), gain, 2).tolist()
 
 
 def test_class_assignments_structure():
@@ -378,8 +384,8 @@ def test_max_leaves_guard():
         ber_user_qam(m, 3, "exact", prune_threshold=0.0, max_leaves=10)
     # every stage reads the walk to depth K: a stage-3 leaf per pair of
     # stage-1 and stage-2 table entries, in each class assignment
-    leaves = sum(len(_table_distances(QAM16, None))
-                 * len(_table_distances(QAM8, classes[0]))
+    leaves = sum(len(_sep_program(QAM16, None)[0])
+                 * len(_sep_program(QAM8, classes[0])[0])
                  for classes, _ in class_assignments(m))
     for k in (1, 2, 3):
         got = ber_user_qam(m, k, "exact", prune_threshold=0.0, max_leaves=leaves)
@@ -511,7 +517,7 @@ def test_stage_bers_grid_columns_equal_their_batch_of_one(name, monkeypatch):
             one = stage_bers_grid(m, row[None], "exact", thr)
             assert one[0].tolist() == list(alone)
     # the columns prune different branches
-    _, dropped = ana._walk(m, powers, "exact", 1e-3, 10**7)
+    _, dropped = bound_walk(m, powers, "exact", 1e-3, 10**7)
     assert 0.0 < dropped[:, -1].min() < dropped[:, -1].max()
     # a walk that holds fewer leaves takes the columns in slices
     whole = stage_bers_grid(m, powers, "exact", 1e-6)
@@ -521,13 +527,11 @@ def test_stage_bers_grid_columns_equal_their_batch_of_one(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(BATCH_SYSTEMS))
 def test_stage_bers_grid_prune_bounds_hold_per_column(name):
-    import nomalab.analytic as ana
-
     consts, sigmas, base_db, n = BATCH_SYSTEMS[name]
     m = make_model([1.0] * len(consts), sigmas, consts, n=n)
     powers = batch_columns(base_db, [-10.0, 5.0, 20.0, 35.0, 50.0])
     exact = stage_bers_grid(m, powers, "exact", 0.0)
-    pruned, dropped = ana._walk(m, powers, "exact", 1e-6, 10**7)
+    pruned, dropped = bound_walk(m, powers, "exact", 1e-6, 10**7)
     for k in range(1, m.k + 1):
         for p_col, e_col, d in zip(pruned[:, k - 1], exact[:, k - 1],
                                    dropped[:, k - 1]):
@@ -553,7 +557,7 @@ WALK_SYSTEMS = {  # alphabets in stage order, spreads, antennas, mode
 
 
 def assert_walks_equal(m, powers, mode, thr, max_leaves=DEFAULT_MAX_LEAVES):
-    got = _walk(m, powers, mode, thr, max_leaves)
+    got = bound_walk(m, powers, mode, thr, max_leaves)
     ref = oracles.per_assignment_walk(m, powers, mode, thr, max_leaves)
     assert np.array_equal(got[0], ref[0])
     assert np.array_equal(got[1], ref[1])
@@ -590,16 +594,16 @@ def test_walk_raises_where_the_per_assignment_walk_does():
         except CapacityError:
             lo = mid + 1
     assert_walks_equal(m, powers, "exact", 1e-6, lo)
-    for walk in (_walk, oracles.per_assignment_walk):
+    for walk in (bound_walk, oracles.per_assignment_walk):
         with pytest.raises(CapacityError, match=f"exceeds {lo - 1} leaves"):
             walk(m, powers, "exact", 1e-6, lo - 1)
 
 
 def test_walk_calls_the_sep_kernel_once_per_program(monkeypatch):
-    calls, fades = [], []
-    real, fade = analytic._sep_table, analytic.erlang_fade_average
-    monkeypatch.setattr(analytic, "_sep_table", lambda c, cls, gain, n: (
-        calls.append(cls) or real(c, cls, gain, n)))
+    calls, fades = [], []  # the program of each SEP-kernel call
+    real, fade = analytic.sep_rows, analytic.erlang_fade_average
+    monkeypatch.setattr(analytic, "sep_rows", lambda program, gain, n: (
+        calls.append(program) or real(program, gain, n)))
     monkeypatch.setattr(analytic, "erlang_fade_average", lambda a, n: (
         fades.append(n) or fade(a, n)))
     # QPSK x3: stages 1 and 2 share one program, and one leaf call serves
@@ -607,14 +611,17 @@ def test_walk_calls_the_sep_kernel_once_per_program(monkeypatch):
     m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QPSK] * 3, n=2)
     stage_bers_grid(m, batch_columns([0.0, -8.0, -14.0], [0.0, 10.0, 20.0]))
     assert len(calls) == 1 and len(fades) == 1
+    (shell,) = magnitude_classes(QPSK)
+    assert calls[0] is _sep_program(QPSK, None) is _sep_program(QPSK, shell)
     calls.clear()
     m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QAM16] * 3, n=1)
     powers = batch_columns([0.0, -8.0, -14.0], [0.0, 10.0, 20.0, 30.0])
     stage_bers_grid(m, powers, "exact", 0.0)
     # stage 1 once, stage 2 once per magnitude class; nothing at stage 3
     assert len(calls) == 4
-    assert calls[0] is None
-    assert set(calls[1:]) == set(magnitude_classes(QAM16))
+    assert calls[0] is _sep_program(QAM16, None)
+    assert {id(p) for p in calls[1:]} == {id(_sep_program(QAM16, cls))
+                                          for cls in magnitude_classes(QAM16)}
     calls.clear()
     oracles.per_assignment_walk(m, powers, "exact", 0.0, DEFAULT_MAX_LEAVES)
     assert len(calls) == 18  # 9 class assignments x 2 levels
@@ -671,7 +678,7 @@ def test_walk_evaluates_pruned_rows_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_walks_equal(m, powers, "auto", 1e-12)
-        _, dropped = _walk(m, powers, "auto", 1e-12, DEFAULT_MAX_LEAVES)
+        _, dropped = bound_walk(m, powers, "auto", 1e-12, DEFAULT_MAX_LEAVES)
     assert np.all(dropped[:, 1] > 0.0)
 
 
@@ -689,8 +696,8 @@ def test_a_bound_walk_gives_what_fresh_walks_give(name):
     for cols, thr in ((7, 1e-12), (1, 1e-12), (30, 1e-12), (3, 1e-6), (30, 1e-6),
                       (12, 1e-12), (64, 1e-12), (5, 0.0)):
         powers = 10.0 ** rng.uniform(-1.0, 4.0, (cols, m.k))
-        got = _walk(m, powers, mode, thr, DEFAULT_MAX_LEAVES)
-        for ref in (_walk(fresh(m), powers, mode, thr, DEFAULT_MAX_LEAVES),
+        got = bound_walk(m, powers, mode, thr, DEFAULT_MAX_LEAVES)
+        for ref in (bound_walk(fresh(m), powers, mode, thr, DEFAULT_MAX_LEAVES),
                     oracles.per_assignment_walk(m, powers, mode, thr, DEFAULT_MAX_LEAVES)):
             assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
     assert len(m._walks) == 3  # one binding per (mode, threshold, leaf limit)
@@ -753,7 +760,7 @@ def test_a_bound_walk_still_checks_every_call():
     with pytest.raises(ValueError, match="nonnegative"):
         stage_bers_grid(m, -high, "exact", 1e-3, 8)
     with pytest.raises(ValueError, match="gain must be nonnegative"):
-        _walk(m, -high, "exact", 1e-3, 8)  # unchecked powers reach the gains
+        bound_walk(m, -high, "exact", 1e-3, 8)  # unchecked powers reach the gains
     with pytest.raises(ValueError, match="out of float range"):
         stage_bers_grid(m, [[math.inf, 1.0, 1.0]], "exact", 1e-3, 8)
     # nine leaves at -20 dB weigh above 1e-3; at 30 and 40 dB fewer do
@@ -761,6 +768,31 @@ def test_a_bound_walk_still_checks_every_call():
         stage_bers_grid(m, low, "exact", 1e-3, 8)
     assert np.array_equal(stage_bers_grid(m, high, "exact", 1e-3, 8),
                           stage_bers_grid(fresh(m), high, "exact", 1e-3, 8))
+    assert len(m._walks) == 1
+
+
+def test_a_bound_walk_looks_up_no_sep_program(monkeypatch):
+    # the plan holds its compiled programs: once a model's walk is bound,
+    # its walks and a power-allocation run look up and compile none, and
+    # give what a fresh model gives
+    from nomalab.poweralloc import PaConfig, optimize_powers
+
+    m = make_model([1.0] * 3, [10.0, 2.5, 0.625], [QAM16, QAM8, QAM8], n=2)
+    cfg = PaConfig(p_max_db=16.0, max_iters=4)
+    rng = np.random.default_rng(25)
+    batches = [10.0 ** rng.uniform(-1.0, 4.0, (cols, 3)) for cols in (1, 9, 40)]
+    stage_bers_grid(m, batches[0], cfg.mode)  # binds the walk
+    expect = [stage_bers_grid(fresh(m), powers, cfg.mode) for powers in batches]
+    expect_pa = optimize_powers(fresh(m), cfg)
+
+    def refuse(*args):
+        raise AssertionError("a bound walk looked up a SEP program")
+
+    monkeypatch.setattr(analytic, "sep_program", refuse)
+    monkeypatch.setattr(analytic, "_admissible_tx", refuse)
+    for powers, ref in zip(batches, expect):
+        assert np.array_equal(stage_bers_grid(m, powers, cfg.mode), ref)
+    assert optimize_powers(m, cfg) == expect_pa
     assert len(m._walks) == 1
 
 

@@ -341,6 +341,33 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["analytic", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(dict(BASE, note="caf\u00e9"),
+                                ensure_ascii=False).encode("latin-1"))
+    assert main(["analytic", "--config", str(path)]) == 2
+    assert f"config error: config {path} is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["empty", "file", "under_file"])
+def test_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys,
+                                                                case):
+    # os.makedirs once raised FileNotFoundError, FileExistsError and
+    # NotADirectoryError here, each with a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("a file", encoding="utf-8")
+    data = json.loads(json.dumps(BASE))
+    args = []
+    if case == "empty":
+        data["output"] = {"directory": ""}
+    else:
+        args = ["--out", str(taken if case == "file" else taken / "sub")]
+    cfg = write_config(tmp_path, data)
+    assert main(["analytic", "--config", cfg] + args) == 2
+    assert "config error: cannot create output.directory" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "a file"
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("simulate", "montecarlo", "min_errors", 0),
     ("simulate", "montecarlo", "max_symbols", 0),

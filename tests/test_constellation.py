@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bit_distance, symbol_class
 from nomalab.constellation import (
-    bit_distance,
     build_rect_qam,
     hamming_table,
     magnitude_classes,
     neighbor_count,
-    symbol_class,
 )
 from nomalab.detectors import SystemModel, UserProfile, mrc_sic_detect
 

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 import oracles
+from oracles import q_approx
 from nomalab.analytic import _admissible_tx
 from nomalab.channel import erlang_pdf
 from nomalab.constellation import build_rect_qam, magnitude_classes
@@ -25,7 +26,6 @@ from nomalab.kernels import (
     cell_probability_table,
     erlang_fade_average,
     erlang_fade_quadrature,
-    q_approx,
     q_exact,
     qpsk_sep_triplet,
     sep_probabilities,

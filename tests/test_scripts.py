@@ -215,3 +215,47 @@ def test_pa_study_prints_one_capped_row_per_cap(tmp_path, monkeypatch, capsys):
         powers_db = [float(v) for v in powers.rstrip("]").split(",")]
         assert len(powers_db) == 3
         assert all(p <= cap for p in powers_db)
+
+
+def test_src_lines_counts_code_without_docstrings_or_comments():
+    src_lines = load_script("src_lines")
+    text = ('"""Module\n\ndocstring."""\n\nimport os  # kept\n\n\n'
+            'def f(x):\n    """One line."""\n    # a comment\n'
+            '    return (x,\n            "not a docstring")\n')
+    assert src_lines.count_lines(text) == (12, 4)
+
+
+def test_src_lines_prints_each_module_and_its_change_from_a_base(tmp_path):
+    import subprocess
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                        "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args],
+                       check=True, capture_output=True)
+
+    package = tmp_path / "src" / "nomalab"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""A."""\nx = 1\n', encoding="utf-8")
+    (package / "gone.py").write_text("y = 2\nz = 3\n", encoding="utf-8")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (package / "a.py").write_text('"""A."""\nx = 1\n\nw = x + 1\n', encoding="utf-8")
+    (package / "gone.py").unlink()
+    (package / "new.py").write_text("v = 0\n", encoding="utf-8")
+
+    # A copy of the script inside the temporary repository counts that repository.
+    (tmp_path / "scripts").mkdir()
+    script = tmp_path / "scripts" / "src_lines.py"
+    script.write_text((SCRIPTS / "src_lines.py").read_text(encoding="utf-8"), encoding="utf-8")
+
+    def run(*args):
+        done = subprocess.run([sys.executable, str(script), *args],
+                              capture_output=True, text=True, check=True)
+        return [line.split() for line in done.stdout.splitlines()]
+
+    assert run() == [["module", "lines", "code"], ["a.py", "4", "2"],
+                     ["new.py", "1", "1"], ["total", "5", "3"]]
+    assert run("--base", "HEAD")[1:] == [
+        ["a.py", "4", "2", "+2", "+1"], ["gone.py", "0", "0", "-2", "-2"],
+        ["new.py", "1", "1", "+1", "+1"], ["total", "5", "3", "+1", "+0"]]
