@@ -57,10 +57,8 @@ CapacityError from its row count, before any row is built.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import math
-from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -75,10 +73,12 @@ DEFAULT_PRUNE = 1e-12
 DEFAULT_MAX_LEAVES = 10_000_000
 AUTO_APPROX_ORDER = 64  # mode "auto" gives stages of this many points approx leaves
 WALK_LEAVES = 1 << 18  # unpruned leaves, over all columns, that one walk holds
-# Rows a walk plan may hold. Building one peaked at 334-365 bytes per row
-# under tracemalloc and kept 100-150 (16-QAM x4, 21,297 rows; 64-QAM x3,
-# 74,133; 16-QAM x5, 532,641, built in 8 s on a 2-core Xeon), so this cap
-# keeps a build under about 400 MB.
+# Rows a walk plan may hold. Under tracemalloc, a build peaked at 190-235
+# bytes per row and kept 108-156 (16-QAM x4, 21,297 rows; 64-QAM x3, 74,133;
+# 16-QAM x5, 532,641). Several of its arrays are K-1 wide, so a deep plan
+# costs more per row: QPSK x13 (797,161 rows) peaked at 662 bytes, about
+# 500 MB, and 2x1 x20 (1,048,575 rows, as deep as two-entry tables go under
+# this cap) at 1,001, about 1 GB.
 PLAN_ROWS = 1 << 20
 
 
@@ -232,137 +232,115 @@ def _span(rows):
     return rows
 
 
-@contextmanager
-def _collector_off():
-    """The cyclic garbage collector off, and back on after if it was:
-    a plan's tuples hold no cycles, yet passes over its millions of them
-    took most of the time of a 1.7e7-row plan."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _plan_rows(consts: tuple[Constellation, ...]) -> int:
-    """Rows of the plan for stage alphabets consts, from the SEP-table
-    sizes alone: per assignment, a level holds a row per path of table
-    entries above it."""
-    rows = 0
-    for classes, _ in _assignments(consts[1:]):
-        width = 1
-        for c, cls in zip(consts[:-1], (None,) + classes):
-            rows += width
-            width *= len(_sep_program(c, cls)[0])
-        rows += width
-    return rows
-
-
 @lru_cache(maxsize=None)
-@_collector_off()
 def _plan(consts: tuple[Constellation, ...], mode: str):
     """The walk's fixed shape for stage alphabets consts, for one column:
     every row (node) of every level. Level 0 holds one row per class
     assignment of stages 2..K; a row at level i < K-1 has a child per
-    entry of its SEP table, in table order; a level's rows go by
-    transmitted class, each assignment's in its own order. Returns the
-    rows at level K-1 (the unpruned leaves per column); the assignments'
-    weights and the least of them; per row its level, (R,), and for each
-    of the K-1 terms of its noise the stage, (K-1, R), and two factors,
-    (2, K-1, R): the error distance twice for a stage above, |x|^2 and 1
-    for one below; per level below 0 (rows, parent rows, entries in the
-    SEP tables side by side); per SEP program its compiled tuple
-    (kernels.sep_program) and its rows. A row's gain key, its level,
-    upstream distances and |x|^2 below, fixes its factors and so its
-    gain bit for bit. For the leaf BERs: per distinct fading argument
-    (gain key, d^2) a row of the key and d^2, (F,) each; per distinct
-    set of leaf terms, over the leaves (gain key, terms) that use it,
-    the coefs, (T, 1), and the arguments, (T, L); per row its leaf,
-    (R,), leaves numbered set by set. Then per row its bincount slot,
-    (assignment, level), for weight x BER and then for cut mass, (2, R);
-    and per stage, for weight x BER and then for cut mass, the slots it
-    adds in order, (2K, A K), an empty slot where a level does not
-    count. The last stage has no SEP table: its programs are never
-    compiled. A plan of more than PLAN_ROWS rows raises CapacityError
-    before any row is built."""
-    size = _plan_rows(consts)
-    if size > PLAN_ROWS:
-        raise CapacityError(f"walk plan of {size} rows exceeds {PLAN_ROWS}")
+    entry of its SEP table. A level's rows go by transmitted class, in
+    magnitude order, and each assignment's in path order: a row's
+    parents' order, then its table's. Returns the rows at level K-1 (the
+    unpruned leaves per column); the assignments' weights and the least
+    of them; per row its level, (R,), and for each of the K-1 terms of
+    its noise the stage, (K-1, R), and two factors, (2, K-1, R): the
+    error distance twice for a stage above, |x|^2 and 1 for one below;
+    per level below 0 (rows, parent rows, entries in the SEP tables side
+    by side); per SEP program its compiled tuple (kernels.sep_program)
+    and its rows. A row's gain key, its level, upstream distances and
+    |x|^2 below, fixes its factors and so its gain bit for bit. For the
+    leaf BERs: per distinct fading argument (gain key, d^2) a row of the
+    key and d^2, (F,) each; per distinct set of leaf terms, over the
+    leaves (gain key, terms) that use it, the coefs, (T, 1), and the
+    arguments, (T, L); per row its leaf, (R,), leaves numbered set by
+    set. Then per row its bincount slot, (assignment, level), for weight
+    x BER and then for cut mass, (2, R); and per stage, for weight x BER
+    and then for cut mass, the slots it adds in order, (2K, A K), an
+    empty slot where a level does not count. The last stage has no SEP
+    table: its programs are never compiled.
+
+    The rows per level and assignment are a cumulative product of the
+    SEP-table widths, so a plan of more than PLAN_ROWS rows raises
+    CapacityError before any row is built. Each level is then a few
+    arrays: its children repeat their parents by table width, and a
+    stable sort by |x|^2 puts them in class order."""
     k = len(consts)
     combos = _assignments(consts[1:])
     roots = len(combos)
-    rows, links, starts = [], [], []  # (assignment, distances), (parent, slot)
-    programs, gain_keys, leaf_sets, row_leaf = {}, {}, {}, []
-    below = [[tuple(cls.squared_magnitude for cls in classes[i:]) for i in range(k)]
-             for classes, _ in combos]  # per assignment and level: |x|^2 below it
-    level = [(a, (), -1, -1) for a in range(roots)]
-    for i, c in enumerate(consts):
-        starts.append(len(rows))
-        groups: dict = {}  # transmitted class: its rows at this level
-        for row in level:
-            groups.setdefault(((None,) + combos[row[0]][0])[i], []).append(row)
-        for cls, group in groups.items():
-            # gain keys are numbered as they first come, and a row's leaf
-            # by its key's place among the keys of its leaf terms
-            terms = _leaf_terms(c, cls, _resolve_mode(c, mode))
-            keys = leaf_sets.setdefault(terms, {})
-            row_leaf.append((terms, np.fromiter(
-                (keys.setdefault(gain_keys.setdefault((i, dists, below[a][i]), len(gain_keys)),
-                                 len(keys)) for a, dists, _, _ in group),
-                np.int64, len(group))))
-            if i + 1 < k:  # equal symbol sets share a program
-                programs.setdefault((c, _admissible_tx(c, cls)), []).extend(
-                    range(len(rows), len(rows) + len(group)))
-            rows += [(a, dists) for a, dists, _, _ in group]
-            links += [(parent, slot) for _, _, parent, slot in group]
-        level = [(a, dists + (d,), r, slot)
-                 for r, (a, dists) in enumerate(rows[starts[-1]:], starts[-1])
-                 for slot, d in enumerate(_sep_program(c, ((None,) + combos[a][0])[i])[0])
-                 ] if i + 1 < k else []
-    assignment = np.fromiter((a for a, _ in rows), np.int64, size)
-    parents, entries = np.array(links, dtype=np.int64).T.copy()
-    del rows, links, groups, group  # the tuples, which outweigh every array here
+    classes = [(None,) + cls for cls, _ in combos]  # per assignment, per level
+    tables = [[_sep_program(c, cls[i])[0] for cls in classes] for i, c in enumerate(consts[:-1])]
+    widths = np.array([[len(t) for t in level] for level in tables], np.int64).reshape(k - 1, roots)
+    counts = np.cumprod(np.vstack([np.ones((1, roots), np.int64), widths]), axis=0, dtype=object)
+    size = int(counts.sum())  # exact: the cumulative product is of Python ints
+    if size > PLAN_ROWS:
+        raise CapacityError(f"walk plan of {size} rows exceeds {PLAN_ROWS}")
+    starts = np.cumsum([0] + counts.sum(axis=1).tolist()).tolist()
+    mags = np.array([[cls.squared_magnitude for cls in c[1:]] for c in classes]).reshape(roots, k - 1)
+    assignment, parents, entries = np.zeros((3, size), np.int64)
+    keys = np.empty((size, k))  # a row's gain key: level, upstream distances, |x|^2 below
+    assignment[:roots] = np.arange(roots)
+    for i in range(k):
+        lo, hi = starts[i], starts[i + 1]
+        if i:  # children repeat their parents, then go by class
+            above = assignment[starts[i - 1]:lo]
+            w = widths[i - 1][above]
+            parent = np.repeat(np.arange(starts[i - 1], lo), w)
+            entry = np.arange(hi - lo) - np.repeat(np.cumsum(w) - w, w)
+            order = np.argsort(mags[above.repeat(w), i - 1], kind="stable")
+            parent, entry = parent[order], entry[order]
+            parents[lo:hi], entries[lo:hi], assignment[lo:hi] = parent, entry, assignment[parent]
+            table = np.array(list(itertools.zip_longest(*tables[i - 1], fillvalue=0.0))).T
+            keys[lo:hi, 1:i] = keys[parent, 1:i]
+            keys[lo:hi, i] = table[assignment[lo:hi], entry]
+        keys[lo:hi, 0] = i
+        keys[lo:hi, i + 1:] = mags[assignment[lo:hi], i:]
+    level_of = np.repeat(np.arange(k), np.diff(starts))
+    stage_of = np.arange(k - 1)[:, None] + (np.arange(k - 1)[:, None] >= level_of)
+    _, key_of = np.unique(keys.view(f"V{8 * k}").ravel(), return_inverse=True)
+    factors = np.empty((2, k - 1, size))
+    factors[0] = keys[:, 1:].T
+    factors[1] = np.where(np.arange(k - 1)[:, None] < level_of, factors[0], 1.0)
+    # per (assignment, level) cell: its SEP program (none at level K-1) and
+    # its leaf-term set; equal symbol sets share a program, equal terms a set
+    slot = assignment * k + level_of
+    programs, sets = {}, {}
+    program_of = np.array([[programs.setdefault((c, _admissible_tx(c, cls[i])), len(programs))
+                            for i, c in enumerate(consts[:-1])] + [-1] for cls in classes])
+    set_of = np.array([[sets.setdefault(_leaf_terms(c, cls[i], _resolve_mode(c, mode)), len(sets))
+                        for i, c in enumerate(consts)] for cls in classes])
+    program_of, set_of = program_of.ravel()[slot], set_of.ravel()[slot]
     start = np.zeros(size, np.int64)  # where a row's table starts in the walk's probabilities
     offset = 0
-    programs = tuple((sep_program(c, tx_set), members)
-                     for (c, tx_set), members in programs.items())
+    programs = tuple((sep_program(c, tx_set), np.flatnonzero(program_of == p))
+                     for p, (c, tx_set) in enumerate(programs))
     for program, members in programs:
         width = len(program[0])
         start[members] = offset + width * np.arange(len(members))
         offset += width * len(members)
     entries += start[parents]
     blocks = tuple((slice(lo, hi), parents[lo:hi], _span(entries[lo:hi]))
-                   for lo, hi in zip(starts[1:], starts[2:] + [size]))
-    level_of = np.repeat(np.arange(k), np.diff(starts + [size]))
-    stage_of = np.arange(k - 1)[:, None] + (np.arange(k - 1)[:, None] >= level_of)
-    fade_args, first_leaf, leaf_key, ber_groups = {}, {}, [], []
-    for terms, keys in leaf_sets.items():  # leaves are numbered set by set
-        first_leaf[terms] = len(leaf_key)
-        leaf_key += keys
-        ber_groups.append((np.array([[coef] for coef, _ in terms]), np.array(
-            [[fade_args.setdefault((g, d2), len(fade_args)) for g in keys]
-             for _, d2 in terms])))
-    row_leaf = np.concatenate([first_leaf[terms] + ids for terms, ids in row_leaf])
-    key_of = np.array(leaf_key)[row_leaf]
-    key_row = np.empty(len(gain_keys), np.int64)
+                   for lo, hi in zip(starts[1:-1], starts[2:]))
+    # a leaf is a (leaf-term set, gain key) pair, and a fading argument a
+    # (gain key, d^2) pair; both are numbered by np.unique
+    gains = key_of.max() + 1
+    leaves, row_leaf = np.unique(set_of * gains + key_of, return_inverse=True)
+    bounds = np.searchsorted(leaves, gains * np.arange(len(sets) + 1))
+    d2s = sorted({d2 for terms in sets for _, d2 in terms})
+    picks = [(leaves[lo:hi] % gains) * len(d2s) + np.searchsorted(d2s, [[d2] for _, d2 in terms])
+             for terms, lo, hi in zip(sets, bounds, bounds[1:])]
+    args, arg_of = np.unique(np.concatenate([p.ravel() for p in picks]), return_inverse=True)
+    arg_of = np.split(arg_of, np.cumsum([p.size for p in picks])[:-1])
+    key_row = np.empty(gains, np.int64)
     key_row[key_of] = np.arange(size)  # a row of each key: any serves
-    factors = np.ones((2, k - 1, len(gain_keys)))
-    for g, (i, dists, magnitudes) in enumerate(gain_keys):
-        factors[:, :i, g] = dists
-        factors[0, i:, g] = magnitudes
     # a stage adds, assignment by assignment, its level's sum, and the cut
     # mass of the levels up to its own; slot 2 A K stays empty
-    slot = assignment * k + level_of
     adds = [h * roots * k + a * k + j if j == s or h and j < s else 2 * roots * k
             for h in (0, 1) for s in range(k) for a in range(roots) for j in range(k)]
     weights = np.array([weight for _, weight in combos])
-    return (size - starts[-1], weights, weights.min(), level_of, stage_of,
-            factors[:, :, key_of], blocks,
+    return (size - starts[-2], weights, weights.min(), level_of, stage_of, factors, blocks,
             tuple((program, _span(members)) for program, members in programs),
-            key_row[[g for g, _ in fade_args]], np.array([d2 for _, d2 in fade_args]),
-            tuple(ber_groups), row_leaf,
+            key_row[args // len(d2s)], np.array(d2s)[args % len(d2s)],
+            tuple((np.array([[coef] for coef, _ in terms]), a.reshape(p.shape))
+                  for terms, a, p in zip(sets, arg_of, picks)), row_leaf,
             np.stack([slot, slot + roots * k]), np.array(adds).reshape(2 * k, roots * k))
 
 

@@ -38,8 +38,11 @@ CSV_HEADER = "power_db,user,source,ber,ci_halfwidth,bits,seed"
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:  # a directory at path, say, or no write permission
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
 
 
 def _write_json(path: str, payload) -> None:

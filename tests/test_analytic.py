@@ -552,6 +552,8 @@ WALK_SYSTEMS = {  # alphabets in stage order, spreads, antennas, mode
     "16_8_8": ([QAM16, QAM8, QAM8], [10.0, 2.5, 0.625], 2, "exact"),
     "16_16_16": ([QAM16] * 3, [10.0, 2.5, 0.625], 1, "exact"),
     "64_16_4": ([QAM64, QAM16, QPSK], [10.0, 2.5, 0.625], 4, "auto"),
+    # distinct 64-QAM classes share one leaf-term set at level 1
+    "4_64_4": ([QPSK, QAM64, QPSK], [10.0, 2.5, 0.625], 2, "approx"),
     "8_16_8_4": ([QAM8, QAM16, QAM8, QPSK], [8.0, 4.0, 2.0, 1.0], 2, "exact"),
 }
 
@@ -796,14 +798,19 @@ def test_a_bound_walk_looks_up_no_sep_program(monkeypatch):
     assert len(m._walks) == 1
 
 
-def test_plan_rows_are_counted_before_any_row_is_built():
+def test_plan_rows_are_counted_before_any_row_is_built(monkeypatch):
     import time
     import tracemalloc
 
     for consts in ([QPSK] * 3, [QAM16, QAM8, QAM8], [QAM8, QAM16, QAM8, QPSK],
                    [QAM64, QAM16, QPSK], [QAM16] * 3):
         consts = tuple(consts)
-        assert analytic._plan_rows(consts) == analytic._plan(consts, "auto")[3].size
+        size = analytic._plan(consts, "auto")[3].size
+        analytic._plan.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, "PLAN_ROWS", size - 1)
+            with pytest.raises(CapacityError, match=f"walk plan of {size} rows exceeds"):
+                analytic._plan(consts, "auto")
     # four 64-QAM stages: 17,279,631 rows, about 6 GB to build
     m = make_model([1.0] * 4, [8.0, 4.0, 2.0, 1.0], [QAM64] * 4)
     tracemalloc.start()

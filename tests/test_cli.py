@@ -368,6 +368,17 @@ def test_output_directory_that_cannot_be_made_is_a_config_error(tmp_path, capsys
     assert taken.read_text(encoding="utf-8") == "a file"
 
 
+def test_output_file_that_cannot_be_written_is_a_config_error(tmp_path, capsys):
+    # open() once raised IsADirectoryError here, with a traceback and exit 1
+    out = tmp_path / "out"
+    (out / "results.csv").mkdir(parents=True)
+    cfg = write_config(tmp_path, BASE)
+    assert main(["analytic", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write {str(out / 'results.csv')!r}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command,section,key,value", [
     ("simulate", "montecarlo", "min_errors", 0),
     ("simulate", "montecarlo", "max_symbols", 0),

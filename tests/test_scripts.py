@@ -259,3 +259,19 @@ def test_src_lines_prints_each_module_and_its_change_from_a_base(tmp_path):
     assert run("--base", "HEAD")[1:] == [
         ["a.py", "4", "2", "+2", "+1"], ["gone.py", "0", "0", "-2", "-2"],
         ["new.py", "1", "1", "+1", "+1"], ["total", "5", "3", "+1", "+0"]]
+
+
+def test_plan_build_prints_rows_seconds_and_peak_memory(monkeypatch, capsys):
+    plan_build = load_script("plan_build")
+    assert plan_build.parse_tuple("4x4*2,2x1") == [(4, 4), (4, 4), (2, 1)]
+    with pytest.raises(SystemExit, match="bad alphabet tuple"):
+        plan_build.parse_tuple("4by4")
+    monkeypatch.setattr(sys, "argv", ["plan_build.py", "2x2*2", "4x4,2x2"])
+    assert plan_build.main() == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines[0] == ["tuple", "rows", "build_s", "maxrss_mb"]
+    # one root (QPSK has one magnitude class) and a child per entry of
+    # stage 1's SEP table: 3 for QPSK, 10 for 16-QAM
+    assert [row[:2] for row in lines[1:]] == [["2x2*2", "4"], ["4x4,2x2", "11"]]
+    for row in lines[1:]:
+        assert float(row[2]) > 0.0 and float(row[3]) > 0.0
